@@ -9,9 +9,7 @@ and a depolarizing fidelity proxy.
 from .analysis import (
     CircuitStats,
     CorrelationMatrix,
-    InteractionGraph,
     build_correlation,
-    build_interaction_graph,
     circuit_stats,
 )
 from .bench import (
@@ -39,7 +37,6 @@ from .routing import (
     RouteMetrics,
     RoutingResult,
     route_circuit,
-    routed_metrics,
     trivial_layout,
     verify_routing,
 )

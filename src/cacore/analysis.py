@@ -27,24 +27,9 @@ class CorrelationMatrix:
     def weight(self, a: int, b: int) -> int:
         return self.weights.get(_ordered(a, b), 0)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return self.weight(a, b) > 0
-
     @property
     def total_weight(self) -> int:
         return sum(self.weights.values())
-
-
-@dataclass(frozen=True)
-class InteractionGraph:
-    """One node per qubit (isolated ones included), weighted interaction edges."""
-
-    num_qubits: int
-    edges: dict[tuple[int, int], int]
-
-    @property
-    def nodes(self) -> range:
-        return range(self.num_qubits)
 
 
 def build_correlation(circuit: Circuit) -> CorrelationMatrix:
@@ -54,10 +39,6 @@ def build_correlation(circuit: Circuit) -> CorrelationMatrix:
         if gate.is_two_qubit:
             counts[_ordered(*gate.qubits)] += 1
     return CorrelationMatrix(circuit.num_qubits, dict(sorted(counts.items())))
-
-
-def build_interaction_graph(matrix: CorrelationMatrix) -> InteractionGraph:
-    return InteractionGraph(matrix.num_qubits, dict(matrix.weights))
 
 
 @dataclass(frozen=True)

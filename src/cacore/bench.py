@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import CircuitStats
-from .errors import CacoreError
+from .errors import CacoreError, DegenerateInputError
 from .ir import Circuit, Gate, GateKind
 from .routing import RouteMetrics, route_circuit, verify_routing
 from .synthesis import synthesize_topology
@@ -46,7 +47,7 @@ def gen_random_circuit(
     ``target_gates``, so the total lands in [target, target + layer size).
     """
     if num_qubits < 2:
-        raise ValueError("random circuits need at least 2 qubits")
+        raise DegenerateInputError(f"random circuits need at least 2 qubits, got {num_qubits}")
     rng = random.Random(seed)
     gates: list[Gate] = []
     pairs = int(num_qubits * pair_fraction)
@@ -70,6 +71,8 @@ class NoiseParams:
     two_qubit_factor: float = 5.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.two_qubit_factor)):
+            raise ValueError(f"noise parameters must be finite, got {self}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.epsilon * self.two_qubit_factor > 1:

@@ -21,12 +21,10 @@ from .bench import (
 )
 from .errors import (
     CacoreError,
-    DegenerateInputError,
     QasmSyntaxError,
     QubitIndexError,
     TopologyFormatError,
     UnknownTopologyError,
-    UnroutableGateError,
     UnsupportedGateError,
 )
 from .ir import validate_circuit
@@ -55,7 +53,6 @@ _INPUT_ERRORS = (
     TopologyFormatError,
     UnknownTopologyError,
 )
-_PIPELINE_ERRORS = (DegenerateInputError, UnroutableGateError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,6 +77,10 @@ def _parse_qubit_range(text: str) -> list[int]:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
     return [int(part) for part in text.split(",") if part]
+
+
+def _parse_noise(text: str) -> list[NoiseParams]:
+    return [NoiseParams(float(eps)) for eps in text.split(",") if eps.strip()]
 
 
 def _split_names(text: str) -> list[str]:
@@ -116,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", required=True, help="QASM output path")
 
     p_bench = sub.add_parser("bench", help="compare synthesized topologies against baselines")
-    p_bench.add_argument("--qubits", default="10..20", help="range a..b or comma list")
+    p_bench.add_argument(
+        "--qubits", type=_parse_qubit_range, default="10..20", help="range a..b or comma list"
+    )
     p_bench.add_argument("--seeds", type=int, default=10, help="random seeds per qubit count")
     p_bench.add_argument("--gates", type=int, default=2000, help="target gates per circuit")
     p_bench.add_argument(
@@ -126,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--eps",
+        type=_parse_noise,
         default="0.0005,0.001,0.002,0.005",
         help="comma-separated depolarizing error rates",
     )
@@ -185,26 +189,24 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    qubit_counts = _parse_qubit_range(args.qubits)
     seeds = list(range(args.seeds))
     baselines = [_resolve_topology(name) for name in _split_names(args.baselines)]
-    noise = [NoiseParams(float(eps)) for eps in args.eps.split(",") if eps.strip()]
 
     circuits = []
     circuit_seeds = []
-    for n in qubit_counts:
+    for n in args.qubits:
         for seed in seeds:
             circuits.append(gen_random_circuit(n, args.gates, seed))
             circuit_seeds.append(seed)
 
     config = {
-        "qubits": qubit_counts,
+        "qubits": args.qubits,
         "seeds": seeds,
         "target_gates": args.gates,
         "baselines": [t.name for t in baselines],
-        "epsilons": [n.epsilon for n in noise],
+        "epsilons": [n.epsilon for n in args.eps],
     }
-    report = run_comparison(circuits, baselines, noise, seeds=circuit_seeds, config=config)
+    report = run_comparison(circuits, baselines, args.eps, seeds=circuit_seeds, config=config)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,9 +266,6 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _PIPELINE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
     except CacoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

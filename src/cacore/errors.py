@@ -7,28 +7,24 @@ class CacoreError(Exception):
     """Base class for all toolchain errors."""
 
 
-class QasmSyntaxError(CacoreError):
+class _SourceLineError(CacoreError):
+    """Error at a source line; the message is prefixed with ``line N:``."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+class QasmSyntaxError(_SourceLineError):
     """Malformed token or statement in an OpenQASM source."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
-
-class UnsupportedGateError(CacoreError):
+class UnsupportedGateError(_SourceLineError):
     """Statement or gate outside the supported OpenQASM subset."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
-
-class QubitIndexError(CacoreError):
+class QubitIndexError(_SourceLineError):
     """Qubit index outside the declared register range."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class DegenerateInputError(CacoreError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
-from .ir import Circuit, Gate, GateKind
+from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 
 _TOKEN_RE = re.compile(
     r"""
@@ -32,20 +32,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# name -> (kind, operand count, parameter count)
-_GATE_TABLE = {
-    "h": (GateKind.H, 1, 0),
-    "x": (GateKind.X, 1, 0),
-    "y": (GateKind.Y, 1, 0),
-    "z": (GateKind.Z, 1, 0),
-    "s": (GateKind.S, 1, 0),
-    "t": (GateKind.T, 1, 0),
-    "rx": (GateKind.RX, 1, 1),
-    "ry": (GateKind.RY, 1, 1),
-    "rz": (GateKind.RZ, 1, 1),
-    "cx": (GateKind.CNOT, 2, 0),
-    "swap": (GateKind.SWAP, 2, 0),
-}
+# Mnemonic -> (kind, operand count, parameter count); ccx expands at parse time.
+_APPLIED_GATES = {
+    kind.value: (kind, 2 if kind in TWO_QUBIT_KINDS else 1, int(kind in PARAMETRIC_KINDS))
+    for kind in GateKind
+    if kind not in METRIC_EXEMPT_KINDS
+} | {"ccx": (None, 3, 0)}
 
 _REJECTED_STATEMENTS = {
     "creg": "classical registers (creg) are not supported",
@@ -223,12 +215,9 @@ class _Parser:
         self.gates.append(Gate(GateKind.BARRIER, deduped))
 
     def _gate_application(self, name: str, line: int) -> None:
-        if name == "ccx":
-            kind, n_operands, n_params = None, 3, 0
-        elif name in _GATE_TABLE:
-            kind, n_operands, n_params = _GATE_TABLE[name]
-        else:
+        if name not in _APPLIED_GATES:
             raise UnsupportedGateError(f"unsupported gate {name!r}", line)
+        kind, n_operands, n_params = _APPLIED_GATES[name]
 
         params: list[float] = []
         nxt = self._peek()

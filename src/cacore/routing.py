@@ -36,9 +36,6 @@ class Layout:
         if l2 is not None:
             self.log_to_phys[l2] = p1
 
-    def copy(self) -> Layout:
-        return Layout(list(self.log_to_phys), list(self.phys_to_log))
-
 
 def trivial_layout(num_logical: int, num_physical: int) -> Layout:
     """Identity mapping: logical qubit i starts on physical qubit i."""
@@ -134,25 +131,16 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     routed_circuit = Circuit(
         topology.num_qubits, tuple(routed), name=f"{circuit.name}@{topology.name}"
     )
-    metrics = _metrics_for(routed_circuit, len(inserted))
-    return RoutingResult(routed_circuit, layout, tuple(inserted), metrics)
-
-
-def _metrics_for(routed: Circuit, inserted_swaps: int) -> RouteMetrics:
-    stats = circuit_stats(routed)
-    return RouteMetrics(
+    stats = circuit_stats(routed_circuit)
+    metrics = RouteMetrics(
         depth=stats.depth,
         total_gates=stats.total_gates,
         one_qubit_gates=stats.one_qubit_gates,
         two_qubit_gates=stats.two_qubit_gates,
-        swap_count=inserted_swaps,
+        swap_count=len(inserted),
         total_swap_gates=stats.swap_count,
     )
-
-
-def routed_metrics(result: RoutingResult) -> RouteMetrics:
-    """Recompute metrics from the routed gates; matches ``result.metrics``."""
-    return _metrics_for(result.routed, len(result.inserted))
+    return RoutingResult(routed_circuit, layout, tuple(inserted), metrics)
 
 
 def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) -> bool:

@@ -1,7 +1,7 @@
 """Coupling-map synthesis from circuit correlation.
 
-Pipeline: greedy max-weighted path construction over the interaction
-graph, deterministic joining of leftover components, serpentine placement
+Pipeline: greedy max-weighted path construction over the correlation
+matrix, deterministic joining of leftover components, serpentine placement
 onto a near-square grid, correlation-gated adjacent and diagonal coupler
 connection, and checkerboard pruning of the lighter diagonal group so no
 two retained diagonals occupy side-sharing unit cells.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import CorrelationMatrix, InteractionGraph, build_correlation, build_interaction_graph
+from .analysis import CorrelationMatrix, _ordered, build_correlation
 from .errors import DegenerateInputError
 from .ir import Circuit
 from .topology import Topology
@@ -35,19 +35,17 @@ class PathGraph:
     num_qubits: int
     edges: dict[tuple[int, int], PathEdge]
 
-    def degree(self, q: int) -> int:
-        return sum(1 for pair in self.edges if q in pair)
-
-    def neighbors(self, q: int) -> list[int]:
-        found = [a if b == q else b for a, b in self.edges if q in (a, b)]
-        return sorted(found)
-
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted node lists, ordered by smallest member."""
+    def adjacency(self) -> dict[int, list[int]]:
+        """Neighbor lists, one entry per qubit (isolated ones included)."""
         adjacency: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
         for a, b in self.edges:
             adjacency[a].append(b)
             adjacency[b].append(a)
+        return adjacency
+
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted node lists, ordered by smallest member."""
+        adjacency = self.adjacency()
         seen: set[int] = set()
         components: list[list[int]] = []
         for start in range(self.num_qubits):
@@ -121,7 +119,7 @@ class _UnionFind:
         self.parent[self.find(a)] = self.find(b)
 
 
-def generate_mwpg(graph: InteractionGraph, matrix: CorrelationMatrix) -> PathGraph:
+def generate_mwpg(matrix: CorrelationMatrix) -> PathGraph:
     """Greedily keep the heaviest edges that preserve the path constraints.
 
     Edges are scanned by weight descending, ties broken by ascending
@@ -129,9 +127,9 @@ def generate_mwpg(graph: InteractionGraph, matrix: CorrelationMatrix) -> PathGra
     degree < 2 and the edge closes no cycle, so the scan is deterministic
     and the result is a disjoint union of simple paths.
     """
-    order = sorted(graph.edges.items(), key=lambda item: (-item[1], item[0]))
-    uf = _UnionFind(graph.num_qubits)
-    degree = [0] * graph.num_qubits
+    order = sorted(matrix.weights.items(), key=lambda item: (-item[1], item[0]))
+    uf = _UnionFind(matrix.num_qubits)
+    degree = [0] * matrix.num_qubits
     edges: dict[tuple[int, int], PathEdge] = {}
     for (a, b), weight in order:
         if degree[a] >= 2 or degree[b] >= 2:
@@ -142,33 +140,29 @@ def generate_mwpg(graph: InteractionGraph, matrix: CorrelationMatrix) -> PathGra
         degree[a] += 1
         degree[b] += 1
         uf.union(a, b)
-    return PathGraph(graph.num_qubits, edges)
+    return PathGraph(matrix.num_qubits, edges)
 
 
 def join_components(path: PathGraph) -> PathGraph:
-    """Connect leftover path fragments into one simple path.
+    """Connect leftover path fragments into one simple path in one pass.
 
-    Joining edges carry weight 0 and are flagged synthetic. Each join links
-    the lexicographically smallest (component id, endpoint) entry to the
-    smallest such entry of a different component, with the component id
-    being its smallest member.
+    Components are chained in order of their smallest member. Each join
+    adds a weight-0 synthetic edge from the smaller free end of the chain
+    built so far to the smaller free end of the next component, where a
+    free end is a node of degree < 2 (an isolated node is both ends of its
+    component). The chain's other end stays free for the next join.
     """
-    joined = PathGraph(path.num_qubits, dict(path.edges))
-    while True:
-        components = joined.components()
-        if len(components) <= 1:
-            return joined
-        entries: list[tuple[int, int]] = []
-        for members in components:
-            cid = members[0]
-            for node in members:
-                if joined.degree(node) < 2:
-                    entries.append((cid, node))
-        entries.sort()
-        first_cid, a = entries[0]
-        b = next(node for cid, node in entries if cid != first_cid)
-        key = (a, b) if a < b else (b, a)
-        joined.edges[key] = PathEdge(0, synthetic=True)
+    edges = dict(path.edges)
+    adjacency = path.adjacency()
+    chain_ends: tuple[int, int] | None = None
+    for members in path.components():
+        free = [q for q in members if len(adjacency[q]) < 2]
+        head, tail = free[0], free[-1]
+        if chain_ends is not None:
+            edges[_ordered(chain_ends[0], head)] = PathEdge(0, synthetic=True)
+            head = chain_ends[1]
+        chain_ends = _ordered(head, tail)
+    return PathGraph(path.num_qubits, edges)
 
 
 def choose_grid_dims(n: int) -> tuple[int, int]:
@@ -187,86 +181,69 @@ def _serpentine_cell(index: int, ncol: int) -> tuple[int, int]:
 
 
 def place_on_grid(path: PathGraph, nrow: int, ncol: int) -> GridLayout:
-    """Lay the path into the grid in boustrophedon row order.
+    """Lay a connected path into the grid in boustrophedon row order.
 
-    The walk starts at the endpoint with the smaller qubit index and fills
-    row 0 left to right, row 1 right to left, and so on; consecutive path
-    nodes therefore always land on grid-adjacent cells.
+    The walk starts at the path end (node of degree <= 1) with the smaller
+    qubit index and fills row 0 left to right, row 1 right to left, and so
+    on; consecutive path nodes therefore always land on grid-adjacent cells.
     """
     n = path.num_qubits
     if n > nrow * ncol:
         raise DegenerateInputError(f"{n} qubits exceed a {nrow}x{ncol} grid")
     if n == 0:
         return GridLayout(nrow, ncol, {})
-    components = path.components()
-    if len(components) != 1:
+    if len(path.components()) != 1:
         raise ValueError("place_on_grid requires a connected path graph")
 
-    if n == 1:
-        order = [0]
-    else:
-        endpoints = [q for q in range(n) if path.degree(q) <= 1]
-        order = [min(endpoints)]
-        prev = None
-        while len(order) < n:
-            current = order[-1]
-            nxt = [nb for nb in path.neighbors(current) if nb != prev]
-            prev = current
-            order.append(nxt[0])
+    adjacency = path.adjacency()
+    order = [min(q for q, nbs in adjacency.items() if len(nbs) <= 1)]
+    prev = None
+    while len(order) < n:
+        current = order[-1]
+        order.append(next(nb for nb in adjacency[current] if nb != prev))
+        prev = current
 
     pos = {q: _serpentine_cell(idx, ncol) for idx, q in enumerate(order)}
     return GridLayout(nrow, ncol, pos)
 
 
+def _connect(grid: GridGraph, matrix: CorrelationMatrix, offsets, kind: str) -> GridGraph:
+    """Link occupied cells, in row-major order, to correlated occupants at each offset."""
+    edges = dict(grid.edges)
+    cells = grid.layout.cells()
+    for (row, col), q in sorted(cells.items()):
+        for dr, dc in offsets:
+            nb = cells.get((row + dr, col + dc))
+            if nb is None:
+                continue
+            pair = _ordered(q, nb)
+            weight = matrix.weight(*pair)
+            if weight > 0 and pair not in edges:
+                edges[pair] = GridEdge(weight, kind)
+    return GridGraph(grid.layout, edges)
+
+
 def connect_adjacent(layout: GridLayout, path: PathGraph, matrix: CorrelationMatrix) -> GridGraph:
-    """Seed the grid graph with all path edges, then add correlated orthogonal pairs."""
+    """Seed the grid graph with all path edges, then add correlated orthogonal pairs.
+
+    Each occupied cell, in row-major order, is linked to its right and lower
+    neighbours when they are occupied, correlated and not yet connected.
+    """
     edges = {
         pair: GridEdge(edge.weight, "path", edge.synthetic)
         for pair, edge in sorted(path.edges.items())
     }
-    cells = layout.cells()
-    for row in range(layout.nrow):
-        for col in range(layout.ncol):
-            q = cells.get((row, col))
-            if q is None:
-                continue
-            for dr, dc in ((0, 1), (1, 0)):
-                nb = cells.get((row + dr, col + dc))
-                if nb is None:
-                    continue
-                pair = (q, nb) if q < nb else (nb, q)
-                if pair in edges or not matrix.has_edge(*pair):
-                    continue
-                edges[pair] = GridEdge(matrix.weight(*pair), "adjacent")
-    return GridGraph(layout, edges)
+    return _connect(GridGraph(layout, edges), matrix, ((0, 1), (1, 0)), "adjacent")
 
 
 def connect_diagonals(grid: GridGraph, matrix: CorrelationMatrix) -> GridGraph:
     """Add correlated lower-left and lower-right diagonal edges.
 
-    For an occupant of (row, col) with row+1 < nrow, the lower-left
-    candidate at (row+1, col-1) exists only when col > 0 and the
-    lower-right candidate at (row+1, col+1) only when col+1 < ncol.
+    Each occupied cell (row, col), in row-major order, is linked to the
+    occupants of (row+1, col-1) and (row+1, col+1) when they are correlated
+    and not yet connected; offsets that leave the grid find no occupant.
     """
-    layout = grid.layout
-    edges = dict(grid.edges)
-    cells = layout.cells()
-    for row in range(layout.nrow - 1):
-        for col in range(layout.ncol):
-            q = cells.get((row, col))
-            if q is None:
-                continue
-            for dc in (-1, 1):
-                if not 0 <= col + dc < layout.ncol:
-                    continue
-                nb = cells.get((row + 1, col + dc))
-                if nb is None:
-                    continue
-                pair = (q, nb) if q < nb else (nb, q)
-                if pair in edges or not matrix.has_edge(*pair):
-                    continue
-                edges[pair] = GridEdge(matrix.weight(*pair), "diagonal")
-    return GridGraph(layout, edges)
+    return _connect(grid, matrix, ((1, -1), (1, 1)), "diagonal")
 
 
 def _cell_of_diagonal(layout: GridLayout, pair: tuple[int, int]) -> tuple[int, int]:
@@ -312,8 +289,7 @@ def synthesize_topology(circuit: Circuit, *, keep_synthetic: bool = True) -> Top
     may leave uncorrelated fragments disconnected.
     """
     matrix = build_correlation(circuit)
-    graph = build_interaction_graph(matrix)
-    path = join_components(generate_mwpg(graph, matrix))
+    path = join_components(generate_mwpg(matrix))
     nrow, ncol = choose_grid_dims(circuit.num_qubits)
     layout = place_on_grid(path, nrow, ncol)
     grid = connect_adjacent(layout, path, matrix)

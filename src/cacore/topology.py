@@ -40,10 +40,6 @@ class Topology:
     synthetic: frozenset[tuple[int, int]] = frozenset()
     positions: dict[int, tuple[int, int]] | None = None
 
-    def has_edge(self, a: int, b: int) -> bool:
-        pair = (a, b) if a < b else (b, a)
-        return pair in set(self.edges)
-
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Neighbor lists in ascending order, one entry per qubit."""
         neighbors: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
@@ -158,7 +154,7 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
     _require(isinstance(data, dict), "expected a JSON object", source)
     _require(isinstance(data.get("name"), str), "missing or non-string 'name'", "name")
     num_qubits = data.get("num_qubits")
-    _require(isinstance(num_qubits, int) and num_qubits >= 0, "missing or bad 'num_qubits'", "num_qubits")
+    _require(type(num_qubits) is int and num_qubits >= 0, "missing or bad 'num_qubits'", "num_qubits")
     raw_edges = data.get("edges")
     _require(isinstance(raw_edges, list), "missing or non-array 'edges'", "edges")
 
@@ -167,7 +163,7 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
     for idx, item in enumerate(raw_edges):
         where = f"edges[{idx}]"
         _require(
-            isinstance(item, list) and len(item) == 2 and all(isinstance(v, int) for v in item),
+            isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item),
             "edge must be a pair of integers",
             where,
         )
@@ -202,7 +198,7 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
         positions = {}
         for q, item in enumerate(raw_pos):
             _require(
-                isinstance(item, list) and len(item) == 2 and all(isinstance(v, int) for v in item),
+                isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item),
                 "position must be an [row, col] integer pair",
                 f"positions[{q}]",
             )

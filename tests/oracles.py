@@ -1,14 +1,15 @@
 """Independent reference implementations used to cross-check metrics.
 
 These deliberately avoid the library's own code paths: depth comes from an
-explicit layered list scheduler, and the diagonal grouping from a direct
-enumeration of unit cells.
+explicit layered list scheduler, the diagonal grouping from a direct
+enumeration of unit cells, and component joining from a multi-pass loop
+that re-finds every component after each join.
 """
 
 from __future__ import annotations
 
 from cacore.ir import Circuit, GateKind
-from cacore.synthesis import GridGraph
+from cacore.synthesis import GridGraph, PathEdge, PathGraph
 
 
 def layered_depth(circuit: Circuit) -> int:
@@ -60,3 +61,44 @@ def brute_force_diagonal_groups(grid: GridGraph) -> tuple[set, set]:
                 if pair in grid.edges and grid.edges[pair].kind == "diagonal":
                     (group1 if in_group1 else group2).add(pair)
     return group1, group2
+
+
+def _components(num_qubits: int, edges) -> list[list[int]]:
+    """Sorted node lists, ordered by smallest member, by label propagation."""
+    label = list(range(num_qubits))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    groups: dict[int, list[int]] = {}
+    for q in range(num_qubits):
+        groups.setdefault(label[q], []).append(q)
+    return [groups[key] for key in sorted(groups)]
+
+
+def multi_pass_join(path: PathGraph) -> PathGraph:
+    """Join components one edge per pass, re-finding all components each time.
+
+    Each pass links the lexicographically smallest (component id, free node)
+    entry to the smallest such entry of a different component, where the
+    component id is its smallest member and a free node has degree < 2.
+    """
+    edges = dict(path.edges)
+    while True:
+        components = _components(path.num_qubits, edges)
+        if len(components) <= 1:
+            return PathGraph(path.num_qubits, edges)
+        degree = [0] * path.num_qubits
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        entries = sorted(
+            (members[0], node) for members in components for node in members if degree[node] < 2
+        )
+        first_cid, a = entries[0]
+        b = next(node for cid, node in entries if cid != first_cid)
+        edges[(a, b) if a < b else (b, a)] = PathEdge(0, synthetic=True)

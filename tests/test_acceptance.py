@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from cacore.analysis import build_correlation, build_interaction_graph, circuit_stats
+from cacore.analysis import build_correlation, circuit_stats
 from cacore.bench import NoiseParams, estimate_fidelity, gen_random_circuit, run_comparison
 from cacore.routing import route_circuit, verify_routing
 from cacore.synthesis import (
@@ -60,8 +60,7 @@ def test_criterion_1_paper_example_replay(figure_circuit):
     same structure. See the decisions ledger for the full analysis.
     """
     matrix = build_correlation(figure_circuit)
-    graph = build_interaction_graph(matrix)
-    path = join_components(generate_mwpg(graph, matrix))
+    path = join_components(generate_mwpg(matrix))
     layout = place_on_grid(path, *choose_grid_dims(6))
     grid = connect_diagonals(connect_adjacent(layout, path, matrix), matrix)
     part = partition_diagonals(grid)
@@ -168,17 +167,16 @@ def test_criterion_6_invariant_suites():
                 if rng.random() < 0.2:
                     weights[(i, j)] = rng.randint(1, 9)
         matrix = CorrelationMatrix(n, dict(sorted(weights.items())))
-        graph = build_interaction_graph(matrix)
-        path = generate_mwpg(graph, matrix)
-        mwpg_ok &= path.edges == generate_mwpg(graph, matrix).edges
-        mwpg_ok &= all(path.degree(q) <= 2 for q in range(n))
+        path = generate_mwpg(matrix)
+        mwpg_ok &= path.edges == generate_mwpg(matrix).edges
+        mwpg_ok &= all(len(nbs) <= 2 for nbs in path.adjacency().values())
         for members in path.components():
             inside = [p for p in path.edges if p[0] in members]
             mwpg_ok &= len(inside) == len(members) - 1
 
         # (b) Hamiltonian path after joining
         joined = join_components(path)
-        degrees = sorted(joined.degree(q) for q in range(n))
+        degrees = sorted(len(nbs) for nbs in joined.adjacency().values())
         mwpg_ok &= len(joined.edges) == n - 1
         mwpg_ok &= degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:])
 

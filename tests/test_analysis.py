@@ -2,11 +2,7 @@
 
 import pytest
 
-from cacore.analysis import (
-    build_correlation,
-    build_interaction_graph,
-    circuit_stats,
-)
+from cacore.analysis import build_correlation, circuit_stats
 from cacore.bench import gen_random_circuit
 from cacore.ir import Circuit, Gate, GateKind
 
@@ -53,21 +49,21 @@ def test_figure_circuit_total_weight(figure_circuit):
 
 
 def test_interaction_graph_includes_isolated_nodes():
-    graph = build_interaction_graph(build_correlation(Circuit(4, ())))
-    assert list(graph.nodes) == [0, 1, 2, 3]
-    assert graph.edges == {}
+    # the matrix is the interaction graph: one node per qubit, isolated ones included
+    matrix = build_correlation(Circuit(4, ()))
+    assert matrix.num_qubits == 4
+    assert matrix.weights == {}
 
 
 def test_interaction_graph_single_edge():
     circuit = Circuit(2, tuple([cnot(0, 1)] * 5))
-    graph = build_interaction_graph(build_correlation(circuit))
-    assert graph.edges == {(0, 1): 5}
+    assert build_correlation(circuit).weights == {(0, 1): 5}
 
 
 def test_figure_interaction_graph_edge_count(figure_circuit):
-    graph = build_interaction_graph(build_correlation(figure_circuit))
+    matrix = build_correlation(figure_circuit)
     # distinct interacting pairs, enumerated from the transcription by hand
-    assert len(graph.edges) == 7
+    assert len(matrix.weights) == 7
 
 
 def test_permutation_equivariance():

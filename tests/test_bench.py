@@ -58,6 +58,9 @@ def test_noise_params_validation():
         NoiseParams(-0.1)
     with pytest.raises(ValueError):
         NoiseParams(0.3, two_qubit_factor=5.0)
+    for epsilon, factor in ((float("nan"), 5.0), (float("inf"), 0.0), (0.001, float("nan"))):
+        with pytest.raises(ValueError):
+            NoiseParams(epsilon, two_qubit_factor=factor)
 
 
 def test_fidelity_epsilon_zero_is_one():

@@ -133,6 +133,40 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["bench", "--eps", "abc"], 1),
+        (["bench", "--eps", "nan"], 1),
+        (["bench", "--eps", "0.001,inf"], 1),
+        (["bench", "--qubits", "5..x"], 1),
+        (["bench", "--qubits", "5,six"], 1),
+        (["gen", "-n", "1"], 3),
+    ],
+)
+def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
+    assert main([*argv, "-o", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"name": "t", "num_qubits": True, "edges": []},
+        {"name": "t", "num_qubits": 2, "edges": [[False, True]]},
+        {"name": "t", "num_qubits": 2, "edges": [[0, 1]], "positions": [[0, False], [0, 1]]},
+    ],
+)
+def test_validate_rejects_booleans_as_integers(tmp_path, capsys, data):
+    topo = tmp_path / "bool.json"
+    topo.write_text(json.dumps(data))
+    assert main(["validate", str(topo)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_validate_circuit_and_topology(tmp_path, capsys):
     assert main(["validate", FIGURE]) == 0
     topo = tmp_path / "t.json"

@@ -8,9 +8,9 @@ from cacore.errors import DegenerateInputError, UnroutableGateError
 from cacore.ir import Circuit, Gate, GateKind
 from cacore.qasm import to_qasm
 from cacore.routing import (
+    RouteMetrics,
     RoutingResult,
     route_circuit,
-    routed_metrics,
     trivial_layout,
     verify_routing,
 )
@@ -139,7 +139,15 @@ def test_one_inserted_swap_adds_one_gate():
 def test_routed_metrics_recomputes_identically():
     circuit = gen_random_circuit(8, 150, seed=3)
     result = route_circuit(circuit, builtin_topology("line(8)"))
-    assert routed_metrics(result) == result.metrics
+    stats = circuit_stats(result.routed)
+    assert result.metrics == RouteMetrics(
+        depth=stats.depth,
+        total_gates=stats.total_gates,
+        one_qubit_gates=stats.one_qubit_gates,
+        two_qubit_gates=stats.two_qubit_gates,
+        swap_count=len(result.inserted),
+        total_swap_gates=stats.swap_count,
+    )
 
 
 def test_metrics_match_scheduler_oracle_on_routed_circuit():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cacore.analysis import CorrelationMatrix, build_correlation, build_interaction_graph
+from cacore.analysis import CorrelationMatrix, build_correlation
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError
 from cacore.ir import Circuit, Gate, GateKind
@@ -23,56 +23,54 @@ from cacore.synthesis import (
     synthesize_topology,
 )
 
-from oracles import brute_force_diagonal_groups
+from oracles import brute_force_diagonal_groups, multi_pass_join
 
 
-def graph_from_weights(num_qubits, weights):
-    matrix = CorrelationMatrix(num_qubits, dict(sorted(weights.items())))
-    return build_interaction_graph(matrix), matrix
+def matrix_from_weights(num_qubits, weights):
+    return CorrelationMatrix(num_qubits, dict(sorted(weights.items())))
 
 
-def random_weighted_graph(rng, max_nodes=36):
+def random_weighted_matrix(rng, max_nodes=36):
     n = rng.randint(2, max_nodes)
     weights = {}
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.25:
                 weights[(i, j)] = rng.randint(1, 9)
-    return graph_from_weights(n, weights)
+    return matrix_from_weights(n, weights)
 
 
 # -- generate_mwpg -----------------------------------------------------------
 
 
 def test_mwpg_single_edge():
-    graph, matrix = graph_from_weights(2, {(0, 1): 4})
-    path = generate_mwpg(graph, matrix)
+    matrix = matrix_from_weights(2, {(0, 1): 4})
+    path = generate_mwpg(matrix)
     assert set(path.edges) == {(0, 1)}
     assert path.edges[(0, 1)].weight == 4
 
 
 def test_mwpg_triangle_loop_check():
-    graph, matrix = graph_from_weights(3, {(0, 1): 5, (1, 2): 4, (0, 2): 3})
-    path = generate_mwpg(graph, matrix)
+    matrix = matrix_from_weights(3, {(0, 1): 5, (1, 2): 4, (0, 2): 3})
+    path = generate_mwpg(matrix)
     assert set(path.edges) == {(0, 1), (1, 2)}
 
 
 def test_mwpg_degree_cap():
     star = {(0, q): 1 for q in range(1, 5)}
-    graph, matrix = graph_from_weights(5, star)
-    path = generate_mwpg(graph, matrix)
+    matrix = matrix_from_weights(5, star)
+    path = generate_mwpg(matrix)
     assert set(path.edges) == {(0, 1), (0, 2)}  # lexicographic tie-break
 
 
 def test_mwpg_determinism_and_invariants():
     rng = random.Random(11)
     for _ in range(60):
-        graph, matrix = random_weighted_graph(rng)
-        first = generate_mwpg(graph, matrix)
-        second = generate_mwpg(graph, matrix)
+        matrix = random_weighted_matrix(rng)
+        first = generate_mwpg(matrix)
+        second = generate_mwpg(matrix)
         assert first.edges == second.edges
-        for q in range(graph.num_qubits):
-            assert first.degree(q) <= 2
+        assert all(len(nbs) <= 2 for nbs in first.adjacency().values())
         # acyclic: every component has |edges| = |nodes| - 1
         for members in first.components():
             inside = [p for p in first.edges if p[0] in members and p[1] in members]
@@ -82,12 +80,12 @@ def test_mwpg_determinism_and_invariants():
 def test_mwpg_dominance_replay():
     rng = random.Random(23)
     for _ in range(30):
-        graph, matrix = random_weighted_graph(rng, max_nodes=20)
-        path = generate_mwpg(graph, matrix)
-        order = sorted(graph.edges.items(), key=lambda item: (-item[1], item[0]))
+        matrix = random_weighted_matrix(rng, max_nodes=20)
+        path = generate_mwpg(matrix)
+        order = sorted(matrix.weights.items(), key=lambda item: (-item[1], item[0]))
         added_so_far = []
-        degree = {q: 0 for q in range(graph.num_qubits)}
-        parent = list(range(graph.num_qubits))
+        degree = {q: 0 for q in range(matrix.num_qubits)}
+        parent = list(range(matrix.num_qubits))
 
         def find(x):
             while parent[x] != x:
@@ -120,7 +118,7 @@ def test_join_two_paths_single_synthetic_edge():
     synthetic = [p for p, e in joined.edges.items() if e.synthetic]
     assert synthetic == [(0, 2)]
     assert len(joined.components()) == 1
-    assert all(joined.degree(q) <= 2 for q in range(4))
+    assert all(len(nbs) <= 2 for nbs in joined.adjacency().values())
 
 
 def test_join_idempotent_on_connected_path():
@@ -133,13 +131,31 @@ def test_join_three_isolated_nodes():
     joined = join_components(PathGraph(3, {}))
     assert len(joined.edges) == 2
     assert all(e.synthetic and e.weight == 0 for e in joined.edges.values())
-    degrees = sorted(joined.degree(q) for q in range(3))
+    degrees = sorted(len(nbs) for nbs in joined.adjacency().values())
     assert degrees == [1, 1, 2]  # a simple path on 3 nodes
 
 
 def test_join_is_deterministic():
     path = PathGraph(6, {(1, 4): PathEdge(3)})
     assert join_components(path).edges == join_components(path).edges
+
+
+def test_join_matches_multi_pass_oracle():
+    rng = random.Random(2024)
+    for trial in range(1200):
+        n = rng.randint(1, 40)
+        density = (0.0, 0.02, 0.1, 0.3)[trial % 4]  # 0.0: every node isolated
+        weights = {
+            (i, j): rng.randint(1, 9)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        }
+        path = generate_mwpg(matrix_from_weights(n, weights))
+        expected = multi_pass_join(path)
+        assert list(join_components(path).edges.items()) == list(expected.edges.items())
+    empty = PathGraph(0, {})
+    assert join_components(empty).edges == multi_pass_join(empty).edges == {}
 
 
 # -- choose_grid_dims --------------------------------------------------------
@@ -216,8 +232,8 @@ def test_every_path_edge_lands_grid_adjacent(seed):
 
 
 def test_adjacent_no_extra_correlations():
-    graph, matrix = graph_from_weights(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
-    path = join_components(generate_mwpg(graph, matrix))
+    matrix = matrix_from_weights(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+    path = join_components(generate_mwpg(matrix))
     layout = place_on_grid(path, 2, 2)
     grid = connect_adjacent(layout, path, matrix)
     assert set(grid.edges) == set(path.edges)
@@ -226,8 +242,8 @@ def test_adjacent_no_extra_correlations():
 def test_adjacent_adds_correlated_vertical_pair():
     # path 0-1-2-3 on a 2x2 grid; (0,3) are vertically adjacent off-path
     weights = {(0, 1): 3, (1, 2): 2, (2, 3): 2, (0, 3): 1}
-    graph, matrix = graph_from_weights(4, weights)
-    path = join_components(generate_mwpg(graph, matrix))
+    matrix = matrix_from_weights(4, weights)
+    path = join_components(generate_mwpg(matrix))
     layout = place_on_grid(path, 2, 2)
     grid = connect_adjacent(layout, path, matrix)
     assert grid.edges[(0, 3)].kind == "adjacent"
@@ -236,8 +252,8 @@ def test_adjacent_adds_correlated_vertical_pair():
 
 def test_adjacent_does_not_duplicate_path_edges():
     weights = {(0, 1): 2, (1, 2): 1}
-    graph, matrix = graph_from_weights(3, weights)
-    path = join_components(generate_mwpg(graph, matrix))
+    matrix = matrix_from_weights(3, weights)
+    path = join_components(generate_mwpg(matrix))
     layout = place_on_grid(path, 2, 2)
     grid = connect_adjacent(layout, path, matrix)
     assert grid.edges[(0, 1)].kind == "path"
@@ -349,8 +365,8 @@ def test_prune_removes_lighter_group():
 
 
 def test_prune_without_diagonals_is_identity():
-    graph, matrix = graph_from_weights(3, {(0, 1): 1, (1, 2): 1})
-    path = join_components(generate_mwpg(graph, matrix))
+    matrix = matrix_from_weights(3, {(0, 1): 1, (1, 2): 1})
+    path = join_components(generate_mwpg(matrix))
     layout = place_on_grid(path, 2, 2)
     grid = connect_adjacent(layout, path, matrix)
     part = partition_diagonals(grid)
@@ -402,8 +418,7 @@ def test_synthesize_zero_qubits_degenerate():
 def test_synthesize_figure_circuit_frozen_trace(figure_circuit):
     """Frozen end-to-end expectations for the six-qubit walkthrough."""
     matrix = build_correlation(figure_circuit)
-    graph = build_interaction_graph(matrix)
-    mwpg = generate_mwpg(graph, matrix)
+    mwpg = generate_mwpg(matrix)
     assert set(mwpg.edges) == {(0, 1), (0, 2), (1, 3), (2, 5)}
     joined = join_components(mwpg)
     assert [p for p, e in joined.edges.items() if e.synthetic] == [(3, 4)]
@@ -460,9 +475,9 @@ def test_joined_path_is_hamiltonian():
             for j in range(i + 1, n):
                 if rng.random() < 0.15:
                     weights[(i, j)] = rng.randint(1, 6)
-        graph, matrix = graph_from_weights(n, weights)
-        joined = join_components(generate_mwpg(graph, matrix))
+        matrix = matrix_from_weights(n, weights)
+        joined = join_components(generate_mwpg(matrix))
         assert len(joined.edges) == n - 1
-        degrees = sorted(joined.degree(q) for q in range(n))
+        degrees = sorted(len(nbs) for nbs in joined.adjacency().values())
         assert degrees[0] == 1 and degrees[1] == 1
         assert all(d == 2 for d in degrees[2:])
