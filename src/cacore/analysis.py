@@ -8,7 +8,7 @@ source circuit counts as a single interaction, the same as a CNOT.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .ir import Circuit, GateKind
 
@@ -62,13 +62,7 @@ class CircuitStats:
         return self.swap_count
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "depth": self.depth,
-            "total_gates": self.total_gates,
-            "one_qubit_gates": self.one_qubit_gates,
-            "two_qubit_gates": self.two_qubit_gates,
-            "swap_count": self.swap_count,
-        }
+        return asdict(self)
 
 
 def circuit_stats(circuit: Circuit) -> CircuitStats:

@@ -75,8 +75,26 @@ def _resolve_topology(spec: str):
 def _parse_qubit_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        qubits = list(range(int(lo), int(hi) + 1))
+    else:
+        qubits = [int(part) for part in text.split(",") if part]
+    if not qubits:
+        raise argparse.ArgumentTypeError(f"empty qubit range {text!r}")
+    return qubits
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _parse_formats(text: str) -> list[str]:
+    formats = _split_names(text)
+    if not formats or not set(formats) <= {"csv", "json"}:
+        raise argparse.ArgumentTypeError(f"expected a non-empty subset of csv,json, got {text!r}")
+    return formats
 
 
 def _parse_noise(text: str) -> list[NoiseParams]:
@@ -120,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--qubits", type=_parse_qubit_range, default="10..20", help="range a..b or comma list"
     )
-    p_bench.add_argument("--seeds", type=int, default=10, help="random seeds per qubit count")
+    p_bench.add_argument(
+        "--seeds", type=_positive_int, default=10, help="random seeds per qubit count"
+    )
     p_bench.add_argument("--gates", type=int, default=2000, help="target gates per circuit")
     p_bench.add_argument(
         "--baselines",
@@ -135,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("-o", "--output", required=True, help="output directory")
     p_bench.add_argument(
-        "--format", default="csv,json", help="report formats to emit (csv, json)"
+        "--format", type=_parse_formats, default="csv,json", help="report formats to emit (csv, json)"
     )
 
     p_val = sub.add_parser("validate", help="validate a circuit (.qasm) or topology (.json)")
@@ -210,11 +230,7 @@ def _cmd_bench(args) -> int:
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            print(f"error: unknown report format {fmt!r}", file=sys.stderr)
-            return EXIT_USAGE
+    for fmt in args.format:
         emit_report(report, fmt, out_dir / f"report.{fmt}")
     print(
         f"wrote {len(report.rows)} rows ({len(report.skips)} skipped, "

@@ -234,6 +234,8 @@ class _Parser:
             raise QasmSyntaxError(
                 f"{name} takes {n_params} parameter(s), got {len(params)}", line
             )
+        if not all(map(math.isfinite, params)):
+            raise QasmSyntaxError(f"{name}: angle is not a finite number", line)
 
         broadcast_ok = n_operands == 1
         operands: list[int] = []

@@ -10,7 +10,7 @@ minimal-optimization transpile so topology comparisons stay router-fixed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .analysis import circuit_stats
 from .errors import DegenerateInputError, UnroutableGateError
@@ -24,9 +24,6 @@ class Layout:
 
     log_to_phys: list[int]
     phys_to_log: list[int | None]
-
-    def phys(self, logical: int) -> int:
-        return self.log_to_phys[logical]
 
     def swap_physical(self, p1: int, p2: int) -> None:
         l1, l2 = self.phys_to_log[p1], self.phys_to_log[p2]
@@ -63,14 +60,7 @@ class RouteMetrics:
     total_swap_gates: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "depth": self.depth,
-            "total_gates": self.total_gates,
-            "one_qubit_gates": self.one_qubit_gates,
-            "two_qubit_gates": self.two_qubit_gates,
-            "swap_count": self.swap_count,
-            "total_swap_gates": self.total_swap_gates,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -81,52 +71,45 @@ class RoutingResult:
     metrics: RouteMetrics
 
 
-def _shortest_path(adjacency: dict[int, tuple[int, ...]], src: int, dst: int) -> list[int] | None:
-    """Lexicographically smallest shortest path from src to dst, or None."""
-    dist = {dst: 0}
+def _hops_to(adjacency: dict[int, tuple[int, ...]], dst: int) -> dict[int, int]:
+    """BFS hop count to dst from every node that can reach it."""
+    hops = {dst: 0}
     frontier = deque([dst])
     while frontier:
         node = frontier.popleft()
         for nb in adjacency[node]:
-            if nb not in dist:
-                dist[nb] = dist[node] + 1
+            if nb not in hops:
+                hops[nb] = hops[node] + 1
                 frontier.append(nb)
-    if src not in dist:
-        return None
-    path = [src]
-    current = src
-    while current != dst:
-        current = min(nb for nb in adjacency[current] if dist.get(nb, -1) == dist[current] - 1)
-        path.append(current)
-    return path
+    return hops
 
 
 def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     """Insert SWAPs so every two-qubit gate lands on a coupler edge."""
     layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
     adjacency = topology.adjacency()
+    hops_to: dict[int, dict[int, int]] = {}  # target qubit -> hop table, built on first use
     routed: list[Gate] = []
     inserted: list[int] = []
 
     for gate in circuit.gates:
-        if not gate.is_two_qubit:
-            mapped = tuple(layout.phys(q) for q in gate.qubits)
-            routed.append(Gate(gate.kind, mapped, gate.param))
-            continue
-        pa, pb = layout.phys(gate.qubits[0]), layout.phys(gate.qubits[1])
-        if pb not in adjacency[pa]:
-            path = _shortest_path(adjacency, pa, pb)
-            if path is None:
+        qubits = [layout.log_to_phys[q] for q in gate.qubits]
+        if gate.is_two_qubit:
+            pa, pb = qubits
+            hops = hops_to.get(pb) or hops_to.setdefault(pb, _hops_to(adjacency, pb))
+            if pa not in hops:
                 raise UnroutableGateError(
                     f"{gate.kind.value} on logical {gate.qubits}: physical qubits "
                     f"{pa} and {pb} are in different components of {topology.name!r}"
                 )
-            for hop in path[1:-1]:
+            while hops[pa] > 1:
+                hop = min(nb for nb in adjacency[pa] if hops.get(nb) == hops[pa] - 1)
                 inserted.append(len(routed))
                 routed.append(Gate(GateKind.SWAP, (pa, hop)))
                 layout.swap_physical(pa, hop)
                 pa = hop
-        routed.append(Gate(gate.kind, (pa, pb), gate.param))
+            qubits[0] = pa
+        routed.append(Gate(gate.kind, tuple(qubits), gate.param))
 
     routed_circuit = Circuit(
         topology.num_qubits, tuple(routed), name=f"{circuit.name}@{topology.name}"
@@ -168,11 +151,15 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
             return False
         replayed.append(Gate(gate.kind, logical, gate.param))
 
-    if len(replayed) != len(circuit.gates):
-        return False
-    for q in range(circuit.num_qubits):
-        original = [g for g in circuit.gates if q in g.qubits]
-        recovered = [g for g in replayed if q in g.qubits]
-        if original != recovered:
-            return False
-    return True
+    n = circuit.num_qubits
+    return len(replayed) == len(circuit.gates) and _lanes(replayed, n) == _lanes(circuit.gates, n)
+
+
+def _lanes(gates: list[Gate] | tuple[Gate, ...], num_qubits: int) -> list[list[Gate]]:
+    """Each in-range qubit's gates in program order, a gate once per distinct qubit."""
+    lanes: list[list[Gate]] = [[] for _ in range(num_qubits)]
+    for gate in gates:
+        for q in set(gate.qubits):
+            if 0 <= q < num_qubits:
+                lanes[q].append(gate)
+    return lanes

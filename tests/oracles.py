@@ -2,14 +2,22 @@
 
 These deliberately avoid the library's own code paths: depth comes from an
 explicit layered list scheduler, the diagonal grouping from a direct
-enumeration of unit cells, and component joining from a multi-pass loop
-that re-finds every component after each join.
+enumeration of unit cells, component joining from a multi-pass loop that
+re-finds every component after each join, routing from a fresh BFS and an
+explicit path list per non-adjacent gate (``bfs_route``), and routing
+verification from a rescan of every gate once per qubit (``rescan_verify``).
 """
 
 from __future__ import annotations
 
-from cacore.ir import Circuit, GateKind
+from collections import deque
+
+from cacore.analysis import circuit_stats
+from cacore.errors import UnroutableGateError
+from cacore.ir import Circuit, Gate, GateKind
+from cacore.routing import RouteMetrics, RoutingResult, trivial_layout
 from cacore.synthesis import GridGraph, PathEdge, PathGraph
+from cacore.topology import Topology
 
 
 def layered_depth(circuit: Circuit) -> int:
@@ -102,3 +110,91 @@ def multi_pass_join(path: PathGraph) -> PathGraph:
         first_cid, a = entries[0]
         b = next(node for cid, node in entries if cid != first_cid)
         edges[(a, b) if a < b else (b, a)] = PathEdge(0, synthetic=True)
+
+
+def _shortest_path(adjacency, src: int, dst: int) -> list[int] | None:
+    """Lexicographically smallest shortest path from src to dst, or None."""
+    dist = {dst: 0}
+    frontier = deque([dst])
+    while frontier:
+        node = frontier.popleft()
+        for nb in adjacency[node]:
+            if nb not in dist:
+                dist[nb] = dist[node] + 1
+                frontier.append(nb)
+    if src not in dist:
+        return None
+    path = [src]
+    current = src
+    while current != dst:
+        current = min(nb for nb in adjacency[current] if dist.get(nb, -1) == dist[current] - 1)
+        path.append(current)
+    return path
+
+
+def bfs_route(circuit: Circuit, topology: Topology) -> RoutingResult:
+    """Route with a fresh BFS path search for every non-adjacent two-qubit gate."""
+    layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
+    adjacency = topology.adjacency()
+    routed: list[Gate] = []
+    inserted: list[int] = []
+    for gate in circuit.gates:
+        if not gate.is_two_qubit:
+            mapped = tuple(layout.log_to_phys[q] for q in gate.qubits)
+            routed.append(Gate(gate.kind, mapped, gate.param))
+            continue
+        pa, pb = layout.log_to_phys[gate.qubits[0]], layout.log_to_phys[gate.qubits[1]]
+        if pb not in adjacency[pa]:
+            path = _shortest_path(adjacency, pa, pb)
+            if path is None:
+                raise UnroutableGateError(
+                    f"{gate.kind.value} on logical {gate.qubits}: physical qubits "
+                    f"{pa} and {pb} are in different components of {topology.name!r}"
+                )
+            for hop in path[1:-1]:
+                inserted.append(len(routed))
+                routed.append(Gate(GateKind.SWAP, (pa, hop)))
+                layout.swap_physical(pa, hop)
+                pa = hop
+        routed.append(Gate(gate.kind, (pa, pb), gate.param))
+    routed_circuit = Circuit(
+        topology.num_qubits, tuple(routed), name=f"{circuit.name}@{topology.name}"
+    )
+    stats = circuit_stats(routed_circuit)
+    metrics = RouteMetrics(
+        depth=stats.depth,
+        total_gates=stats.total_gates,
+        one_qubit_gates=stats.one_qubit_gates,
+        two_qubit_gates=stats.two_qubit_gates,
+        swap_count=len(inserted),
+        total_swap_gates=stats.swap_count,
+    )
+    return RoutingResult(routed_circuit, layout, tuple(inserted), metrics)
+
+
+def rescan_verify(circuit: Circuit, result: RoutingResult, topology: Topology) -> bool:
+    """Replay the routed gates, then compare each qubit's gate list by a full rescan."""
+    adjacency = topology.adjacency()
+    inserted = set(result.inserted)
+    layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
+    replayed: list[Gate] = []
+    for idx, gate in enumerate(result.routed.gates):
+        if gate.is_two_qubit and gate.qubits[1] not in adjacency.get(gate.qubits[0], ()):
+            return False
+        if idx in inserted:
+            if gate.kind is not GateKind.SWAP:
+                return False
+            layout.swap_physical(*gate.qubits)
+            continue
+        logical = tuple(layout.phys_to_log[p] for p in gate.qubits)
+        if any(q is None for q in logical):
+            return False
+        replayed.append(Gate(gate.kind, logical, gate.param))
+    if len(replayed) != len(circuit.gates):
+        return False
+    for q in range(circuit.num_qubits):
+        original = [g for g in circuit.gates if q in g.qubits]
+        recovered = [g for g in replayed if q in g.qubits]
+        if original != recovered:
+            return False
+    return True

@@ -142,6 +142,12 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["bench", "--qubits", "5..x"], 1),
         (["bench", "--qubits", "5,six"], 1),
         (["gen", "-n", "1"], 3),
+        (["bench", "--qubits", "5..3"], 1),
+        (["bench", "--seeds", "-1"], 1),
+        (["bench", "--seeds", "0"], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--format", "xml"], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--format", "csv,xml"], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--format", ","], 1),
     ],
 )
 def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):

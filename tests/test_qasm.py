@@ -131,6 +131,8 @@ def test_unsupported_statements_rejected_with_line(source, line):
         "qreg q[2]; qreg q[3];",
         "qreg q[2]; cx q,q;",
         "qreg q[2]; @ q[0];",
+        "qreg q[1];\nrx(1e400) q[0];",
+        "qreg q[1];\nrx(0*1e400) q[0];",
     ],
 )
 def test_malformed_statements_raise_syntax_errors(source):

@@ -1,11 +1,14 @@
 """Router tests: trivial layout, SWAP insertion, verification, metrics."""
 
+import math
+import random
+
 import pytest
 
 from cacore.analysis import circuit_stats
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError, UnroutableGateError
-from cacore.ir import Circuit, Gate, GateKind
+from cacore.ir import PARAMETRIC_KINDS, Circuit, Gate, GateKind
 from cacore.qasm import to_qasm
 from cacore.routing import (
     RouteMetrics,
@@ -218,3 +221,103 @@ def test_verify_campaign_random_circuits_all_topologies():
             assert verify_routing(circuit, result, topology)
             cases += 1
     assert cases >= 40
+
+
+_RECAST = {
+    GateKind.CNOT: GateKind.SWAP,
+    GateKind.SWAP: GateKind.CNOT,
+    GateKind.RX: GateKind.RY,
+    GateKind.RY: GateKind.RZ,
+    GateKind.RZ: GateKind.RX,
+    GateKind.H: GateKind.X,
+    GateKind.X: GateKind.Y,
+    GateKind.Y: GateKind.Z,
+    GateKind.Z: GateKind.S,
+    GateKind.S: GateKind.T,
+    GateKind.T: GateKind.MEASURE,
+    GateKind.MEASURE: GateKind.H,
+}
+
+
+def _mixed_circuit(n, seed):
+    """A random circuit with source SWAPs, barriers and a measure mixed in."""
+    rng = random.Random(seed)
+    gates = []
+    for gate in gen_random_circuit(n, 60, seed).gates:
+        if gate.is_two_qubit and rng.random() < 0.1:
+            gate = Gate(GateKind.SWAP, gate.qubits)
+        gates.append(gate)
+        if rng.random() < 0.03:
+            gates.append(Gate(GateKind.BARRIER, tuple(rng.sample(range(n), rng.randint(1, n)))))
+    gates.append(Gate(GateKind.MEASURE, (rng.randrange(n),)))
+    return Circuit(n, tuple(gates), f"mixed_n{n}_s{seed}")
+
+
+def _mutate(result, rng):
+    """Delete a gate, swap two adjacent gates, toggle an inserted index,
+    reverse a gate's operands or change its kind."""
+    gates, inserted = list(result.routed.gates), set(result.inserted)
+    i = rng.randrange(len(gates) - 1)
+    how = rng.randrange(5)
+    if how == 0:
+        del gates[i]
+        inserted = {j - (j > i) for j in inserted if j != i}
+    elif how == 1:
+        gates[i], gates[i + 1] = gates[i + 1], gates[i]
+        inserted = {i + 1 if j == i else i if j == i + 1 else j for j in inserted}
+    elif how == 2:
+        inserted ^= {i}
+    else:
+        gate = gates[i]
+        kind = _RECAST.get(gate.kind, gate.kind) if how == 4 else gate.kind
+        param = gate.param if kind in PARAMETRIC_KINDS else None
+        qubits = gate.qubits[::-1] if how == 3 else gate.qubits
+        gates[i] = Gate(kind, qubits, param)
+    routed = Circuit(result.routed.num_qubits, tuple(gates), result.routed.name)
+    return RoutingResult(routed, result.final_layout, tuple(sorted(inserted)), result.metrics)
+
+
+def _routed(route, circuit, topology):
+    try:
+        result = route(circuit, topology)
+    except UnroutableGateError as exc:
+        return str(exc)
+    layout = result.final_layout
+    return result.routed, result.inserted, result.metrics, layout.log_to_phys, layout.phys_to_log
+
+
+def test_hop_table_router_and_one_pass_verify_match_oracles():
+    from oracles import bfs_route, rescan_verify
+
+    rng = random.Random(0)
+    unroutable = mutants = 0
+    verdicts = set()
+    for n in range(3, 28):
+        circuit = _mixed_circuit(n, seed=n)
+        rows = math.isqrt(n)
+        topologies = [
+            synthesize_topology(circuit),
+            synthesize_topology(circuit, keep_synthetic=False),
+            builtin_topology("cairo27"),
+            builtin_topology("prague33"),
+            builtin_topology("sycamore53"),
+            builtin_topology(f"line({n})"),
+            builtin_topology(f"grid({rows},{-(-n // rows)})"),
+            Topology("split", n, tuple((q, q + 1) for q in range(n - 1) if q != n // 2)),
+        ]
+        for topology in topologies:
+            expected = _routed(bfs_route, circuit, topology)
+            assert _routed(route_circuit, circuit, topology) == expected
+            if isinstance(expected, str):
+                unroutable += 1
+                continue
+            result = route_circuit(circuit, topology)
+            for _ in range(8):
+                mutant = _mutate(result, rng)
+                verdict = verify_routing(circuit, mutant, topology)
+                assert verdict == rescan_verify(circuit, mutant, topology)
+                verdicts.add(verdict)
+                mutants += 1
+    assert unroutable > 0
+    assert mutants >= 1000
+    assert verdicts == {True, False}
