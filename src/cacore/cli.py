@@ -98,7 +98,10 @@ def _parse_formats(text: str) -> list[str]:
 
 
 def _parse_noise(text: str) -> list[NoiseParams]:
-    return [NoiseParams(float(eps)) for eps in text.split(",") if eps.strip()]
+    noise = [NoiseParams(float(eps)) for eps in text.split(",") if eps.strip()]
+    if not noise:
+        raise argparse.ArgumentTypeError(f"expected at least one error rate, got {text!r}")
+    return noise
 
 
 def _split_names(text: str) -> list[str]:
@@ -141,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--seeds", type=_positive_int, default=10, help="random seeds per qubit count"
     )
-    p_bench.add_argument("--gates", type=int, default=2000, help="target gates per circuit")
+    p_bench.add_argument(
+        "--gates", type=_positive_int, default=2000, help="target gates per circuit"
+    )
     p_bench.add_argument(
         "--baselines",
         default="almaden20,cairo27,prague33,sycamore53",

@@ -24,6 +24,11 @@ class GateKind(Enum):
     MEASURE = "measure"
     BARRIER = "barrier"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality and skips Enum's Python-level
+    # hash(name) on every set and dict lookup.
+    __hash__ = object.__hash__
+
 
 TWO_QUBIT_KINDS = frozenset({GateKind.CNOT, GateKind.SWAP})
 PARAMETRIC_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})

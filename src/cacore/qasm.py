@@ -1,35 +1,52 @@
 """OpenQASM 2.0 frontend for the supported gate subset.
 
 Supported statements: the ``OPENQASM 2.0;`` header, ``include``, ``qreg``,
-gate applications from the internal gate vocabulary plus ``ccx`` (expanded
-at parse time), ``barrier``, and ``measure``. Classical registers and
-conditionals are rejected. Angle expressions cover ``pi``, numeric
-literals, ``+ - * /``, unary minus, and parentheses.
+``creg``, gate applications from the internal gate vocabulary plus ``ccx``
+(expanded at parse time), ``barrier``, and ``measure``. A ``creg`` only
+reserves its name: classical state is not modeled, and a measure target
+need not be declared. Conditionals are rejected. Angle expressions cover
+``pi``, numeric literals, ``+ - * /``, unary minus, and parentheses.
+
+The lexer reads a canonical gate application, ``name[(number)]
+reg[i][,reg[j]];`` with one space before the first operand (``cx
+q[3],q[7];``, ``rz(-0.25) q[1];``), as a single statement token when it
+starts a statement: at the start of the input or right after a ``;``. The
+parser checks that token in the same order, with the same errors and
+lines, as the same text read token by token. Everything else is lexed one
+token at a time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 
+_NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<comment>//[^\n]*)
     | (?P<newline>\n)
     | (?P<ws>[\ \t\r]+)
-    | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<number>{_NUMBER})
+    | (?P<ident>{_IDENT})
     | (?P<string>"[^"\n]*")
     | (?P<arrow>->)
     | (?P<cmp>==|!=|<=|>=|[<>=])
-    | (?P<sym>[;,\[\]()*/+\-{}])
+    | (?P<sym>[;,\[\]()*/+\-{{}}])
     """,
     re.VERBOSE,
+)
+
+# A canonical gate application: name, optional angle, one or two indexed operands.
+_STATEMENT_RE = re.compile(
+    rf"({_IDENT})(?:\((-?(?:{_NUMBER}))\))? ({_IDENT})\[(\d+)\](?:,({_IDENT})\[(\d+)\])?;"
 )
 
 # Mnemonic -> (kind, operand count, parameter count); ccx expands at parse time.
@@ -39,8 +56,14 @@ _APPLIED_GATES = {
     if kind not in METRIC_EXEMPT_KINDS
 } | {"ccx": (None, 3, 0)}
 
+# (name, has an angle, has a second operand) of each gate a statement token may hold.
+_STATEMENT_SHAPES = frozenset(
+    (name, n_params == 1, n_operands == 2)
+    for name, (_, n_operands, n_params) in _APPLIED_GATES.items()
+    if n_operands <= 2
+)
+
 _REJECTED_STATEMENTS = {
-    "creg": "classical registers (creg) are not supported",
     "if": "classical conditionals are not supported",
     "gate": "gate definitions are not supported",
     "opaque": "opaque declarations are not supported",
@@ -48,18 +71,34 @@ _REJECTED_STATEMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
+class _Statement(NamedTuple):
+    """A canonical gate application: (name, angle, reg, index, reg, index) groups."""
+
+    groups: tuple[str | None, ...]
+    line: int
+    kind = "statement"
+
+
+def _tokenize(source: str) -> list[_Token | _Statement]:
+    tokens: list[_Token | _Statement] = []
     line = 1
     pos = 0
+    at_statement = True  # start of input, or right after a ';'
     while pos < len(source):
+        if at_statement:
+            statement = _STATEMENT_RE.match(source, pos)
+            if statement is not None:
+                groups = statement.groups()
+                if (groups[0], groups[1] is not None, groups[4] is not None) in _STATEMENT_SHAPES:
+                    tokens.append(_Statement(groups, line))
+                    pos = statement.end()
+                    continue
         match = _TOKEN_RE.match(source, pos)
         if match is None:
             raise QasmSyntaxError(f"unexpected character {source[pos]!r}", line)
@@ -67,26 +106,29 @@ def _tokenize(source: str) -> list[_Token]:
         if kind == "newline":
             line += 1
         elif kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, match.group(), line))
+            text = match.group()
+            tokens.append(_Token(kind, text, line))
+            at_statement = text == ";"
         pos = match.end()
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token | _Statement]):
         self.tokens = tokens
         self.pos = 0
         # register name -> (offset, size); declaration order fixes offsets
         self.registers: dict[str, tuple[int, int]] = {}
+        self.classical: set[str] = set()
         self.num_qubits = 0
         self.gates: list[Gate] = []
 
     # -- token stream helpers ------------------------------------------------
 
-    def _peek(self) -> _Token | None:
+    def _peek(self) -> _Token | _Statement | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _next(self, expected: str) -> _Token:
+    def _next(self, expected: str) -> _Token | _Statement:
         tok = self._peek()
         if tok is None:
             last_line = self.tokens[-1].line if self.tokens else 1
@@ -121,6 +163,9 @@ class _Parser:
 
     def _statement(self) -> None:
         tok = self._next("statement")
+        if tok.kind == "statement":
+            self._canonical_application(tok)
+            return
         if tok.kind != "ident":
             raise QasmSyntaxError(f"expected statement, got {tok.text!r}", tok.line)
         name = tok.text
@@ -136,8 +181,8 @@ class _Parser:
             if target.kind != "string":
                 raise QasmSyntaxError(f"expected quoted path, got {target.text!r}", target.line)
             self._expect_sym(";")
-        elif name == "qreg":
-            self._qreg(tok.line)
+        elif name in ("qreg", "creg"):
+            self._declaration(name)
         elif name in _REJECTED_STATEMENTS:
             raise UnsupportedGateError(_REJECTED_STATEMENTS[name], tok.line)
         elif name == "measure":
@@ -147,34 +192,38 @@ class _Parser:
         else:
             self._gate_application(name, tok.line)
 
-    def _qreg(self, line: int) -> None:
+    def _declaration(self, keyword: str) -> None:
+        """``qreg`` or ``creg``; both kinds of register share one name space."""
         reg = self._expect_ident()
-        if reg.text in self.registers:
+        if reg.text in self.registers or reg.text in self.classical:
             raise QasmSyntaxError(f"register {reg.text!r} already declared", reg.line)
         self._expect_sym("[")
         size = self._expect_int()
         self._expect_sym("]")
         self._expect_sym(";")
-        self.registers[reg.text] = (self.num_qubits, size)
-        self.num_qubits += size
+        if keyword == "creg":
+            self.classical.add(reg.text)
+        else:
+            self.registers[reg.text] = (self.num_qubits, size)
+            self.num_qubits += size
+
+    def _register(self, name: str, line: int) -> tuple[int, int]:
+        """(offset, size) of a declared quantum register."""
+        if name not in self.registers:
+            raise QasmSyntaxError(f"unknown register {name!r}", line)
+        return self.registers[name]
 
     def _operand(self, *, allow_broadcast: bool) -> list[int]:
         """Resolve ``reg[i]`` to one qubit or a bare register to all of its qubits."""
         reg = self._expect_ident()
-        if reg.text not in self.registers:
-            raise QasmSyntaxError(f"unknown register {reg.text!r}", reg.line)
-        offset, size = self.registers[reg.text]
+        register = self._register(reg.text, reg.line)
         nxt = self._peek()
         if nxt is not None and nxt.text == "[":
             self._expect_sym("[")
             index = self._expect_int()
             self._expect_sym("]")
-            if index >= size:
-                raise QubitIndexError(
-                    f"index {index} out of range for register {reg.text!r} of size {size}",
-                    reg.line,
-                )
-            return [offset + index]
+            return [_qubit(reg.text, index, register, reg.line)]
+        offset, size = register
         if not allow_broadcast:
             raise QasmSyntaxError(
                 f"expected indexed operand {reg.text}[...], register broadcast is only "
@@ -217,7 +266,7 @@ class _Parser:
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:
             raise UnsupportedGateError(f"unsupported gate {name!r}", line)
-        kind, n_operands, n_params = _APPLIED_GATES[name]
+        _, n_operands, n_params = _APPLIED_GATES[name]
 
         params: list[float] = []
         nxt = self._peek()
@@ -234,8 +283,7 @@ class _Parser:
             raise QasmSyntaxError(
                 f"{name} takes {n_params} parameter(s), got {len(params)}", line
             )
-        if not all(map(math.isfinite, params)):
-            raise QasmSyntaxError(f"{name}: angle is not a finite number", line)
+        param = _angle(name, params, line)
 
         broadcast_ok = n_operands == 1
         operands: list[int] = []
@@ -244,16 +292,28 @@ class _Parser:
             if i + 1 < n_operands:
                 self._expect_sym(",")
         self._expect_sym(";")
+        self._append(name, operands, param, line)
 
+    def _canonical_application(self, statement: _Statement) -> None:
+        """A statement token: the checks and gates of its token-by-token reading."""
+        name, angle, reg_a, index_a, reg_b, index_b = statement.groups
+        line = statement.line
+        param = _angle(name, [] if angle is None else [float(angle)], line)
+        operands = [_qubit(reg_a, int(index_a), self._register(reg_a, line), line)]
+        if reg_b is not None:
+            operands.append(_qubit(reg_b, int(index_b), self._register(reg_b, line), line))
+        self._append(name, operands, param, line)
+
+    def _append(self, name: str, operands: list[int], param: float | None, line: int) -> None:
+        kind, n_operands, _ = _APPLIED_GATES[name]
         if n_operands > 1 and len(set(operands)) != len(operands):
             raise QasmSyntaxError(f"{name}: duplicate qubit operand", line)
-
         if kind is None:
             self.gates.extend(_decompose_ccx(*operands))
+        elif n_operands > 1:
+            self.gates.append(Gate(kind, tuple(operands), param))
         else:
-            param = params[0] if params else None
-            for chunk in ([operands] if n_operands > 1 else [[q] for q in operands]):
-                self.gates.append(Gate(kind, tuple(chunk), param))
+            self.gates.extend(Gate(kind, (q,), param) for q in operands)
 
     # -- angle expressions ---------------------------------------------------
 
@@ -297,6 +357,23 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "pi":
             return math.pi
         raise QasmSyntaxError(f"invalid angle expression near {tok.text!r}", tok.line)
+
+
+def _qubit(name: str, index: int, register: tuple[int, int], line: int) -> int:
+    """Flat qubit index of ``name[index]``, given the register's (offset, size)."""
+    offset, size = register
+    if index >= size:
+        raise QubitIndexError(
+            f"index {index} out of range for register {name!r} of size {size}", line
+        )
+    return offset + index
+
+
+def _angle(name: str, params: list[float], line: int) -> float | None:
+    """The gate's one angle, or None for a gate without one; it must be finite."""
+    if not all(map(math.isfinite, params)):
+        raise QasmSyntaxError(f"{name}: angle is not a finite number", line)
+    return params[0] if params else None
 
 
 def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
@@ -346,15 +423,19 @@ def to_qasm(circuit: Circuit) -> str:
     """Render a circuit back to OpenQASM 2.0.
 
     Float parameters are printed via ``repr`` so parse -> print -> parse
-    reproduces the exact gate list. Measures are printed with a matching
-    classical index but no ``creg`` declaration, since classical registers
-    are outside the supported subset.
+    reproduces the exact gate list. Gates other than barrier and measure are
+    written in the canonical form that the lexer reads as one statement
+    token. A circuit with a measure also declares ``creg c[num_qubits];``
+    right after the ``qreg`` line, and measure ``q[i]`` writes to ``c[i]``;
+    a circuit without one declares no classical register.
     """
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{circuit.num_qubits}];",
     ]
+    if any(gate.kind is GateKind.MEASURE for gate in circuit.gates):
+        lines.append(f"creg c[{circuit.num_qubits}];")
     for gate in circuit.gates:
         if gate.kind is GateKind.BARRIER:
             operands = ",".join(f"q[{q}]" for q in gate.qubits)

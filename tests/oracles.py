@@ -5,16 +5,34 @@ explicit layered list scheduler, the diagonal grouping from a direct
 enumeration of unit cells, component joining from a multi-pass loop that
 re-finds every component after each join, routing from a fresh BFS and an
 explicit path list per non-adjacent gate (``bfs_route``), and routing
-verification from a rescan of every gate once per qubit (``rescan_verify``).
+verification from a rescan of every gate once per qubit (``rescan_verify``),
+and QASM parsing from a lexer that emits every token on its own and a parser
+that reads each statement token by token (``token_parse``).
 """
 
 from __future__ import annotations
 
+import math
+import re
 from collections import deque
+from dataclasses import dataclass
 
 from cacore.analysis import circuit_stats
-from cacore.errors import UnroutableGateError
-from cacore.ir import Circuit, Gate, GateKind
+from cacore.errors import (
+    QasmSyntaxError,
+    QubitIndexError,
+    UnroutableGateError,
+    UnsupportedGateError,
+)
+from cacore.ir import (
+    METRIC_EXEMPT_KINDS,
+    PARAMETRIC_KINDS,
+    TWO_QUBIT_KINDS,
+    Circuit,
+    Gate,
+    GateKind,
+)
+from cacore.qasm import _decompose_ccx
 from cacore.routing import RouteMetrics, RoutingResult, trivial_layout
 from cacore.synthesis import GridGraph, PathEdge, PathGraph
 from cacore.topology import Topology
@@ -198,3 +216,274 @@ def rescan_verify(circuit: Circuit, result: RoutingResult, topology: Topology) -
         if original != recovered:
             return False
     return True
+
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<comment>//[^\n]*)
+    | (?P<newline>\n)
+    | (?P<ws>[\ \t\r]+)
+    | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<string>"[^"\n]*")
+    | (?P<arrow>->)
+    | (?P<cmp>==|!=|<=|>=|[<>=])
+    | (?P<sym>[;,\[\]()*/+\-{}])
+    """,
+    re.VERBOSE,
+)
+
+_APPLIED_GATES = {
+    kind.value: (kind, 2 if kind in TWO_QUBIT_KINDS else 1, int(kind in PARAMETRIC_KINDS))
+    for kind in GateKind
+    if kind not in METRIC_EXEMPT_KINDS
+} | {"ccx": (None, 3, 0)}
+
+_REJECTED_STATEMENTS = {
+    "if": "classical conditionals are not supported",
+    "gate": "gate definitions are not supported",
+    "opaque": "opaque declarations are not supported",
+    "reset": "reset is not supported",
+}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line = 1
+    pos = 0
+    while pos < len(source):
+        match = _TOKEN_RE.match(source, pos)
+        if match is None:
+            raise QasmSyntaxError(f"unexpected character {source[pos]!r}", line)
+        kind = match.lastgroup or ""
+        if kind == "newline":
+            line += 1
+        elif kind not in ("ws", "comment"):
+            tokens.append(_Token(kind, match.group(), line))
+        pos = match.end()
+    return tokens
+
+
+class _TokenParser:
+    """Recursive descent over single tokens; every statement is read token by token."""
+
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.registers: dict[str, tuple[int, int]] = {}
+        self.classical: set[str] = set()
+        self.num_qubits = 0
+        self.gates: list[Gate] = []
+
+    def _peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self, expected: str) -> _Token:
+        tok = self._peek()
+        if tok is None:
+            last_line = self.tokens[-1].line if self.tokens else 1
+            raise QasmSyntaxError(f"unexpected end of input, expected {expected}", last_line)
+        self.pos += 1
+        return tok
+
+    def _expect_sym(self, symbol: str) -> _Token:
+        tok = self._next(repr(symbol))
+        if tok.text != symbol:
+            raise QasmSyntaxError(f"expected {symbol!r}, got {tok.text!r}", tok.line)
+        return tok
+
+    def _expect_ident(self) -> _Token:
+        tok = self._next("identifier")
+        if tok.kind != "ident":
+            raise QasmSyntaxError(f"expected identifier, got {tok.text!r}", tok.line)
+        return tok
+
+    def _expect_int(self) -> int:
+        tok = self._next("integer")
+        if tok.kind != "number" or not tok.text.isdigit():
+            raise QasmSyntaxError(f"expected integer, got {tok.text!r}", tok.line)
+        return int(tok.text)
+
+    def parse(self) -> Circuit:
+        while self._peek() is not None:
+            self._statement()
+        return Circuit(self.num_qubits, tuple(self.gates))
+
+    def _statement(self) -> None:
+        tok = self._next("statement")
+        if tok.kind != "ident":
+            raise QasmSyntaxError(f"expected statement, got {tok.text!r}", tok.line)
+        name = tok.text
+        if name == "OPENQASM":
+            version = self._next("version number")
+            if version.kind != "number" or not version.text.startswith("2"):
+                raise QasmSyntaxError(
+                    f"only OpenQASM 2.0 is supported, got version {version.text!r}", version.line
+                )
+            self._expect_sym(";")
+        elif name == "include":
+            target = self._next("include path")
+            if target.kind != "string":
+                raise QasmSyntaxError(f"expected quoted path, got {target.text!r}", target.line)
+            self._expect_sym(";")
+        elif name in ("qreg", "creg"):
+            self._declaration(name)
+        elif name in _REJECTED_STATEMENTS:
+            raise UnsupportedGateError(_REJECTED_STATEMENTS[name], tok.line)
+        elif name == "measure":
+            self._measure()
+        elif name == "barrier":
+            self._barrier()
+        else:
+            self._gate_application(name, tok.line)
+
+    def _declaration(self, keyword: str) -> None:
+        reg = self._expect_ident()
+        if reg.text in self.registers or reg.text in self.classical:
+            raise QasmSyntaxError(f"register {reg.text!r} already declared", reg.line)
+        self._expect_sym("[")
+        size = self._expect_int()
+        self._expect_sym("]")
+        self._expect_sym(";")
+        if keyword == "creg":
+            self.classical.add(reg.text)
+        else:
+            self.registers[reg.text] = (self.num_qubits, size)
+            self.num_qubits += size
+
+    def _operand(self, *, allow_broadcast: bool) -> list[int]:
+        reg = self._expect_ident()
+        if reg.text not in self.registers:
+            raise QasmSyntaxError(f"unknown register {reg.text!r}", reg.line)
+        offset, size = self.registers[reg.text]
+        nxt = self._peek()
+        if nxt is not None and nxt.text == "[":
+            self._expect_sym("[")
+            index = self._expect_int()
+            self._expect_sym("]")
+            if index >= size:
+                raise QubitIndexError(
+                    f"index {index} out of range for register {reg.text!r} of size {size}",
+                    reg.line,
+                )
+            return [offset + index]
+        if not allow_broadcast:
+            raise QasmSyntaxError(
+                f"expected indexed operand {reg.text}[...], register broadcast is only "
+                "supported for one-qubit gates, measure, and barrier",
+                reg.line,
+            )
+        return [offset + i for i in range(size)]
+
+    def _measure(self) -> None:
+        qubits = self._operand(allow_broadcast=True)
+        nxt = self._peek()
+        if nxt is not None and nxt.kind == "arrow":
+            self._next("->")
+            self._expect_ident()
+            nxt = self._peek()
+            if nxt is not None and nxt.text == "[":
+                self._expect_sym("[")
+                self._expect_int()
+                self._expect_sym("]")
+        self._expect_sym(";")
+        for q in qubits:
+            self.gates.append(Gate(GateKind.MEASURE, (q,)))
+
+    def _barrier(self) -> None:
+        qubits: list[int] = []
+        while True:
+            qubits.extend(self._operand(allow_broadcast=True))
+            tok = self._next("',' or ';'")
+            if tok.text == ";":
+                break
+            if tok.text != ",":
+                raise QasmSyntaxError(f"expected ',' or ';', got {tok.text!r}", tok.line)
+        self.gates.append(Gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
+
+    def _gate_application(self, name: str, line: int) -> None:
+        if name not in _APPLIED_GATES:
+            raise UnsupportedGateError(f"unsupported gate {name!r}", line)
+        kind, n_operands, n_params = _APPLIED_GATES[name]
+        params: list[float] = []
+        nxt = self._peek()
+        if nxt is not None and nxt.text == "(":
+            self._expect_sym("(")
+            while True:
+                params.append(self._expression())
+                tok = self._next("',' or ')'")
+                if tok.text == ")":
+                    break
+                if tok.text != ",":
+                    raise QasmSyntaxError(f"expected ',' or ')', got {tok.text!r}", tok.line)
+        if len(params) != n_params:
+            raise QasmSyntaxError(f"{name} takes {n_params} parameter(s), got {len(params)}", line)
+        if not all(map(math.isfinite, params)):
+            raise QasmSyntaxError(f"{name}: angle is not a finite number", line)
+        operands: list[int] = []
+        for i in range(n_operands):
+            operands.extend(self._operand(allow_broadcast=n_operands == 1))
+            if i + 1 < n_operands:
+                self._expect_sym(",")
+        self._expect_sym(";")
+        if n_operands > 1 and len(set(operands)) != len(operands):
+            raise QasmSyntaxError(f"{name}: duplicate qubit operand", line)
+        if kind is None:
+            self.gates.extend(_decompose_ccx(*operands))
+        else:
+            param = params[0] if params else None
+            for chunk in ([operands] if n_operands > 1 else [[q] for q in operands]):
+                self.gates.append(Gate(kind, tuple(chunk), param))
+
+    def _expression(self) -> float:
+        value = self._term()
+        while True:
+            tok = self._peek()
+            if tok is None or tok.text not in ("+", "-"):
+                return value
+            self.pos += 1
+            rhs = self._term()
+            value = value + rhs if tok.text == "+" else value - rhs
+
+    def _term(self) -> float:
+        value = self._unary()
+        while True:
+            tok = self._peek()
+            if tok is None or tok.text not in ("*", "/"):
+                return value
+            self.pos += 1
+            rhs = self._unary()
+            if tok.text == "/":
+                if rhs == 0:
+                    raise QasmSyntaxError("division by zero in angle expression", tok.line)
+                value = value / rhs
+            else:
+                value = value * rhs
+
+    def _unary(self) -> float:
+        tok = self._next("angle expression")
+        if tok.text == "-":
+            return -self._unary()
+        if tok.text == "+":
+            return self._unary()
+        if tok.text == "(":
+            value = self._expression()
+            self._expect_sym(")")
+            return value
+        if tok.kind == "number":
+            return float(tok.text)
+        if tok.kind == "ident" and tok.text == "pi":
+            return math.pi
+        raise QasmSyntaxError(f"invalid angle expression near {tok.text!r}", tok.line)
+
+
+def token_parse(source: str) -> Circuit:
+    """Parse OpenQASM 2.0 text with one token per lexeme and no statement tokens."""
+    return _TokenParser(_tokenize(source)).parse()

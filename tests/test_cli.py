@@ -148,6 +148,9 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--format", "xml"], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--format", "csv,xml"], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--format", ","], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "0"], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "-5"], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", ","], 1),
     ],
 )
 def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):

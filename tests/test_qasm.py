@@ -2,13 +2,18 @@
 
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
+from oracles import token_parse
 
 from cacore.bench import gen_random_circuit
 from cacore.errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
 from cacore.ir import Circuit, Gate, GateKind, validate_circuit
-from cacore.qasm import parse_qasm, to_qasm
+from cacore.qasm import _tokenize, parse_qasm, to_qasm
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def kinds(circuit):
@@ -106,7 +111,6 @@ def test_angle_division_by_zero():
 @pytest.mark.parametrize(
     "source,line",
     [
-        ("qreg q[2];\ncreg c[2];", 2),
         ("qreg q[2];\nif(c==1) h q[0];", 2),
         ("qreg q[1];\ngate my q { h q; }", 2),
         ("qreg q[1];\nreset q[0];", 2),
@@ -138,6 +142,43 @@ def test_unsupported_statements_rejected_with_line(source, line):
 def test_malformed_statements_raise_syntax_errors(source):
     with pytest.raises(QasmSyntaxError):
         parse_qasm(source)
+
+
+def _declared_cregs(text):
+    return {name: int(size) for name, size in re.findall(r"creg (\w+)\[(\d+)\];", text)}
+
+
+def test_creg_declared_and_emitted_for_measured_circuits():
+    circuit = parse_qasm(
+        "qreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\nmeasure q[1] -> d[1];"
+    )
+    # classical state is not modeled: a creg adds no qubits, undeclared targets pass
+    assert circuit.num_qubits == 2
+    assert kinds(circuit) == [GateKind.H, GateKind.MEASURE, GateKind.MEASURE]
+    for source in ("qreg q[2];\ncreg q[2];", "creg c[2];\ncreg c[1];", "creg c[2];\nqreg c[2];"):
+        with pytest.raises(QasmSyntaxError) as err:
+            parse_qasm(source)
+        assert err.value.line == 2
+
+    measured = Circuit(3, (Gate(GateKind.H, (0,)), Gate(GateKind.MEASURE, (2,)),
+                           Gate(GateKind.MEASURE, (0,))))
+    sources = [to_qasm(measured)] + [
+        to_qasm(parse_qasm(path.read_text(encoding="utf-8")))
+        for path in sorted(DATA_DIR.glob("*.qasm"))
+    ]
+    assert sources[0].splitlines()[2:4] == ["qreg q[3];", "creg c[3];"]
+    assert parse_qasm(sources[0]).gates == measured.gates
+    for text in sources:
+        declared = _declared_cregs(text)
+        for name, index in re.findall(r"-> (\w+)\[(\d+)\];", text):
+            assert int(index) < declared[name]
+
+    # a circuit without a measure declares no classical register
+    plain = to_qasm(parse_qasm("qreg q[2]; h q[0]; cx q[0],q[1]; barrier q;"))
+    assert plain == (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        "barrier q[0],q[1];\n"
+    )
 
 
 def test_index_out_of_range_with_line():
@@ -196,3 +237,102 @@ def test_validate_circuit_examples():
     assert any("identical endpoints" in d for d in validate_circuit(bad_loop))
     bad_range = Circuit(6, (Gate(GateKind.H, (7,)),))
     assert any("out of range" in d for d in validate_circuit(bad_range))
+
+
+def _outcome(parse, source):
+    """The circuit as (kinds, qubits, exact params), or the error's (type, message, line)."""
+    try:
+        circuit = parse(source)
+    except (QasmSyntaxError, UnsupportedGateError, QubitIndexError) as err:
+        return type(err), str(err), err.line
+    return circuit.num_qubits, [(g.kind, g.qubits, repr(g.param)) for g in circuit.gates]
+
+
+def _mixed_circuit(rng, n):
+    """A random circuit with every gate kind, angles in several literal forms."""
+    gates = list(gen_random_circuit(n, rng.randint(4, 16), rng.randrange(1000)).gates)
+    for _ in range(rng.randint(2, 8)):
+        q = rng.randrange(n)
+        pick = rng.randrange(5)
+        if pick == 0:
+            angle = rng.choice([rng.uniform(-4, 4), 1e-5, -2.5e12, 0.0, -0.0, 3.0])
+            gates.insert(rng.randrange(len(gates) + 1),
+                         Gate(rng.choice([GateKind.RX, GateKind.RY, GateKind.RZ]), (q,), angle))
+        elif pick == 1:
+            gates.append(Gate(GateKind.SWAP, (q, (q + 1) % n)))
+        elif pick == 2:
+            gates.append(Gate(GateKind.MEASURE, (q,)))
+        elif pick == 3:
+            gates.append(Gate(GateKind.BARRIER, (q, (q + 2) % n) if n > 2 else (q,)))
+        else:
+            gates.append(Gate(rng.choice([GateKind.Y, GateKind.Z]), (q,)))
+    return Circuit(n, tuple(gates))
+
+
+_HAND_WRITTEN_SEED = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+qreg r[2];
+creg c[3];
+h q[0]; x r[1];
+rz(-0.25) q[1];
+rx(pi/2) r[0];
+rx(1e400) q[2];
+cx q[1],q[1];
+ccx q[0],q[1];
+cx q[0],
+   r[1];
+swap q[2],r[0];
+ry(.5e-3) q[2];
+measure q[1] -> c[1];
+barrier q;
+h q[7];
+"""
+
+_MUTATION_ALPHABET = [
+    "cx ", "rx(", "q[", "];", ";", "\n", "->", "//", "$", "ccx ", "measure ", "qreg r[2];",
+    "creg c[2];", "h ", "rz(-", ")", ",", " ", "[", "]", "0", "1", "7", "e", ".", "pi", "r[",
+]
+
+
+def _mutate(rng, source):
+    """Insert, delete or replace a few characters, or delete or copy a whole line."""
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        pos = rng.randint(0, len(source))
+        width = rng.randint(1, 4)
+        op = rng.randrange(5)
+        if op == 0:
+            source = source[:pos] + rng.choice(_MUTATION_ALPHABET) + source[pos:]
+        elif op == 1:
+            source = source[:pos] + source[pos + width:]
+        elif op == 2:
+            source = source[:pos] + rng.choice(_MUTATION_ALPHABET) + source[pos + width:]
+        else:
+            lines = source.split("\n")
+            line = lines.pop(rng.randrange(len(lines)))
+            if op == 4:
+                lines[rng.randint(0, len(lines)):0] = [line, line]
+            source = "\n".join(lines)
+    return source
+
+
+def test_statement_tokens_match_token_by_token_oracle():
+    """Mutated sources parse to the same circuit, or fail with the same error and
+    line, as the parser that reads every statement token by token."""
+    rng = random.Random(20261018)
+    bases = [_HAND_WRITTEN_SEED] + [
+        path.read_text(encoding="utf-8") for path in sorted(DATA_DIR.glob("*.qasm"))
+    ]
+    bases += [to_qasm(_mixed_circuit(rng, rng.randint(2, 12))) for _ in range(40)]
+    # every base lexes at least partly into statement tokens, so both paths are compared
+    assert all(any(tok.kind == "statement" for tok in _tokenize(base)) for base in bases)
+    parsed = failed = 0
+    for i in range(2500):
+        source = _mutate(rng, bases[i % len(bases)])
+        expected = _outcome(token_parse, source)
+        assert _outcome(parse_qasm, source) == expected, source
+        if isinstance(expected[0], int):
+            parsed += 1
+        else:
+            failed += 1
+    assert parsed >= 300 and failed >= 300
