@@ -73,24 +73,28 @@ class CircuitStats:
 
 def circuit_stats(circuit: Circuit) -> CircuitStats:
     busy_until: dict[int, int] = {}
-    total = one_qubit = two_qubit = swaps = 0
+    get = busy_until.get
+    swap, barrier, measure = GateKind.SWAP, GateKind.BARRIER, GateKind.MEASURE
+    exempt = two_qubit = swaps = 0
     for gate in circuit.gates:
-        if gate.kind is GateKind.BARRIER:
-            fence = max((busy_until.get(q, 0) for q in gate.qubits), default=0)
+        kind = gate.kind
+        if kind in TWO_QUBIT_KINDS:
+            a, b = gate.qubits
+            finish_a, finish_b = get(a, 0), get(b, 0)
+            busy_until[a] = busy_until[b] = (finish_a if finish_a > finish_b else finish_b) + 1
+            two_qubit += 1
+            if kind is swap:
+                swaps += 1
+        elif kind is barrier:
+            exempt += 1
+            fence = max((get(q, 0) for q in gate.qubits), default=0)
             for q in gate.qubits:
                 busy_until[q] = fence
-            continue
-        if gate.kind is GateKind.MEASURE:
-            continue
-        finish = 1 + max(busy_until.get(q, 0) for q in gate.qubits)
-        for q in gate.qubits:
-            busy_until[q] = finish
-        total += 1
-        if gate.is_two_qubit:
-            two_qubit += 1
-            if gate.kind is GateKind.SWAP:
-                swaps += 1
+        elif kind is measure:
+            exempt += 1
         else:
-            one_qubit += 1
+            (q,) = gate.qubits
+            busy_until[q] = get(q, 0) + 1
+    total = len(circuit.gates) - exempt
     depth = max(busy_until.values(), default=0)
-    return CircuitStats(depth, total, one_qubit, two_qubit, swaps)
+    return CircuitStats(depth, total, total - two_qubit, two_qubit, swaps)

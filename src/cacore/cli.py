@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a seeded random circuit")
     p_gen.add_argument("-n", "--qubits", type=int, required=True)
-    p_gen.add_argument("--gates", type=int, default=2000, help="target gate count")
+    p_gen.add_argument("--gates", type=_positive_int, default=2000, help="target gate count")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True, help="QASM output path")
 
@@ -294,3 +294,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def app() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -5,6 +5,17 @@ not coupler-adjacent triggers SWAPs that move the first operand's state
 along the BFS-shortest path (lexicographically smallest node sequence on
 ties) until it neighbors the second operand. This mirrors a
 minimal-optimization transpile so topology comparisons stay router-fixed.
+
+The router keeps one next-hop table per target qubit for the call, built
+by a BFS on first use: each entry is the smallest neighbour one hop closer
+to the target, so the walk takes that path one SWAP per step. Gates are
+immutable, so the routed circuit reuses a source gate whose physical
+qubits equal its logical ones and shares one gate per distinct (kind,
+physical qubits) among the rest; rotations are built fresh, since a cache
+keyed on the angle would merge 0.0 and -0.0. The verifier replays the
+routed gates into (kind, logical qubits, param) tuples and accepts at once
+when they equal the source gates in order; otherwise it compares each
+qubit's lane, so gates on disjoint qubits may commute.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 from .analysis import circuit_stats
 from .errors import DegenerateInputError, UnroutableGateError
-from .ir import Circuit, Gate, GateKind
+from .ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .topology import Topology
 
 
@@ -71,45 +82,69 @@ class RoutingResult:
     metrics: RouteMetrics
 
 
-def _hops_to(adjacency: dict[int, tuple[int, ...]], dst: int) -> dict[int, int]:
-    """BFS hop count to dst from every node that can reach it."""
+def _next_hops(adjacency: dict[int, tuple[int, ...]], dst: int) -> dict[int, int]:
+    """Next qubit toward dst for every qubit that can reach it.
+
+    Each entry is the smallest neighbour one BFS hop closer to dst, so a
+    walk along the table takes the lexicographically smallest shortest
+    path; dst maps to itself.
+    """
     hops = {dst: 0}
+    next_hop = {dst: dst}
     frontier = deque([dst])
     while frontier:
         node = frontier.popleft()
+        closer = hops[node] + 1
         for nb in adjacency[node]:
             if nb not in hops:
-                hops[nb] = hops[node] + 1
+                hops[nb] = closer
+                next_hop[nb] = node
                 frontier.append(nb)
-    return hops
+            elif hops[nb] == closer and node < next_hop[nb]:
+                next_hop[nb] = node
+    return next_hop
 
 
 def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     """Insert SWAPs so every two-qubit gate lands on a coupler edge."""
     layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
+    log_to_phys = layout.log_to_phys
     adjacency = topology.adjacency()
-    hops_to: dict[int, dict[int, int]] = {}  # target qubit -> hop table, built on first use
+    next_hops: dict[int, dict[int, int]] = {}  # target qubit -> next-hop table, built on first use
+    shared: dict[tuple, Gate] = {}  # (kind, physical qubits) -> one gate for the whole call
     routed: list[Gate] = []
     inserted: list[int] = []
+    swap = GateKind.SWAP
 
     for gate in circuit.gates:
-        qubits = [layout.log_to_phys[q] for q in gate.qubits]
-        if gate.is_two_qubit:
-            pa, pb = qubits
-            hops = hops_to.get(pb) or hops_to.setdefault(pb, _hops_to(adjacency, pb))
-            if pa not in hops:
+        kind, qubits = gate.kind, gate.qubits
+        if kind in TWO_QUBIT_KINDS:
+            a, b = qubits
+            pa, pb = log_to_phys[a], log_to_phys[b]
+            next_hop = next_hops.get(pb) or next_hops.setdefault(pb, _next_hops(adjacency, pb))
+            if pa not in next_hop:
                 raise UnroutableGateError(
-                    f"{gate.kind.value} on logical {gate.qubits}: physical qubits "
+                    f"{kind.value} on logical {qubits}: physical qubits "
                     f"{pa} and {pb} are in different components of {topology.name!r}"
                 )
-            while hops[pa] > 1:
-                hop = min(nb for nb in adjacency[pa] if hops.get(nb) == hops[pa] - 1)
+            while (hop := next_hop[pa]) != pb:
                 inserted.append(len(routed))
-                routed.append(Gate(GateKind.SWAP, (pa, hop)))
+                key = (swap, (pa, hop))
+                routed.append(shared.get(key) or shared.setdefault(key, Gate(swap, (pa, hop))))
                 layout.swap_physical(pa, hop)
                 pa = hop
-            qubits[0] = pa
-        routed.append(Gate(gate.kind, tuple(qubits), gate.param))
+            physical = (pa, pb)
+        else:
+            physical = tuple(map(log_to_phys.__getitem__, qubits))
+        if physical == qubits:
+            routed.append(gate)
+        elif gate.param is not None:
+            # Never shared: 0.0 == -0.0, so a cache keyed on the angle
+            # would turn rz(-0.0) into rz(0.0).
+            routed.append(Gate(kind, physical, gate.param))
+        else:
+            key = (kind, physical)
+            routed.append(shared.get(key) or shared.setdefault(key, Gate(kind, physical)))
 
     routed_circuit = Circuit(
         topology.num_qubits, tuple(routed), name=f"{circuit.name}@{topology.name}"
@@ -136,30 +171,43 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     adjacency = topology.adjacency()
     inserted = set(result.inserted)
     layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
-    replayed: list[Gate] = []
+    phys_to_log = layout.phys_to_log
+    replayed: list[tuple] = []  # (kind, logical qubits, param)
+    swap = GateKind.SWAP
 
     for idx, gate in enumerate(result.routed.gates):
-        if gate.is_two_qubit and gate.qubits[1] not in adjacency.get(gate.qubits[0], ()):
-            return False
-        if idx in inserted:
-            if gate.kind is not GateKind.SWAP:
+        kind, qubits = gate.kind, gate.qubits
+        if kind in TWO_QUBIT_KINDS:
+            a, b = qubits
+            if b not in adjacency.get(a, ()):
                 return False
-            layout.swap_physical(*gate.qubits)
-            continue
-        logical = tuple(layout.phys_to_log[p] for p in gate.qubits)
-        if any(q is None for q in logical):
+            if idx in inserted:
+                if kind is not swap:
+                    return False
+                layout.swap_physical(a, b)
+                continue
+            logical = (phys_to_log[a], phys_to_log[b])
+        elif idx in inserted:
+            return False  # only a SWAP may be marked inserted
+        else:
+            logical = tuple(map(phys_to_log.__getitem__, qubits))
+        if None in logical:
             return False
-        replayed.append(Gate(gate.kind, logical, gate.param))
+        replayed.append((kind, logical, gate.param))
 
+    source = [(gate.kind, gate.qubits, gate.param) for gate in circuit.gates]
+    if replayed == source:
+        return True
     n = circuit.num_qubits
-    return len(replayed) == len(circuit.gates) and _lanes(replayed, n) == _lanes(circuit.gates, n)
+    return len(replayed) == len(source) and _lanes(replayed, n) == _lanes(source, n)
 
 
-def _lanes(gates: list[Gate] | tuple[Gate, ...], num_qubits: int) -> list[list[Gate]]:
-    """Each in-range qubit's gates in program order, a gate once per distinct qubit."""
-    lanes: list[list[Gate]] = [[] for _ in range(num_qubits)]
+def _lanes(gates: list[tuple], num_qubits: int) -> list[list[tuple]]:
+    """Each in-range qubit's (kind, qubits, param) entries in program order,
+    an entry once per distinct qubit."""
+    lanes: list[list[tuple]] = [[] for _ in range(num_qubits)]
     for gate in gates:
-        for q in set(gate.qubits):
+        for q in set(gate[1]):
             if 0 <= q < num_qubits:
                 lanes[q].append(gate)
     return lanes

@@ -7,6 +7,7 @@ import pytest
 from cacore.qasm import parse_qasm_file
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).parents[1] / "src"
 
 # Benchmark files bundled for the fidelity-ordering acceptance check.
 ORDERING_BENCHMARKS = ("bv_n14", "qec_xz_n17", "multiplier_n15", "multiply_n13")

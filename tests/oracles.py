@@ -1,13 +1,15 @@
 """Independent reference implementations used to cross-check metrics.
 
 These deliberately avoid the library's own code paths: depth comes from an
-explicit layered list scheduler, the diagonal grouping from a direct
-enumeration of unit cells, component joining from a multi-pass loop that
-re-finds every component after each join, routing from a fresh BFS and an
-explicit path list per non-adjacent gate (``bfs_route``), and routing
-verification from a rescan of every gate once per qubit (``rescan_verify``),
-and QASM parsing from a lexer that emits every token on its own and a parser
-that reads each statement token by token (``token_parse``).
+explicit layered list scheduler, gate and depth totals from a per-gate ASAP
+pass over ``Gate`` properties (``asap_stats``), the diagonal grouping from a
+direct enumeration of unit cells, component joining from a multi-pass loop
+that re-finds every component after each join, routing from a fresh BFS and
+an explicit path list per non-adjacent gate, built ``Gate`` by ``Gate``
+(``bfs_route``), routing verification from a rescan of every gate once per
+qubit (``rescan_verify``), and QASM parsing from a lexer that emits every
+token on its own and a parser that reads each statement token by token
+(``token_parse``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
-from cacore.analysis import circuit_stats
+from cacore.analysis import CircuitStats
 from cacore.errors import (
     QasmSyntaxError,
     QubitIndexError,
@@ -61,6 +63,33 @@ def layered_depth(circuit: Circuit) -> int:
         for q in gate.qubits:
             floor[q] = idx + 1
     return len(layers)
+
+
+def asap_stats(circuit: Circuit) -> CircuitStats:
+    """Gate and depth totals, one generator ``max`` per gate over its qubits'
+    busy times; barriers fence their qubits, measures are skipped."""
+    busy_until: dict[int, int] = {}
+    total = one_qubit = two_qubit = swaps = 0
+    for gate in circuit.gates:
+        if gate.kind is GateKind.BARRIER:
+            fence = max((busy_until.get(q, 0) for q in gate.qubits), default=0)
+            for q in gate.qubits:
+                busy_until[q] = fence
+            continue
+        if gate.kind is GateKind.MEASURE:
+            continue
+        finish = 1 + max(busy_until.get(q, 0) for q in gate.qubits)
+        for q in gate.qubits:
+            busy_until[q] = finish
+        total += 1
+        if gate.is_two_qubit:
+            two_qubit += 1
+            if gate.kind is GateKind.SWAP:
+                swaps += 1
+        else:
+            one_qubit += 1
+    depth = max(busy_until.values(), default=0)
+    return CircuitStats(depth, total, one_qubit, two_qubit, swaps)
 
 
 def brute_force_diagonal_groups(grid: GridGraph) -> tuple[set, set]:
@@ -178,7 +207,7 @@ def bfs_route(circuit: Circuit, topology: Topology) -> RoutingResult:
     routed_circuit = Circuit(
         topology.num_qubits, tuple(routed), name=f"{circuit.name}@{topology.name}"
     )
-    stats = circuit_stats(routed_circuit)
+    stats = asap_stats(routed_circuit)
     metrics = RouteMetrics(
         depth=stats.depth,
         total_gates=stats.total_gates,

@@ -1,6 +1,9 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from cacore.cli import main
 from cacore.qasm import parse_qasm_file
 from cacore.topology import load_topology
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, SRC_DIR
 
 FIGURE = str(DATA_DIR / "figure6.qasm")
 
@@ -151,6 +154,8 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "0"], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "-5"], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", ","], 1),
+        (["gen", "-n", "4", "--gates", "0"], 1),
+        (["gen", "-n", "4", "--gates", "-3"], 1),
     ],
 )
 def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
@@ -159,6 +164,28 @@ def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("module", ["cacore", "cacore.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    good = tmp_path / "good.qasm"
+    done = run("gen", "-n", "4", "--gates", "10", "-o", str(good))
+    assert done.returncode == 0, done.stderr
+    assert parse_qasm_file(good).num_qubits == 4
+    bad = tmp_path / "bad.qasm"
+    failed = run("gen", "-n", "4", "--gates", "-3", "-o", str(bad))
+    assert failed.returncode == 1
+    assert "Traceback" not in failed.stderr
+    assert len([line for line in failed.stderr.splitlines() if "error:" in line]) == 1
+    assert not bad.exists()
 
 
 @pytest.mark.parametrize(

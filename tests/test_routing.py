@@ -9,7 +9,7 @@ from cacore.analysis import circuit_stats
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError, UnroutableGateError
 from cacore.ir import PARAMETRIC_KINDS, Circuit, Gate, GateKind
-from cacore.qasm import to_qasm
+from cacore.qasm import parse_qasm, to_qasm
 from cacore.routing import (
     RouteMetrics,
     RoutingResult,
@@ -200,8 +200,6 @@ def test_routing_determinism_byte_identical():
 
 
 def test_routed_qasm_reparses(tmp_path):
-    from cacore.qasm import parse_qasm
-
     circuit = gen_random_circuit(6, 60, seed=8)
     result = route_circuit(circuit, builtin_topology("line(6)"))
     text = to_qasm(result.routed)
@@ -239,13 +237,20 @@ _RECAST = {
 }
 
 
+_ROTATIONS = (GateKind.RX, GateKind.RY, GateKind.RZ)
+
+
 def _mixed_circuit(n, seed):
-    """A random circuit with source SWAPs, barriers and a measure mixed in."""
+    """A random circuit with source SWAPs, rotations (some by 0.0 or -0.0),
+    barriers and a measure mixed in."""
     rng = random.Random(seed)
     gates = []
     for gate in gen_random_circuit(n, 60, seed).gates:
         if gate.is_two_qubit and rng.random() < 0.1:
             gate = Gate(GateKind.SWAP, gate.qubits)
+        elif not gate.is_two_qubit and rng.random() < 0.3:
+            angle = rng.choice((0.0, -0.0, rng.uniform(-math.pi, math.pi)))
+            gate = Gate(rng.choice(_ROTATIONS), gate.qubits, angle)
         gates.append(gate)
         if rng.random() < 0.03:
             gates.append(Gate(GateKind.BARRIER, tuple(rng.sample(range(n), rng.randint(1, n)))))
@@ -283,7 +288,14 @@ def _routed(route, circuit, topology):
     except UnroutableGateError as exc:
         return str(exc)
     layout = result.final_layout
-    return result.routed, result.inserted, result.metrics, layout.log_to_phys, layout.phys_to_log
+    return (
+        result.routed,
+        to_qasm(result.routed),  # Gate equality has 0.0 == -0.0; the text keeps the sign
+        result.inserted,
+        result.metrics,
+        layout.log_to_phys,
+        layout.phys_to_log,
+    )
 
 
 def test_hop_table_router_and_one_pass_verify_match_oracles():
@@ -321,3 +333,40 @@ def test_hop_table_router_and_one_pass_verify_match_oracles():
     assert unroutable > 0
     assert mutants >= 1000
     assert verdicts == {True, False}
+
+
+def test_rotations_by_signed_zero_keep_their_sign():
+    circuit = parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[2];\nrz(0) q[0];\nrz(-0) q[0];\n")
+    result = route_circuit(circuit, builtin_topology("line(3)"))
+    # the SWAP moves logical 0 to physical 1, so neither rotation is the source gate
+    assert to_qasm(result.routed).endswith("rz(0.0) q[1];\nrz(-0.0) q[1];\n")
+
+
+def test_circuit_stats_match_asap_oracle():
+    from oracles import asap_stats
+
+    circuits = [
+        Circuit(0, ()),
+        Circuit(2, (Gate(GateKind.BARRIER, (0, 1)), Gate(GateKind.MEASURE, (1,)))),
+        Circuit(
+            3,
+            (
+                Gate(GateKind.RX, (0,), 0.5),
+                Gate(GateKind.RZ, (2,), -0.0),
+                Gate(GateKind.BARRIER, (0, 2)),
+                cnot(1, 1),
+                Gate(GateKind.MEASURE, (1,)),
+                Gate(GateKind.SWAP, (0, 2)),
+                Gate(GateKind.RY, (1,), 0.0),
+                Gate(GateKind.BARRIER, (0, 1, 2)),
+                cnot(2, 1),
+            ),
+        ),
+    ]
+    for n in range(3, 28):
+        circuit = _mixed_circuit(n, seed=n)
+        circuits.append(circuit)
+        for topology in (synthesize_topology(circuit), builtin_topology(f"line({n})")):
+            circuits.append(route_circuit(circuit, topology).routed)
+    for circuit in circuits:
+        assert circuit_stats(circuit) == asap_stats(circuit)
