@@ -41,10 +41,6 @@ from .routing import (
     verify_routing,
 )
 from .synthesis import (
-    DiagonalPartition,
-    GridGraph,
-    GridLayout,
-    PathGraph,
     choose_grid_dims,
     connect_adjacent,
     connect_diagonals,

@@ -63,10 +63,6 @@ class CircuitStats:
     two_qubit_gates: int
     swap_count: int
 
-    @property
-    def total_swap_gates(self) -> int:
-        return self.swap_count
-
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
 

@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import CircuitStats
 from .errors import CacoreError, DegenerateInputError
 from .ir import Circuit, Gate, GateKind
 from .routing import RouteMetrics, route_circuit, verify_routing
@@ -81,7 +80,7 @@ class NoiseParams:
             )
 
 
-def estimate_fidelity(metrics: RouteMetrics | CircuitStats, noise: NoiseParams) -> float:
+def estimate_fidelity(metrics: RouteMetrics, noise: NoiseParams) -> float:
     """Success-probability proxy F = (1-e)^N1 * (1-e*factor)^N2.
 
     N1 counts one-qubit gates; N2 counts two-qubit gates with every SWAP
@@ -115,16 +114,6 @@ class BenchmarkReport:
             "failures": self.failures,
             "aggregates": self.aggregates,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> BenchmarkReport:
-        return cls(
-            config=data["config"],
-            rows=list(data["rows"]),
-            skips=list(data["skips"]),
-            failures=list(data["failures"]),
-            aggregates=list(data["aggregates"]),
-        )
 
 
 def _reduction_pct(baseline: float, ca: float) -> float:
@@ -223,14 +212,9 @@ def _aggregate(rows: list[dict], baseline_names: list[str]) -> list[dict]:
     return aggregates
 
 
-def report_columns(report: BenchmarkReport) -> list[str]:
-    fixed = ["circuit", "seed", "qubits", "topology", "depth", "gates", "swaps"]
-    eps = report.config.get("epsilons", [])
-    return fixed + [f"fidelity@{e:g}" for e in eps]
-
-
 def write_report_csv(report: BenchmarkReport, path: str | Path) -> None:
-    columns = report_columns(report)
+    columns = ["circuit", "seed", "qubits", "topology", "depth", "gates", "swaps"]
+    columns += [f"fidelity@{e:g}" for e in report.config.get("epsilons", [])]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
@@ -240,10 +224,6 @@ def write_report_csv(report: BenchmarkReport, path: str | Path) -> None:
 
 def write_report_json(report: BenchmarkReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-
-def load_report(path: str | Path) -> BenchmarkReport:
-    return BenchmarkReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def emit_report(report: BenchmarkReport, fmt: str, path: str | Path) -> None:

@@ -98,7 +98,10 @@ def _parse_formats(text: str) -> list[str]:
 
 
 def _parse_noise(text: str) -> list[NoiseParams]:
-    noise = [NoiseParams(float(eps)) for eps in text.split(",") if eps.strip()]
+    try:
+        noise = [NoiseParams(float(eps)) for eps in text.split(",") if eps.strip()]
+    except ValueError as exc:  # a bad number, or a rate NoiseParams rejects: keep why
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if not noise:
         raise argparse.ArgumentTypeError(f"expected at least one error rate, got {text!r}")
     return noise

@@ -63,14 +63,6 @@ class Gate:
         if (self.param is not None) != (self.kind in PARAMETRIC_KINDS):
             raise ValueError(f"{self.kind.value}: angle parameter mismatch")
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return self.kind in TWO_QUBIT_KINDS
-
-    @property
-    def counts_toward_metrics(self) -> bool:
-        return self.kind not in METRIC_EXEMPT_KINDS
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -100,7 +92,7 @@ def validate_circuit(circuit: Circuit) -> list[str]:
                     f"gate {idx} ({gate.kind.value}): qubit {q} out of range for "
                     f"{circuit.num_qubits}-qubit circuit"
                 )
-        if gate.is_two_qubit and gate.qubits[0] == gate.qubits[1]:
+        if gate.kind in TWO_QUBIT_KINDS and gate.qubits[0] == gate.qubits[1]:
             diagnostics.append(
                 f"gate {idx} ({gate.kind.value}): identical endpoints {gate.qubits[0]}"
             )

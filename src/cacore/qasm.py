@@ -419,11 +419,19 @@ def parse_qasm_file(path: str | Path) -> Circuit:
     return parse_qasm(path.read_text(encoding="utf-8"), name=path.stem)
 
 
+def _real(value: float) -> str:
+    """``repr`` with a ``.`` in the mantissa, which an OpenQASM 2.0 real
+    needs: ``1e-05`` is written ``1.0e-05``."""
+    text = repr(value)
+    return text.replace("e", ".0e") if "e" in text and "." not in text else text
+
+
 def to_qasm(circuit: Circuit) -> str:
     """Render a circuit back to OpenQASM 2.0.
 
-    Float parameters are printed via ``repr`` so parse -> print -> parse
-    reproduces the exact gate list. Gates other than barrier and measure are
+    Float parameters are printed via ``repr``, with ``.0`` added to an
+    exponent form's mantissa, so parse -> print -> parse reproduces the
+    exact gate list. Gates other than barrier and measure are
     written in the canonical form that the lexer reads as one statement
     token. A circuit with a measure also declares ``creg c[num_qubits];``
     right after the ``qreg`` line, and measure ``q[i]`` writes to ``c[i]``;
@@ -444,8 +452,8 @@ def to_qasm(circuit: Circuit) -> str:
             q = gate.qubits[0]
             lines.append(f"measure q[{q}] -> c[{q}];")
         elif gate.param is not None:
-            lines.append(f"{gate.kind.value}({gate.param!r}) q[{gate.qubits[0]}];")
-        elif gate.is_two_qubit:
+            lines.append(f"{gate.kind.value}({_real(gate.param)}) q[{gate.qubits[0]}];")
+        elif gate.kind in TWO_QUBIT_KINDS:
             lines.append(f"{gate.kind.value} q[{gate.qubits[0]}],q[{gate.qubits[1]}];")
         else:
             lines.append(f"{gate.kind.value} q[{gate.qubits[0]}];")

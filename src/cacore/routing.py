@@ -106,7 +106,16 @@ def _next_hops(adjacency: dict[int, tuple[int, ...]], dst: int) -> dict[int, int
 
 
 def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
-    """Insert SWAPs so every two-qubit gate lands on a coupler edge."""
+    """Insert SWAPs so every two-qubit gate lands on a coupler edge.
+
+    A logical qubit outside [0, num_qubits) raises DegenerateInputError.
+    """
+    used = {q for gate in circuit.gates for q in gate.qubits}
+    if used and (min(used) < 0 or max(used) >= circuit.num_qubits):
+        q = min(used) if min(used) < 0 else max(used)
+        raise DegenerateInputError(
+            f"logical qubit {q} out of range for {circuit.num_qubits}-qubit circuit {circuit.name!r}"
+        )
     layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
     log_to_phys = layout.log_to_phys
     adjacency = topology.adjacency()

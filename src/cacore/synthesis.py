@@ -5,121 +5,31 @@ matrix, deterministic joining of leftover components, serpentine placement
 onto a near-square grid, correlation-gated adjacent and diagonal coupler
 connection, and checkerboard pruning of the lighter diagonal group so no
 two retained diagonals occupy side-sharing unit cells.
+
+The stages pass two plain values:
+
+- ``Edges``: a ``(i, j) -> weight`` dict with ``i < j``. Every coupler
+  taken from the correlation matrix counts at least one gate, so weight 0
+  marks exactly the joining (synthetic) couplers of ``join_components``.
+- ``Positions``: a ``qubit -> (row, col)`` dict. Path and adjacent couplers
+  always join orthogonal neighbours, so a coupler is diagonal exactly when
+  its ends differ by one row and one column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .analysis import CorrelationMatrix, _ordered, build_correlation
 from .errors import DegenerateInputError
 from .ir import Circuit
 from .topology import Topology
 
-
-@dataclass(frozen=True)
-class PathEdge:
-    weight: int
-    synthetic: bool = False
+Edges = dict[tuple[int, int], int]
+Positions = dict[int, tuple[int, int]]
 
 
-@dataclass
-class PathGraph:
-    """Degree-limited acyclic weighted graph over all circuit qubits.
-
-    Every node keeps degree <= 2 and no edge closes a cycle, so each
-    connected component is a simple path (or an isolated node).
-    """
-
-    num_qubits: int
-    edges: dict[tuple[int, int], PathEdge]
-
-    def adjacency(self) -> dict[int, list[int]]:
-        """Neighbor lists, one entry per qubit (isolated ones included)."""
-        adjacency: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
-        for a, b in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        return adjacency
-
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted node lists, ordered by smallest member."""
-        adjacency = self.adjacency()
-        seen: set[int] = set()
-        components: list[list[int]] = []
-        for start in range(self.num_qubits):
-            if start in seen:
-                continue
-            stack = [start]
-            seen.add(start)
-            members = []
-            while stack:
-                node = stack.pop()
-                members.append(node)
-                for nb in adjacency[node]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            components.append(sorted(members))
-        return components
-
-
-@dataclass(frozen=True)
-class GridLayout:
-    """Injective qubit -> (row, col) placement on an nrow x ncol grid."""
-
-    nrow: int
-    ncol: int
-    pos: dict[int, tuple[int, int]]
-
-    def cells(self) -> dict[tuple[int, int], int]:
-        return {rc: q for q, rc in self.pos.items()}
-
-
-@dataclass(frozen=True)
-class GridEdge:
-    weight: int
-    kind: str  # "path" | "adjacent" | "diagonal"
-    synthetic: bool = False
-
-
-@dataclass
-class GridGraph:
-    layout: GridLayout
-    edges: dict[tuple[int, int], GridEdge]
-
-    def diagonal_pairs(self) -> list[tuple[int, int]]:
-        return sorted(pair for pair, edge in self.edges.items() if edge.kind == "diagonal")
-
-
-@dataclass(frozen=True)
-class DiagonalPartition:
-    """Checkerboard split of diagonal edges with accumulated group weights."""
-
-    g1: tuple[tuple[int, int], ...]
-    g2: tuple[tuple[int, int], ...]
-    g1_weight: int
-    g2_weight: int
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
-
-
-def generate_mwpg(matrix: CorrelationMatrix) -> PathGraph:
+def generate_mwpg(matrix: CorrelationMatrix) -> Edges:
     """Greedily keep the heaviest edges that preserve the path constraints.
 
     Edges are scanned by weight descending, ties broken by ascending
@@ -127,42 +37,68 @@ def generate_mwpg(matrix: CorrelationMatrix) -> PathGraph:
     degree < 2 and the edge closes no cycle, so the scan is deterministic
     and the result is a disjoint union of simple paths.
     """
-    order = sorted(matrix.weights.items(), key=lambda item: (-item[1], item[0]))
-    uf = _UnionFind(matrix.num_qubits)
-    degree = [0] * matrix.num_qubits
-    edges: dict[tuple[int, int], PathEdge] = {}
-    for (a, b), weight in order:
-        if degree[a] >= 2 or degree[b] >= 2:
+    n = matrix.num_qubits
+    degree = [0] * n
+    # other_end[q] is the far end of the fragment that q ends. Both ends of a
+    # candidate have degree < 2, so it closes a cycle exactly when they are
+    # the two ends of one fragment.
+    other_end = list(range(n))
+    path: Edges = {}
+    for (a, b), weight in sorted(matrix.weights.items(), key=lambda item: (-item[1], item[0])):
+        if degree[a] >= 2 or degree[b] >= 2 or other_end[a] == b:
             continue
-        if uf.find(a) == uf.find(b):
-            continue
-        edges[(a, b)] = PathEdge(weight)
+        path[(a, b)] = weight
         degree[a] += 1
         degree[b] += 1
-        uf.union(a, b)
-    return PathGraph(matrix.num_qubits, edges)
+        end_a, end_b = other_end[a], other_end[b]
+        other_end[end_a], other_end[end_b] = end_b, end_a
+    return path
 
 
-def join_components(path: PathGraph) -> PathGraph:
+def _adjacency(num_qubits: int, edges: Edges) -> list[list[int]]:
+    adjacency: list[list[int]] = [[] for _ in range(num_qubits)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return adjacency
+
+
+def _walk(adjacency: list[list[int]], end: int) -> list[int]:
+    """Nodes of the fragment that ends at ``end``, from there to its other end."""
+    order, prev = [end], None
+    for _ in adjacency:  # at most one step per node, even off a simple path
+        ahead = [nb for nb in adjacency[order[-1]] if nb != prev]
+        if not ahead:
+            break
+        prev = order[-1]
+        order.append(ahead[0])
+    return order
+
+
+def join_components(num_qubits: int, path: Edges) -> Edges:
     """Connect leftover path fragments into one simple path in one pass.
 
-    Components are chained in order of their smallest member. Each join
-    adds a weight-0 synthetic edge from the smaller free end of the chain
-    built so far to the smaller free end of the next component, where a
-    free end is a node of degree < 2 (an isolated node is both ends of its
-    component). The chain's other end stays free for the next join.
+    Fragments are chained in order of their smallest member. Each join
+    adds a weight-0 edge from the smaller free end of the chain built so far
+    to the smaller end of the next fragment, where an isolated node is both
+    ends of its fragment. The chain's other end stays free for the next join.
     """
-    edges = dict(path.edges)
-    adjacency = path.adjacency()
+    adjacency = _adjacency(num_qubits, path)
+    fragments = []  # (smallest member, smaller end, larger end)
+    far_ends = set()
+    for end in range(num_qubits):
+        if len(adjacency[end]) < 2 and end not in far_ends:
+            walk = _walk(adjacency, end)
+            far_ends.add(walk[-1])
+            fragments.append((min(walk), end, walk[-1]))
+    joined = dict(path)
     chain_ends: tuple[int, int] | None = None
-    for members in path.components():
-        free = [q for q in members if len(adjacency[q]) < 2]
-        head, tail = free[0], free[-1]
+    for _, head, tail in sorted(fragments):
         if chain_ends is not None:
-            edges[_ordered(chain_ends[0], head)] = PathEdge(0, synthetic=True)
+            joined[_ordered(chain_ends[0], head)] = 0
             head = chain_ends[1]
         chain_ends = _ordered(head, tail)
-    return PathGraph(path.num_qubits, edges)
+    return joined
 
 
 def choose_grid_dims(n: int) -> tuple[int, int]:
@@ -180,37 +116,28 @@ def _serpentine_cell(index: int, ncol: int) -> tuple[int, int]:
     return row, col
 
 
-def place_on_grid(path: PathGraph, nrow: int, ncol: int) -> GridLayout:
+def place_on_grid(num_qubits: int, path: Edges, nrow: int, ncol: int) -> Positions:
     """Lay a connected path into the grid in boustrophedon row order.
 
     The walk starts at the path end (node of degree <= 1) with the smaller
     qubit index and fills row 0 left to right, row 1 right to left, and so
     on; consecutive path nodes therefore always land on grid-adjacent cells.
     """
-    n = path.num_qubits
-    if n > nrow * ncol:
-        raise DegenerateInputError(f"{n} qubits exceed a {nrow}x{ncol} grid")
-    if n == 0:
-        return GridLayout(nrow, ncol, {})
-    if len(path.components()) != 1:
+    if num_qubits > nrow * ncol:
+        raise DegenerateInputError(f"{num_qubits} qubits exceed a {nrow}x{ncol} grid")
+    if num_qubits == 0:
+        return {}
+    adjacency = _adjacency(num_qubits, path)
+    ends = [q for q in range(num_qubits) if len(adjacency[q]) <= 1]
+    order = _walk(adjacency, ends[0]) if ends else []
+    if len(order) != num_qubits:
         raise ValueError("place_on_grid requires a connected path graph")
-
-    adjacency = path.adjacency()
-    order = [min(q for q, nbs in adjacency.items() if len(nbs) <= 1)]
-    prev = None
-    while len(order) < n:
-        current = order[-1]
-        order.append(next(nb for nb in adjacency[current] if nb != prev))
-        prev = current
-
-    pos = {q: _serpentine_cell(idx, ncol) for idx, q in enumerate(order)}
-    return GridLayout(nrow, ncol, pos)
+    return {q: _serpentine_cell(idx, ncol) for idx, q in enumerate(order)}
 
 
-def _connect(grid: GridGraph, matrix: CorrelationMatrix, offsets, kind: str) -> GridGraph:
-    """Link occupied cells, in row-major order, to correlated occupants at each offset."""
-    edges = dict(grid.edges)
-    cells = grid.layout.cells()
+def _connect(positions: Positions, edges: Edges, matrix: CorrelationMatrix, offsets) -> Edges:
+    """Add to ``edges``, in row-major cell order, each correlated occupant at an offset."""
+    cells = {rc: q for q, rc in positions.items()}
     for (row, col), q in sorted(cells.items()):
         for dr, dc in offsets:
             nb = cells.get((row + dr, col + dc))
@@ -219,65 +146,50 @@ def _connect(grid: GridGraph, matrix: CorrelationMatrix, offsets, kind: str) -> 
             pair = _ordered(q, nb)
             weight = matrix.weight(*pair)
             if weight > 0 and pair not in edges:
-                edges[pair] = GridEdge(weight, kind)
-    return GridGraph(grid.layout, edges)
+                edges[pair] = weight
+    return edges
 
 
-def connect_adjacent(layout: GridLayout, path: PathGraph, matrix: CorrelationMatrix) -> GridGraph:
-    """Seed the grid graph with all path edges, then add correlated orthogonal pairs.
+def connect_adjacent(positions: Positions, path: Edges, matrix: CorrelationMatrix) -> Edges:
+    """Seed the couplers with all path edges, then add correlated orthogonal pairs.
 
     Each occupied cell, in row-major order, is linked to its right and lower
     neighbours when they are occupied, correlated and not yet connected.
     """
-    edges = {
-        pair: GridEdge(edge.weight, "path", edge.synthetic)
-        for pair, edge in sorted(path.edges.items())
-    }
-    return _connect(GridGraph(layout, edges), matrix, ((0, 1), (1, 0)), "adjacent")
+    return _connect(positions, dict(sorted(path.items())), matrix, ((0, 1), (1, 0)))
 
 
-def connect_diagonals(grid: GridGraph, matrix: CorrelationMatrix) -> GridGraph:
+def connect_diagonals(positions: Positions, edges: Edges, matrix: CorrelationMatrix) -> Edges:
     """Add correlated lower-left and lower-right diagonal edges.
 
     Each occupied cell (row, col), in row-major order, is linked to the
     occupants of (row+1, col-1) and (row+1, col+1) when they are correlated
     and not yet connected; offsets that leave the grid find no occupant.
     """
-    return _connect(grid, matrix, ((1, -1), (1, 1)), "diagonal")
+    return _connect(positions, dict(edges), matrix, ((1, -1), (1, 1)))
 
 
-def _cell_of_diagonal(layout: GridLayout, pair: tuple[int, int]) -> tuple[int, int]:
-    (r1, c1), (r2, c2) = layout.pos[pair[0]], layout.pos[pair[1]]
-    return min(r1, r2), min(c1, c2)
-
-
-def partition_diagonals(grid: GridGraph) -> DiagonalPartition:
-    """Split diagonals by the checkerboard parity of their unit cell.
+def partition_diagonals(positions: Positions, edges: Edges) -> tuple[Edges, Edges]:
+    """Split the diagonal couplers by the checkerboard parity of their unit cell.
 
     A diagonal belongs to the unique cell whose corners it spans; cells
     with even row+col go to group 1, odd to group 2, which flips the
-    grouping on every row and column exactly once.
+    grouping on every row and column exactly once. A group's weight is the
+    sum of its values.
     """
-    g1: list[tuple[int, int]] = []
-    g2: list[tuple[int, int]] = []
-    w1 = w2 = 0
-    for pair in grid.diagonal_pairs():
-        row, col = _cell_of_diagonal(grid.layout, pair)
-        weight = grid.edges[pair].weight
-        if (row + col) % 2 == 0:
-            g1.append(pair)
-            w1 += weight
-        else:
-            g2.append(pair)
-            w2 += weight
-    return DiagonalPartition(tuple(g1), tuple(g2), w1, w2)
+    groups: tuple[Edges, Edges] = ({}, {})
+    for pair in sorted(edges):
+        (r1, c1), (r2, c2) = positions[pair[0]], positions[pair[1]]
+        if abs(r1 - r2) == abs(c1 - c2) == 1:
+            groups[(min(r1, r2) + min(c1, c2)) % 2][pair] = edges[pair]
+    return groups
 
 
-def prune_diagonals(grid: GridGraph, partition: DiagonalPartition) -> GridGraph:
+def prune_diagonals(edges: Edges, groups: tuple[Edges, Edges]) -> Edges:
     """Drop every diagonal of the lighter group (group 2 on a tie)."""
-    doomed = set(partition.g1 if partition.g2_weight > partition.g1_weight else partition.g2)
-    edges = {pair: edge for pair, edge in grid.edges.items() if pair not in doomed}
-    return GridGraph(grid.layout, edges)
+    g1, g2 = groups
+    doomed = g1 if sum(g2.values()) > sum(g1.values()) else g2
+    return {pair: weight for pair, weight in edges.items() if pair not in doomed}
 
 
 def synthesize_topology(circuit: Circuit, *, keep_synthetic: bool = True) -> Topology:
@@ -288,22 +200,14 @@ def synthesize_topology(circuit: Circuit, *, keep_synthetic: bool = True) -> Top
     it to False configures couplers only where a correlation exists, which
     may leave uncorrelated fragments disconnected.
     """
+    n = circuit.num_qubits
     matrix = build_correlation(circuit)
-    path = join_components(generate_mwpg(matrix))
-    nrow, ncol = choose_grid_dims(circuit.num_qubits)
-    layout = place_on_grid(path, nrow, ncol)
-    grid = connect_adjacent(layout, path, matrix)
-    grid = connect_diagonals(grid, matrix)
-    grid = prune_diagonals(grid, partition_diagonals(grid))
+    path = join_components(n, generate_mwpg(matrix))
+    nrow, ncol = choose_grid_dims(n)
+    positions = place_on_grid(n, path, nrow, ncol)
+    edges = connect_diagonals(positions, connect_adjacent(positions, path, matrix), matrix)
+    edges = prune_diagonals(edges, partition_diagonals(positions, edges))
 
-    pairs = sorted(grid.edges)
-    if not keep_synthetic:
-        pairs = [pair for pair in pairs if not grid.edges[pair].synthetic]
-    synthetic = frozenset(pair for pair in pairs if grid.edges[pair].synthetic)
-    return Topology(
-        name="ca_core",
-        num_qubits=circuit.num_qubits,
-        edges=tuple(pairs),
-        synthetic=synthetic,
-        positions=dict(layout.pos),
-    )
+    pairs = sorted(pair for pair, weight in edges.items() if keep_synthetic or weight)
+    synthetic = frozenset(pair for pair in pairs if not edges[pair])
+    return Topology("ca_core", n, tuple(pairs), synthetic, positions)

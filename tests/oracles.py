@@ -2,14 +2,14 @@
 
 These deliberately avoid the library's own code paths: depth comes from an
 explicit layered list scheduler, gate and depth totals from a per-gate ASAP
-pass over ``Gate`` properties (``asap_stats``), the diagonal grouping from a
-direct enumeration of unit cells, component joining from a multi-pass loop
-that re-finds every component after each join, routing from a fresh BFS and
-an explicit path list per non-adjacent gate, built ``Gate`` by ``Gate``
-(``bfs_route``), routing verification from a rescan of every gate once per
-qubit (``rescan_verify``), and QASM parsing from a lexer that emits every
-token on its own and a parser that reads each statement token by token
-(``token_parse``).
+pass with one ``max`` per gate (``asap_stats``), the diagonal grouping from a
+direct enumeration of unit cells, components from label propagation,
+component joining from a multi-pass loop that re-finds every component after
+each join, routing from a fresh BFS and an explicit path list per
+non-adjacent gate, built ``Gate`` by ``Gate`` (``bfs_route``), routing
+verification from a rescan of every gate once per qubit (``rescan_verify``),
+and QASM parsing from a lexer that emits every token on its own and a parser
+that reads each statement token by token (``token_parse``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from cacore.ir import (
 )
 from cacore.qasm import _decompose_ccx
 from cacore.routing import RouteMetrics, RoutingResult, trivial_layout
-from cacore.synthesis import GridGraph, PathEdge, PathGraph
 from cacore.topology import Topology
 
 
@@ -82,7 +81,7 @@ def asap_stats(circuit: Circuit) -> CircuitStats:
         for q in gate.qubits:
             busy_until[q] = finish
         total += 1
-        if gate.is_two_qubit:
+        if gate.kind in TWO_QUBIT_KINDS:
             two_qubit += 1
             if gate.kind is GateKind.SWAP:
                 swaps += 1
@@ -92,20 +91,21 @@ def asap_stats(circuit: Circuit) -> CircuitStats:
     return CircuitStats(depth, total, one_qubit, two_qubit, swaps)
 
 
-def brute_force_diagonal_groups(grid: GridGraph) -> tuple[set, set]:
+def brute_force_diagonal_groups(positions: dict, edges: dict) -> tuple[set, set]:
     """Assign each diagonal edge to a group by scanning every unit cell.
 
-    Cells are enumerated explicitly and colored alternately cell by cell,
-    flipping at each row start, instead of computing (row+col) arithmetic
-    on the edge itself.
+    Cells of the occupied rows and columns are enumerated explicitly and
+    colored alternately cell by cell, flipping at each row start, instead of
+    computing (row+col) arithmetic on the edge itself.
     """
-    layout = grid.layout
-    cells = layout.cells()
+    cells = {rc: q for q, rc in positions.items()}
+    nrow = 1 + max((r for r, _ in cells), default=-1)
+    ncol = 1 + max((c for _, c in cells), default=-1)
     group1: set[tuple[int, int]] = set()
     group2: set[tuple[int, int]] = set()
-    for r in range(layout.nrow - 1):
+    for r in range(nrow - 1):
         first_of_row = r % 2 == 0  # group flips at every row
-        for c in range(layout.ncol - 1):
+        for c in range(ncol - 1):
             in_group1 = first_of_row if c % 2 == 0 else not first_of_row
             corners = [cells.get(rc) for rc in ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))]
             tl, tr, bl, br = corners
@@ -113,12 +113,27 @@ def brute_force_diagonal_groups(grid: GridGraph) -> tuple[set, set]:
                 if a is None or b is None:
                     continue
                 pair = (a, b) if a < b else (b, a)
-                if pair in grid.edges and grid.edges[pair].kind == "diagonal":
+                if pair in edges:
                     (group1 if in_group1 else group2).add(pair)
     return group1, group2
 
 
-def _components(num_qubits: int, edges) -> list[list[int]]:
+def degrees(num_qubits: int, edges) -> list[int]:
+    """Number of edges at each qubit."""
+    counts = [0] * num_qubits
+    for a, b in edges:
+        counts[a] += 1
+        counts[b] += 1
+    return counts
+
+
+def is_diagonal(positions: dict, pair: tuple[int, int]) -> bool:
+    """Whether the pair's cells differ by one row and one column."""
+    (r1, c1), (r2, c2) = positions[pair[0]], positions[pair[1]]
+    return abs(r1 - r2) == 1 and abs(c1 - c2) == 1
+
+
+def components(num_qubits: int, edges) -> list[list[int]]:
     """Sorted node lists, ordered by smallest member, by label propagation."""
     label = list(range(num_qubits))
     changed = True
@@ -135,28 +150,29 @@ def _components(num_qubits: int, edges) -> list[list[int]]:
     return [groups[key] for key in sorted(groups)]
 
 
-def multi_pass_join(path: PathGraph) -> PathGraph:
+def multi_pass_join(num_qubits: int, path: dict) -> dict:
     """Join components one edge per pass, re-finding all components each time.
 
     Each pass links the lexicographically smallest (component id, free node)
     entry to the smallest such entry of a different component, where the
-    component id is its smallest member and a free node has degree < 2.
+    component id is its smallest member and a free node has degree < 2. A
+    joining edge has weight 0.
     """
-    edges = dict(path.edges)
+    edges = dict(path)
     while True:
-        components = _components(path.num_qubits, edges)
-        if len(components) <= 1:
-            return PathGraph(path.num_qubits, edges)
-        degree = [0] * path.num_qubits
+        parts = components(num_qubits, edges)
+        if len(parts) <= 1:
+            return edges
+        degree = [0] * num_qubits
         for a, b in edges:
             degree[a] += 1
             degree[b] += 1
         entries = sorted(
-            (members[0], node) for members in components for node in members if degree[node] < 2
+            (members[0], node) for members in parts for node in members if degree[node] < 2
         )
         first_cid, a = entries[0]
         b = next(node for cid, node in entries if cid != first_cid)
-        edges[(a, b) if a < b else (b, a)] = PathEdge(0, synthetic=True)
+        edges[(a, b) if a < b else (b, a)] = 0
 
 
 def _shortest_path(adjacency, src: int, dst: int) -> list[int] | None:
@@ -186,7 +202,7 @@ def bfs_route(circuit: Circuit, topology: Topology) -> RoutingResult:
     routed: list[Gate] = []
     inserted: list[int] = []
     for gate in circuit.gates:
-        if not gate.is_two_qubit:
+        if gate.kind not in TWO_QUBIT_KINDS:
             mapped = tuple(layout.log_to_phys[q] for q in gate.qubits)
             routed.append(Gate(gate.kind, mapped, gate.param))
             continue
@@ -226,7 +242,7 @@ def rescan_verify(circuit: Circuit, result: RoutingResult, topology: Topology) -
     layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
     replayed: list[Gate] = []
     for idx, gate in enumerate(result.routed.gates):
-        if gate.is_two_qubit and gate.qubits[1] not in adjacency.get(gate.qubits[0], ()):
+        if gate.kind in TWO_QUBIT_KINDS and gate.qubits[1] not in adjacency.get(gate.qubits[0], ()):
             return False
         if idx in inserted:
             if gate.kind is not GateKind.SWAP:

@@ -12,7 +12,6 @@ from cacore.bench import (
     emit_report,
     estimate_fidelity,
     gen_random_circuit,
-    load_report,
     run_comparison,
     write_report_csv,
     write_report_json,
@@ -71,15 +70,16 @@ def test_fidelity_epsilon_zero_is_one():
 def test_fidelity_single_two_qubit_gate():
     from cacore.ir import Circuit, Gate
 
-    single = circuit_stats(Circuit(2, (Gate(GateKind.CNOT, (0, 1)),)))
+    single = route_circuit(Circuit(2, (Gate(GateKind.CNOT, (0, 1)),)), builtin_topology("line(2)")).metrics
     assert estimate_fidelity(single, NoiseParams(0.001)) == pytest.approx(0.995)
 
 
 def test_fidelity_expands_swaps_to_three_cnots():
     from cacore.ir import Circuit, Gate
 
-    swap = circuit_stats(Circuit(2, (Gate(GateKind.SWAP, (0, 1)),)))
-    cnot3 = circuit_stats(Circuit(2, tuple(Gate(GateKind.CNOT, (0, 1)) for _ in range(3))))
+    line = builtin_topology("line(2)")
+    swap = route_circuit(Circuit(2, (Gate(GateKind.SWAP, (0, 1)),)), line).metrics
+    cnot3 = route_circuit(Circuit(2, tuple(Gate(GateKind.CNOT, (0, 1)) for _ in range(3))), line).metrics
     noise = NoiseParams(0.002)
     assert estimate_fidelity(swap, noise) == pytest.approx(estimate_fidelity(cnot3, noise))
 
@@ -154,7 +154,7 @@ def test_json_round_trip(tmp_path):
     report = small_report()
     path = tmp_path / "report.json"
     write_report_json(report, path)
-    assert load_report(path) == report
+    assert BenchmarkReport(**json.loads(path.read_text())) == report
     # and the raw dict round-trips losslessly
     raw = json.loads(path.read_text())
     assert raw == report.to_dict()

@@ -156,6 +156,7 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", ","], 1),
         (["gen", "-n", "4", "--gates", "0"], 1),
         (["gen", "-n", "4", "--gates", "-3"], 1),
+        (["bench", "--eps", "0.5"], 1),
     ],
 )
 def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
@@ -163,6 +164,8 @@ def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    if argv[:3] == ["bench", "--eps", "0.5"]:
+        assert "exceeds 1" in err  # the reason, not just the rejected value
     assert not (tmp_path / "out").exists()
 
 

@@ -10,7 +10,7 @@ from oracles import token_parse
 
 from cacore.bench import gen_random_circuit
 from cacore.errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
-from cacore.ir import Circuit, Gate, GateKind, validate_circuit
+from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind, validate_circuit
 from cacore.qasm import _tokenize, parse_qasm, to_qasm
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -53,7 +53,7 @@ def test_ccx_expands_to_six_cnots_and_nine_singles():
 
 
 def test_figure_circuit_transcription(figure_circuit):
-    two_qubit = [g for g in figure_circuit.gates if g.is_two_qubit]
+    two_qubit = [g for g in figure_circuit.gates if g.kind in TWO_QUBIT_KINDS]
     assert figure_circuit.num_qubits == 6
     assert len(two_qubit) == 8
     assert figure_circuit.gates[0] == Gate(GateKind.CNOT, (0, 1))
@@ -207,6 +207,20 @@ def test_round_trip_hand_written():
 def test_round_trip_random_circuits(seed):
     circuit = gen_random_circuit(8, 120, seed)
     assert parse_qasm(to_qasm(circuit)).gates == circuit.gates
+
+
+def test_reals_have_a_dot_in_the_mantissa_and_round_trip():
+    # OpenQASM 2.0 reals need a '.', which repr drops in its exponent form
+    angles = (1e-05, 1e16, 5e-324, -1e-07, 1.5e-300, -0.0, 0.0, 0.25)
+    circuit = Circuit(1, tuple(Gate(GateKind.RZ, (0,), angle) for angle in angles))
+    text = to_qasm(circuit)
+    assert "rz(1.0e-05) q[0];" in text and "rz(1.0e+16) q[0];" in text
+    assert "rz(5.0e-324) q[0];" in text and "rz(-0.0) q[0];" in text
+    reals = re.findall(r"rz\(([^)]*)\)", text)
+    assert all(re.fullmatch(r"-?(\d+\.\d*|\d*\.\d+)([eE][-+]?\d+)?", r) for r in reals)
+    back = parse_qasm(text).gates
+    assert [g.param for g in back] == list(angles)
+    assert [math.copysign(1.0, g.param) for g in back] == [math.copysign(1.0, a) for a in angles]
 
 
 def test_round_trip_of_ccx_expansion():

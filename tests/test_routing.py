@@ -8,7 +8,7 @@ import pytest
 from cacore.analysis import circuit_stats
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError, UnroutableGateError
-from cacore.ir import PARAMETRIC_KINDS, Circuit, Gate, GateKind
+from cacore.ir import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from cacore.qasm import parse_qasm, to_qasm
 from cacore.routing import (
     RouteMetrics,
@@ -67,6 +67,14 @@ def test_unroutable_gate_on_disconnected_topology():
     split = Topology("split", 4, ((0, 1), (2, 3)))
     with pytest.raises(UnroutableGateError):
         route_circuit(Circuit(4, (cnot(0, 3),)), split)
+
+
+@pytest.mark.parametrize("q", [-1, 3])
+def test_out_of_range_logical_qubit_is_rejected(q):
+    # -1 would wrap around through list indexing; 3 would index past the layout
+    circuit = Circuit(3, (Gate(GateKind.H, (q,)), cnot(q, 0)))
+    with pytest.raises(DegenerateInputError, match=f"logical qubit {q} out of range"):
+        route_circuit(circuit, builtin_topology("line(3)"))
 
 
 def test_one_qubit_gates_emitted_on_current_physical():
@@ -246,9 +254,9 @@ def _mixed_circuit(n, seed):
     rng = random.Random(seed)
     gates = []
     for gate in gen_random_circuit(n, 60, seed).gates:
-        if gate.is_two_qubit and rng.random() < 0.1:
+        if gate.kind in TWO_QUBIT_KINDS and rng.random() < 0.1:
             gate = Gate(GateKind.SWAP, gate.qubits)
-        elif not gate.is_two_qubit and rng.random() < 0.3:
+        elif gate.kind not in TWO_QUBIT_KINDS and rng.random() < 0.3:
             angle = rng.choice((0.0, -0.0, rng.uniform(-math.pi, math.pi)))
             gate = Gate(rng.choice(_ROTATIONS), gate.qubits, angle)
         gates.append(gate)

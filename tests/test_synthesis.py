@@ -7,11 +7,8 @@ import pytest
 from cacore.analysis import CorrelationMatrix, build_correlation
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError
-from cacore.ir import Circuit, Gate, GateKind
+from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from cacore.synthesis import (
-    GridLayout,
-    PathEdge,
-    PathGraph,
     choose_grid_dims,
     connect_adjacent,
     connect_diagonals,
@@ -23,19 +20,19 @@ from cacore.synthesis import (
     synthesize_topology,
 )
 
-from oracles import brute_force_diagonal_groups, multi_pass_join
+from oracles import brute_force_diagonal_groups, components, degrees, is_diagonal, multi_pass_join
 
 
 def matrix_from_weights(num_qubits, weights):
     return CorrelationMatrix(num_qubits, dict(sorted(weights.items())))
 
 
-def random_weighted_matrix(rng, max_nodes=36):
+def random_weighted_matrix(rng, max_nodes=36, density=0.25):
     n = rng.randint(2, max_nodes)
     weights = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.25:
+            if rng.random() < density:
                 weights[(i, j)] = rng.randint(1, 9)
     return matrix_from_weights(n, weights)
 
@@ -46,21 +43,21 @@ def random_weighted_matrix(rng, max_nodes=36):
 def test_mwpg_single_edge():
     matrix = matrix_from_weights(2, {(0, 1): 4})
     path = generate_mwpg(matrix)
-    assert set(path.edges) == {(0, 1)}
-    assert path.edges[(0, 1)].weight == 4
+    assert set(path) == {(0, 1)}
+    assert path[(0, 1)] == 4
 
 
 def test_mwpg_triangle_loop_check():
     matrix = matrix_from_weights(3, {(0, 1): 5, (1, 2): 4, (0, 2): 3})
     path = generate_mwpg(matrix)
-    assert set(path.edges) == {(0, 1), (1, 2)}
+    assert set(path) == {(0, 1), (1, 2)}
 
 
 def test_mwpg_degree_cap():
     star = {(0, q): 1 for q in range(1, 5)}
     matrix = matrix_from_weights(5, star)
     path = generate_mwpg(matrix)
-    assert set(path.edges) == {(0, 1), (0, 2)}  # lexicographic tie-break
+    assert set(path) == {(0, 1), (0, 2)}  # lexicographic tie-break
 
 
 def test_mwpg_determinism_and_invariants():
@@ -69,18 +66,20 @@ def test_mwpg_determinism_and_invariants():
         matrix = random_weighted_matrix(rng)
         first = generate_mwpg(matrix)
         second = generate_mwpg(matrix)
-        assert first.edges == second.edges
-        assert all(len(nbs) <= 2 for nbs in first.adjacency().values())
+        assert first == second
+        assert all(d <= 2 for d in degrees(matrix.num_qubits, first))
         # acyclic: every component has |edges| = |nodes| - 1
-        for members in first.components():
-            inside = [p for p in first.edges if p[0] in members and p[1] in members]
+        for members in components(matrix.num_qubits, first):
+            inside = [p for p in first if p[0] in members and p[1] in members]
             assert len(inside) == len(members) - 1
 
 
 def test_mwpg_dominance_replay():
     rng = random.Random(23)
-    for _ in range(30):
-        matrix = random_weighted_matrix(rng, max_nodes=20)
+    for trial in range(300):
+        # sparse and dense graphs up to 40 nodes: long fragments whose two
+        # ends are later offered as a cycle-closing candidate
+        matrix = random_weighted_matrix(rng, max_nodes=40, density=(0.05, 0.1, 0.25, 0.6)[trial % 4])
         path = generate_mwpg(matrix)
         order = sorted(matrix.weights.items(), key=lambda item: (-item[1], item[0]))
         added_so_far = []
@@ -97,12 +96,12 @@ def test_mwpg_dominance_replay():
             if degree[a] >= 2 or degree[b] >= 2:
                 # degree-rejected edge: every already-kept edge outweighs it
                 assert all(kept >= weight for kept in added_so_far)
-                assert pair not in path.edges
+                assert pair not in path
                 continue
             if find(a) == find(b):
-                assert pair not in path.edges
+                assert pair not in path
                 continue
-            assert pair in path.edges
+            assert pair in path
             added_so_far.append(weight)
             degree[a] += 1
             degree[b] += 1
@@ -113,31 +112,30 @@ def test_mwpg_dominance_replay():
 
 
 def test_join_two_paths_single_synthetic_edge():
-    path = PathGraph(4, {(0, 1): PathEdge(2), (2, 3): PathEdge(1)})
-    joined = join_components(path)
-    synthetic = [p for p, e in joined.edges.items() if e.synthetic]
+    path = {(0, 1): 2, (2, 3): 1}
+    joined = join_components(4, path)
+    synthetic = [p for p, w in joined.items() if w == 0]
     assert synthetic == [(0, 2)]
-    assert len(joined.components()) == 1
-    assert all(len(nbs) <= 2 for nbs in joined.adjacency().values())
+    assert len(components(4, joined)) == 1
+    assert all(d <= 2 for d in degrees(4, joined))
 
 
 def test_join_idempotent_on_connected_path():
-    path = PathGraph(3, {(0, 1): PathEdge(1), (1, 2): PathEdge(1)})
-    joined = join_components(path)
-    assert joined.edges == path.edges
+    path = {(0, 1): 1, (1, 2): 1}
+    joined = join_components(3, path)
+    assert joined == path
 
 
 def test_join_three_isolated_nodes():
-    joined = join_components(PathGraph(3, {}))
-    assert len(joined.edges) == 2
-    assert all(e.synthetic and e.weight == 0 for e in joined.edges.values())
-    degrees = sorted(len(nbs) for nbs in joined.adjacency().values())
-    assert degrees == [1, 1, 2]  # a simple path on 3 nodes
+    joined = join_components(3, {})
+    assert len(joined) == 2
+    assert all(w == 0 for w in joined.values())
+    assert sorted(degrees(3, joined)) == [1, 1, 2]  # a simple path on 3 nodes
 
 
 def test_join_is_deterministic():
-    path = PathGraph(6, {(1, 4): PathEdge(3)})
-    assert join_components(path).edges == join_components(path).edges
+    path = {(1, 4): 3}
+    assert join_components(6, path) == join_components(6, path)
 
 
 def test_join_matches_multi_pass_oracle():
@@ -152,10 +150,9 @@ def test_join_matches_multi_pass_oracle():
             if rng.random() < density
         }
         path = generate_mwpg(matrix_from_weights(n, weights))
-        expected = multi_pass_join(path)
-        assert list(join_components(path).edges.items()) == list(expected.edges.items())
-    empty = PathGraph(0, {})
-    assert join_components(empty).edges == multi_pass_join(empty).edges == {}
+        expected = multi_pass_join(n, path)
+        assert list(join_components(n, path).items()) == list(expected.items())
+    assert join_components(0, {}) == multi_pass_join(0, {}) == {}
 
 
 # -- choose_grid_dims --------------------------------------------------------
@@ -181,34 +178,31 @@ def test_grid_dims_capacity():
 
 
 def chain(nodes):
-    edges = {}
-    for a, b in zip(nodes, nodes[1:]):
-        edges[(min(a, b), max(a, b))] = PathEdge(1)
-    return PathGraph(len(nodes), edges)
+    return {(min(a, b), max(a, b)): 1 for a, b in zip(nodes, nodes[1:])}
 
 
 def test_place_serpentine_forced_positions():
     # path a-b-c-d with a=0 < d=3: row 0 left-to-right, row 1 reversed
-    layout = place_on_grid(chain([0, 1, 2, 3]), 2, 2)
-    assert layout.pos == {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
+    positions = place_on_grid(4, chain([0, 1, 2, 3]), 2, 2)
+    assert positions == {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
 
 def test_place_starts_at_smaller_endpoint():
-    layout = place_on_grid(chain([2, 0, 1]), 2, 2)
+    positions = place_on_grid(3, chain([2, 0, 1]), 2, 2)
     # endpoints are 2 and 1; the walk starts at 1
-    assert layout.pos[1] == (0, 0)
-    assert layout.pos[0] == (0, 1)
-    assert layout.pos[2] == (1, 1)
+    assert positions[1] == (0, 0)
+    assert positions[0] == (0, 1)
+    assert positions[2] == (1, 1)
 
 
 def test_place_capacity_error():
     with pytest.raises(DegenerateInputError):
-        place_on_grid(chain([0, 1, 2, 3, 4]), 2, 2)
+        place_on_grid(5, chain([0, 1, 2, 3, 4]), 2, 2)
 
 
 def test_place_first_column_pair_is_grid_adjacent():
-    layout = place_on_grid(chain([3, 1, 0, 2, 5, 4]), 2, 3)
-    cells = layout.cells()
+    positions = place_on_grid(6, chain([3, 1, 0, 2, 5, 4]), 2, 3)
+    cells = {rc: q for q, rc in positions.items()}
     (r1, c1), (r2, c2) = (0, 0), (1, 0)
     assert cells[(r1, c1)] is not None and cells[(r2, c2)] is not None
     assert abs(r1 - r2) + abs(c1 - c2) == 1
@@ -222,9 +216,9 @@ def test_every_path_edge_lands_grid_adjacent(seed):
     rng.shuffle(nodes)
     path = chain(nodes)
     nrow, ncol = choose_grid_dims(n)
-    layout = place_on_grid(path, nrow, ncol)
-    for a, b in path.edges:
-        (r1, c1), (r2, c2) = layout.pos[a], layout.pos[b]
+    positions = place_on_grid(n, path, nrow, ncol)
+    for a, b in path:
+        (r1, c1), (r2, c2) = positions[a], positions[b]
         assert abs(r1 - r2) + abs(c1 - c2) == 1  # orthogonal neighbors
 
 
@@ -233,83 +227,79 @@ def test_every_path_edge_lands_grid_adjacent(seed):
 
 def test_adjacent_no_extra_correlations():
     matrix = matrix_from_weights(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
-    path = join_components(generate_mwpg(matrix))
-    layout = place_on_grid(path, 2, 2)
-    grid = connect_adjacent(layout, path, matrix)
-    assert set(grid.edges) == set(path.edges)
+    path = join_components(4, generate_mwpg(matrix))
+    positions = place_on_grid(4, path, 2, 2)
+    grid = connect_adjacent(positions, path, matrix)
+    assert set(grid) == set(path)
 
 
 def test_adjacent_adds_correlated_vertical_pair():
     # path 0-1-2-3 on a 2x2 grid; (0,3) are vertically adjacent off-path
     weights = {(0, 1): 3, (1, 2): 2, (2, 3): 2, (0, 3): 1}
     matrix = matrix_from_weights(4, weights)
-    path = join_components(generate_mwpg(matrix))
-    layout = place_on_grid(path, 2, 2)
-    grid = connect_adjacent(layout, path, matrix)
-    assert grid.edges[(0, 3)].kind == "adjacent"
-    assert grid.edges[(0, 3)].weight == 1
+    path = join_components(4, generate_mwpg(matrix))
+    positions = place_on_grid(4, path, 2, 2)
+    grid = connect_adjacent(positions, path, matrix)
+    assert (0, 3) not in path and not is_diagonal(positions, (0, 3))  # an adjacent coupler
+    assert grid[(0, 3)] == 1
 
 
 def test_adjacent_does_not_duplicate_path_edges():
     weights = {(0, 1): 2, (1, 2): 1}
     matrix = matrix_from_weights(3, weights)
-    path = join_components(generate_mwpg(matrix))
-    layout = place_on_grid(path, 2, 2)
-    grid = connect_adjacent(layout, path, matrix)
-    assert grid.edges[(0, 1)].kind == "path"
+    path = join_components(3, generate_mwpg(matrix))
+    positions = place_on_grid(3, path, 2, 2)
+    grid = connect_adjacent(positions, path, matrix)
+    assert (0, 1) in path and grid[(0, 1)] == path[(0, 1)]
 
 
 def hand_layout():
     """Fixed 2x3 layout mirroring the walkthrough positions:
     row 0: q4 q2 q1 / row 1: q5 q6 q3 (0-based: 3 1 0 / 4 5 2)."""
-    pos = {3: (0, 0), 1: (0, 1), 0: (0, 2), 4: (1, 0), 5: (1, 1), 2: (1, 2)}
-    return GridLayout(2, 3, pos)
+    return {3: (0, 0), 1: (0, 1), 0: (0, 2), 4: (1, 0), 5: (1, 1), 2: (1, 2)}
 
 
 def test_diagonal_candidates_on_hand_layout():
     # with q2 at (0,1), q5 at (1,0), q3 at (1,2): both lower diagonals exist
-    layout = hand_layout()
-    path = PathGraph(6, {})
+    positions = hand_layout()
     weights = {(1, 4): 1, (1, 2): 1}
     matrix = CorrelationMatrix(6, weights)
-    grid = connect_adjacent(layout, path, matrix)
-    grid = connect_diagonals(grid, matrix)
-    assert grid.edges[(1, 4)].kind == "diagonal"  # q2 with its lower-left q5
-    assert grid.edges[(1, 2)].kind == "diagonal"  # q2 with its lower-right q3
-    assert len(grid.edges) == 2
+    grid = connect_adjacent(positions, {}, matrix)
+    grid = connect_diagonals(positions, grid, matrix)
+    assert (1, 4) in grid and is_diagonal(positions, (1, 4))  # q2 with its lower-left q5
+    assert (1, 2) in grid and is_diagonal(positions, (1, 2))  # q2 with its lower-right q3
+    assert len(grid) == 2
 
 
 def test_diagonal_left_border_has_no_lower_left():
-    layout = hand_layout()
-    path = PathGraph(6, {})
+    positions = hand_layout()
     # q4 at (0,0) correlated with everything: only its lower-right can form
     matrix = CorrelationMatrix(6, {(3, q): 1 for q in (0, 1, 2, 4, 5)})
-    grid = connect_diagonals(connect_adjacent(layout, path, matrix), matrix)
-    diagonals = [p for p, e in grid.edges.items() if e.kind == "diagonal"]
+    grid = connect_diagonals(positions, connect_adjacent(positions, {}, matrix), matrix)
+    diagonals = [p for p in grid if is_diagonal(positions, p)]
     assert diagonals == [(3, 5)]  # (0,0) -> (1,1) only
 
 
 def test_uncorrelated_diagonal_not_added():
-    layout = hand_layout()
-    path = PathGraph(6, {})
+    positions = hand_layout()
     matrix = CorrelationMatrix(6, {(1, 4): 1})  # (1,2) is NOT correlated
-    grid = connect_diagonals(connect_adjacent(layout, path, matrix), matrix)
-    assert (1, 2) not in grid.edges
+    grid = connect_diagonals(positions, connect_adjacent(positions, {}, matrix), matrix)
+    assert (1, 2) not in grid
 
 
 # -- partition / prune -------------------------------------------------------
 
 
 def diagonal_grid(nrow, ncol):
-    """Fully-occupied grid with every diagonal correlated and present."""
+    """Fully-occupied grid with every diagonal correlated and present,
+    as (positions, couplers)."""
     n = nrow * ncol
-    pos = {}
+    positions = {}
     for idx in range(n):
         r, offset = divmod(idx, ncol)
         c = offset if r % 2 == 0 else ncol - 1 - offset
-        pos[idx] = (r, c)
-    layout = GridLayout(nrow, ncol, pos)
-    cells = layout.cells()
+        positions[idx] = (r, c)
+    cells = {rc: q for q, rc in positions.items()}
     weights = {}
     for r in range(nrow - 1):
         for c in range(ncol - 1):
@@ -318,83 +308,81 @@ def diagonal_grid(nrow, ncol):
             a, b = cells[(r, c + 1)], cells[(r + 1, c)]
             weights[(min(a, b), max(a, b))] = 1
     matrix = CorrelationMatrix(n, dict(sorted(weights.items())))
-    grid = connect_adjacent(layout, PathGraph(n, {}), matrix)
-    return connect_diagonals(grid, matrix)
+    grid = connect_adjacent(positions, {}, matrix)
+    return positions, connect_diagonals(positions, grid, matrix)
 
 
 def test_partition_single_cell_both_diagonals_in_g1():
-    layout = GridLayout(2, 2, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
+    positions = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)}
     matrix = CorrelationMatrix(4, {(0, 3): 2, (1, 2): 3})
-    grid = connect_diagonals(connect_adjacent(layout, PathGraph(4, {}), matrix), matrix)
-    part = partition_diagonals(grid)
-    assert set(part.g1) == {(0, 3), (1, 2)}
-    assert part.g1_weight == 5
-    assert part.g2 == () and part.g2_weight == 0
+    grid = connect_diagonals(positions, connect_adjacent(positions, {}, matrix), matrix)
+    g1, g2 = partition_diagonals(positions, grid)
+    assert set(g1) == {(0, 3), (1, 2)}
+    assert sum(g1.values()) == 5
+    assert g2 == {} and sum(g2.values()) == 0
 
 
 def test_partition_2x3_cells_alternate():
-    grid = diagonal_grid(2, 3)
-    part = partition_diagonals(grid)
-    layout = grid.layout
-    cells = layout.cells()
+    positions, grid = diagonal_grid(2, 3)
+    g1, g2 = partition_diagonals(positions, grid)
+    cells = {rc: q for q, rc in positions.items()}
     cell0 = {cells[(0, 0)], cells[(1, 1)]}, {cells[(0, 1)], cells[(1, 0)]}
-    for pair in part.g1:
+    for pair in g1:
         assert set(pair) in cell0  # cell (0,0) is group 1
-    assert len(part.g1) == 2 and len(part.g2) == 2
+    assert len(g1) == 2 and len(g2) == 2
 
 
 @pytest.mark.parametrize("nrow,ncol", [(r, c) for r in range(2, 7) for c in range(2, 7)])
 def test_partition_matches_brute_force_enumeration(nrow, ncol):
-    grid = diagonal_grid(nrow, ncol)
-    part = partition_diagonals(grid)
-    group1, group2 = brute_force_diagonal_groups(grid)
-    assert set(part.g1) == group1
-    assert set(part.g2) == group2
+    positions, grid = diagonal_grid(nrow, ncol)
+    g1, g2 = partition_diagonals(positions, grid)
+    group1, group2 = brute_force_diagonal_groups(positions, grid)
+    assert set(g1) == group1
+    assert set(g2) == group2
 
 
 def test_prune_removes_lighter_group():
-    layout = GridLayout(2, 3, {q: rc for q, rc in enumerate(
-        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])})
+    positions = {q: rc for q, rc in enumerate(
+        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])}
     weights = {(0, 4): 4, (1, 3): 3, (1, 5): 2, (2, 4): 2}
     matrix = CorrelationMatrix(6, weights)
-    grid = connect_diagonals(connect_adjacent(layout, PathGraph(6, {}), matrix), matrix)
-    part = partition_diagonals(grid)
-    assert (part.g1_weight, part.g2_weight) == (7, 4)
-    pruned = prune_diagonals(grid, part)
-    assert set(pruned.edges) == set(part.g1)
+    grid = connect_diagonals(positions, connect_adjacent(positions, {}, matrix), matrix)
+    g1, g2 = partition_diagonals(positions, grid)
+    assert (sum(g1.values()), sum(g2.values())) == (7, 4)
+    pruned = prune_diagonals(grid, (g1, g2))
+    assert set(pruned) == set(g1)
 
 
 def test_prune_without_diagonals_is_identity():
     matrix = matrix_from_weights(3, {(0, 1): 1, (1, 2): 1})
-    path = join_components(generate_mwpg(matrix))
-    layout = place_on_grid(path, 2, 2)
-    grid = connect_adjacent(layout, path, matrix)
-    part = partition_diagonals(grid)
-    assert prune_diagonals(grid, part).edges == grid.edges
+    path = join_components(3, generate_mwpg(matrix))
+    positions = place_on_grid(3, path, 2, 2)
+    grid = connect_adjacent(positions, path, matrix)
+    groups = partition_diagonals(positions, grid)
+    assert prune_diagonals(grid, groups) == grid
 
 
 def test_prune_tie_drops_group_two():
-    layout = GridLayout(2, 3, {q: rc for q, rc in enumerate(
-        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])})
+    positions = {q: rc for q, rc in enumerate(
+        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])}
     weights = {(0, 4): 2, (1, 3): 2, (1, 5): 2, (2, 4): 2}  # G1 = 4, G2 = 4
     matrix = CorrelationMatrix(6, weights)
-    grid = connect_diagonals(connect_adjacent(layout, PathGraph(6, {}), matrix), matrix)
-    part = partition_diagonals(grid)
-    assert part.g1_weight == part.g2_weight == 4
-    pruned = prune_diagonals(grid, part)
-    assert set(p for p, e in pruned.edges.items() if e.kind == "diagonal") == set(part.g1)
+    grid = connect_diagonals(positions, connect_adjacent(positions, {}, matrix), matrix)
+    g1, g2 = partition_diagonals(positions, grid)
+    assert sum(g1.values()) == sum(g2.values()) == 4
+    pruned = prune_diagonals(grid, (g1, g2))
+    assert set(p for p in pruned if is_diagonal(positions, p)) == set(g1)
 
 
 def test_prune_safety_no_side_sharing_cells():
     for nrow, ncol in [(3, 3), (4, 4), (5, 6)]:
-        grid = diagonal_grid(nrow, ncol)
-        pruned = prune_diagonals(grid, partition_diagonals(grid))
-        layout = pruned.layout
+        positions, grid = diagonal_grid(nrow, ncol)
+        pruned = prune_diagonals(grid, partition_diagonals(positions, grid))
         cells_used = []
-        for pair, edge in pruned.edges.items():
-            if edge.kind != "diagonal":
+        for pair in pruned:
+            if not is_diagonal(positions, pair):
                 continue
-            (r1, c1), (r2, c2) = layout.pos[pair[0]], layout.pos[pair[1]]
+            (r1, c1), (r2, c2) = positions[pair[0]], positions[pair[1]]
             cells_used.append((min(r1, r2), min(c1, c2)))
         for i, a in enumerate(cells_used):
             for b in cells_used[i + 1 :]:
@@ -419,9 +407,9 @@ def test_synthesize_figure_circuit_frozen_trace(figure_circuit):
     """Frozen end-to-end expectations for the six-qubit walkthrough."""
     matrix = build_correlation(figure_circuit)
     mwpg = generate_mwpg(matrix)
-    assert set(mwpg.edges) == {(0, 1), (0, 2), (1, 3), (2, 5)}
-    joined = join_components(mwpg)
-    assert [p for p, e in joined.edges.items() if e.synthetic] == [(3, 4)]
+    assert set(mwpg) == {(0, 1), (0, 2), (1, 3), (2, 5)}
+    joined = join_components(6, mwpg)
+    assert [p for p, w in joined.items() if w == 0] == [(3, 4)]
 
     topology = synthesize_topology(figure_circuit)
     assert topology.positions == {
@@ -462,7 +450,7 @@ def test_synthesize_routability_and_edge_legality():
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-        interacting = {q for g in circuit.gates if g.is_two_qubit for q in g.qubits}
+        interacting = {q for g in circuit.gates if g.kind in TWO_QUBIT_KINDS for q in g.qubits}
         assert interacting <= seen
 
 
@@ -476,8 +464,8 @@ def test_joined_path_is_hamiltonian():
                 if rng.random() < 0.15:
                     weights[(i, j)] = rng.randint(1, 6)
         matrix = matrix_from_weights(n, weights)
-        joined = join_components(generate_mwpg(matrix))
-        assert len(joined.edges) == n - 1
-        degrees = sorted(len(nbs) for nbs in joined.adjacency().values())
-        assert degrees[0] == 1 and degrees[1] == 1
-        assert all(d == 2 for d in degrees[2:])
+        joined = join_components(n, generate_mwpg(matrix))
+        assert len(joined) == n - 1
+        counts = sorted(degrees(n, joined))
+        assert counts[0] == 1 and counts[1] == 1
+        assert all(d == 2 for d in counts[2:])
