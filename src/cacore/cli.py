@@ -8,6 +8,7 @@ error, and 4 when a bench run completes with some failed cells.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -73,18 +74,26 @@ def _resolve_topology(spec: str):
 
 
 def _parse_qubit_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        qubits = list(range(int(lo), int(hi) + 1))
-    else:
-        qubits = [int(part) for part in text.split(",") if part]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            qubits = list(range(int(lo), int(hi) + 1))
+        else:
+            qubits = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a range a..b or a comma list of integers, got {text!r}"
+        ) from None
     if not qubits:
         raise argparse.ArgumentTypeError(f"empty qubit range {text!r}")
     return qubits
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected below with the same message
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
@@ -113,6 +122,7 @@ def _split_names(text: str) -> list[str]:
     return [name.strip() for name in names if name.strip()]
 
 
+@functools.cache  # built on first use, then shared: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cacore", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,13 +7,23 @@ reserves its name: classical state is not modeled, and a measure target
 need not be declared. Conditionals are rejected. Angle expressions cover
 ``pi``, numeric literals, ``+ - * /``, unary minus, and parentheses.
 
-The lexer reads a canonical gate application, ``name[(number)]
-reg[i][,reg[j]];`` with one space before the first operand (``cx
-q[3],q[7];``, ``rz(-0.25) q[1];``), as a single statement token when it
-starts a statement: at the start of the input or right after a ``;``. The
-parser checks that token in the same order, with the same errors and
-lines, as the same text read token by token. Everything else is lexed one
-token at a time.
+``parse_qasm`` scans the source once, one statement at a time. One regex
+match reads the whitespace and comments before a statement together with a
+canonical gate application, ``name[(number)] reg[i][,reg[j]];`` with one
+space before the first operand (``cx q[3],q[7];``, ``rz(-0.25) q[1];``).
+Every other statement (header, include, ``qreg``/``creg``, measure,
+barrier, ``ccx`` and any other spelling) is lexed token by token through
+its ``;`` and read by recursive descent, which also re-reads a canonical
+statement that fails a check, to raise its error. Lines are counted only
+there, each newline once per parse.
+
+Gates are immutable, so a repeated param-less canonical statement gets the
+gate of its first occurrence, stored once that gate passed its checks; a
+register cannot be declared twice, so the gate stays valid for the whole
+parse. A gate with an angle is built fresh each time, as in the router.
+
+An unexpected character anywhere in the source wins over every other
+error, as if the whole source were lexed first.
 """
 
 from __future__ import annotations
@@ -44,9 +54,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# A canonical gate application: name, optional angle, one or two indexed operands.
+# The whitespace and comments before a statement, then a canonical gate
+# application: (statement, name, angle, reg, index, reg, index). A comment
+# must end at its newline, so a failed match backtracks in linear time.
 _STATEMENT_RE = re.compile(
-    rf"({_IDENT})(?:\((-?(?:{_NUMBER}))\))? ({_IDENT})\[(\d+)\](?:,({_IDENT})\[(\d+)\])?;"
+    r"[ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*"
+    rf"(({_IDENT})(?:\((-?(?:{_NUMBER}))\))? ({_IDENT})\[(\d+)\](?:,({_IDENT})\[(\d+)\])?;)"
 )
 
 # Mnemonic -> (kind, operand count, parameter count); ccx expands at parse time.
@@ -56,12 +69,12 @@ _APPLIED_GATES = {
     if kind not in METRIC_EXEMPT_KINDS
 } | {"ccx": (None, 3, 0)}
 
-# (name, has an angle, has a second operand) of each gate a statement token may hold.
-_STATEMENT_SHAPES = frozenset(
-    (name, n_params == 1, n_operands == 2)
-    for name, (_, n_operands, n_params) in _APPLIED_GATES.items()
+# (name, has an angle, has a second operand) -> kind, for each gate one match may read.
+_CANONICAL_KINDS = {
+    (name, n_params == 1, n_operands == 2): kind
+    for name, (kind, n_operands, n_params) in _APPLIED_GATES.items()
     if n_operands <= 2
-)
+}
 
 _REJECTED_STATEMENTS = {
     "if": "classical conditionals are not supported",
@@ -77,45 +90,14 @@ class _Token(NamedTuple):
     line: int
 
 
-class _Statement(NamedTuple):
-    """A canonical gate application: (name, angle, reg, index, reg, index) groups."""
-
-    groups: tuple[str | None, ...]
-    line: int
-    kind = "statement"
-
-
-def _tokenize(source: str) -> list[_Token | _Statement]:
-    tokens: list[_Token | _Statement] = []
-    line = 1
-    pos = 0
-    at_statement = True  # start of input, or right after a ';'
-    while pos < len(source):
-        if at_statement:
-            statement = _STATEMENT_RE.match(source, pos)
-            if statement is not None:
-                groups = statement.groups()
-                if (groups[0], groups[1] is not None, groups[4] is not None) in _STATEMENT_SHAPES:
-                    tokens.append(_Statement(groups, line))
-                    pos = statement.end()
-                    continue
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise QasmSyntaxError(f"unexpected character {source[pos]!r}", line)
-        kind = match.lastgroup or ""
-        if kind == "newline":
-            line += 1
-        elif kind not in ("ws", "comment"):
-            text = match.group()
-            tokens.append(_Token(kind, text, line))
-            at_statement = text == ";"
-        pos = match.end()
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token | _Statement]):
-        self.tokens = tokens
+    """Parse state, and the recursive descent over one lexed statement."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.line = 1
+        self.counted = 0  # the newlines before this offset are counted in self.line
+        self.tokens: list[_Token] = []
         self.pos = 0
         # register name -> (offset, size); declaration order fixes offsets
         self.registers: dict[str, tuple[int, int]] = {}
@@ -123,16 +105,36 @@ class _Parser:
         self.num_qubits = 0
         self.gates: list[Gate] = []
 
-    # -- token stream helpers ------------------------------------------------
+    def lex(self, offset: int) -> int:
+        """Lex the statement at ``offset`` into ``tokens``, through its ``;`` or to
+        the end of the source, and return the offset after it."""
+        source = self.source
+        line = self.line + source.count("\n", self.counted, offset)
+        tokens = []
+        while offset < len(source):
+            match = _TOKEN_RE.match(source, offset)
+            if match is None:
+                raise QasmSyntaxError(f"unexpected character {source[offset]!r}", line) from None
+            offset = match.end()
+            kind = match.lastgroup
+            if kind == "newline":
+                line += 1
+            elif kind != "ws" and kind != "comment":
+                tokens.append(_Token(kind, match.group(), line))
+                if tokens[-1].text == ";":
+                    break
+        self.line, self.counted = line, offset
+        self.tokens, self.pos = tokens, 0
+        return offset
 
-    def _peek(self) -> _Token | _Statement | None:
+    def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _next(self, expected: str) -> _Token | _Statement:
+    def _next(self, expected: str) -> _Token:
         tok = self._peek()
         if tok is None:
-            last_line = self.tokens[-1].line if self.tokens else 1
-            raise QasmSyntaxError(f"unexpected end of input, expected {expected}", last_line)
+            line = self.tokens[-1].line  # statement() runs only on a non-empty statement
+            raise QasmSyntaxError(f"unexpected end of input, expected {expected}", line)
         self.pos += 1
         return tok
 
@@ -154,18 +156,9 @@ class _Parser:
             raise QasmSyntaxError(f"expected integer, got {tok.text!r}", tok.line)
         return int(tok.text)
 
-    # -- statements ----------------------------------------------------------
-
-    def parse(self) -> Circuit:
-        while self._peek() is not None:
-            self._statement()
-        return Circuit(self.num_qubits, tuple(self.gates))
-
-    def _statement(self) -> None:
+    def statement(self) -> None:
+        """Read the lexed statement; a ``;`` in it is its last token or an error."""
         tok = self._next("statement")
-        if tok.kind == "statement":
-            self._canonical_application(tok)
-            return
         if tok.kind != "ident":
             raise QasmSyntaxError(f"expected statement, got {tok.text!r}", tok.line)
         name = tok.text
@@ -186,9 +179,9 @@ class _Parser:
         elif name in _REJECTED_STATEMENTS:
             raise UnsupportedGateError(_REJECTED_STATEMENTS[name], tok.line)
         elif name == "measure":
-            self._measure(tok.line)
+            self._measure()
         elif name == "barrier":
-            self._barrier(tok.line)
+            self._barrier()
         else:
             self._gate_application(name, tok.line)
 
@@ -207,23 +200,23 @@ class _Parser:
             self.registers[reg.text] = (self.num_qubits, size)
             self.num_qubits += size
 
-    def _register(self, name: str, line: int) -> tuple[int, int]:
-        """(offset, size) of a declared quantum register."""
-        if name not in self.registers:
-            raise QasmSyntaxError(f"unknown register {name!r}", line)
-        return self.registers[name]
-
     def _operand(self, *, allow_broadcast: bool) -> list[int]:
         """Resolve ``reg[i]`` to one qubit or a bare register to all of its qubits."""
         reg = self._expect_ident()
-        register = self._register(reg.text, reg.line)
+        if reg.text not in self.registers:
+            raise QasmSyntaxError(f"unknown register {reg.text!r}", reg.line)
+        offset, size = self.registers[reg.text]
         nxt = self._peek()
         if nxt is not None and nxt.text == "[":
             self._expect_sym("[")
             index = self._expect_int()
             self._expect_sym("]")
-            return [_qubit(reg.text, index, register, reg.line)]
-        offset, size = register
+            if index >= size:
+                raise QubitIndexError(
+                    f"index {index} out of range for register {reg.text!r} of size {size}",
+                    reg.line,
+                )
+            return [offset + index]
         if not allow_broadcast:
             raise QasmSyntaxError(
                 f"expected indexed operand {reg.text}[...], register broadcast is only "
@@ -232,26 +225,22 @@ class _Parser:
             )
         return [offset + i for i in range(size)]
 
-    def _classical_target(self) -> None:
-        """Consume ``c`` or ``c[i]`` after ``->``; classical state is not modeled."""
-        self._expect_ident()
-        nxt = self._peek()
-        if nxt is not None and nxt.text == "[":
-            self._expect_sym("[")
-            self._expect_int()
-            self._expect_sym("]")
-
-    def _measure(self, line: int) -> None:
+    def _measure(self) -> None:
         qubits = self._operand(allow_broadcast=True)
         nxt = self._peek()
-        if nxt is not None and nxt.kind == "arrow":
+        if nxt is not None and nxt.kind == "arrow":  # c or c[i]; classical state is not modeled
             self._next("->")
-            self._classical_target()
+            self._expect_ident()
+            nxt = self._peek()
+            if nxt is not None and nxt.text == "[":
+                self._expect_sym("[")
+                self._expect_int()
+                self._expect_sym("]")
         self._expect_sym(";")
         for q in qubits:
             self.gates.append(Gate(GateKind.MEASURE, (q,)))
 
-    def _barrier(self, line: int) -> None:
+    def _barrier(self) -> None:
         qubits: list[int] = []
         while True:
             qubits.extend(self._operand(allow_broadcast=True))
@@ -260,52 +249,34 @@ class _Parser:
                 break
             if tok.text != ",":
                 raise QasmSyntaxError(f"expected ',' or ';', got {tok.text!r}", tok.line)
-        deduped = tuple(dict.fromkeys(qubits))
-        self.gates.append(Gate(GateKind.BARRIER, deduped))
+        self.gates.append(Gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
 
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:
             raise UnsupportedGateError(f"unsupported gate {name!r}", line)
-        _, n_operands, n_params = _APPLIED_GATES[name]
-
+        kind, n_operands, n_params = _APPLIED_GATES[name]
         params: list[float] = []
         nxt = self._peek()
         if nxt is not None and nxt.text == "(":
             self._expect_sym("(")
             while True:
-                params.append(self._expression(line))
+                params.append(self._expression())
                 tok = self._next("',' or ')'")
                 if tok.text == ")":
                     break
                 if tok.text != ",":
                     raise QasmSyntaxError(f"expected ',' or ')', got {tok.text!r}", tok.line)
         if len(params) != n_params:
-            raise QasmSyntaxError(
-                f"{name} takes {n_params} parameter(s), got {len(params)}", line
-            )
-        param = _angle(name, params, line)
-
-        broadcast_ok = n_operands == 1
+            raise QasmSyntaxError(f"{name} takes {n_params} parameter(s), got {len(params)}", line)
+        if not all(map(math.isfinite, params)):
+            raise QasmSyntaxError(f"{name}: angle is not a finite number", line)
+        param = params[0] if params else None
         operands: list[int] = []
         for i in range(n_operands):
-            operands.extend(self._operand(allow_broadcast=broadcast_ok))
+            operands.extend(self._operand(allow_broadcast=n_operands == 1))
             if i + 1 < n_operands:
                 self._expect_sym(",")
         self._expect_sym(";")
-        self._append(name, operands, param, line)
-
-    def _canonical_application(self, statement: _Statement) -> None:
-        """A statement token: the checks and gates of its token-by-token reading."""
-        name, angle, reg_a, index_a, reg_b, index_b = statement.groups
-        line = statement.line
-        param = _angle(name, [] if angle is None else [float(angle)], line)
-        operands = [_qubit(reg_a, int(index_a), self._register(reg_a, line), line)]
-        if reg_b is not None:
-            operands.append(_qubit(reg_b, int(index_b), self._register(reg_b, line), line))
-        self._append(name, operands, param, line)
-
-    def _append(self, name: str, operands: list[int], param: float | None, line: int) -> None:
-        kind, n_operands, _ = _APPLIED_GATES[name]
         if n_operands > 1 and len(set(operands)) != len(operands):
             raise QasmSyntaxError(f"{name}: duplicate qubit operand", line)
         if kind is None:
@@ -317,24 +288,24 @@ class _Parser:
 
     # -- angle expressions ---------------------------------------------------
 
-    def _expression(self, line: int) -> float:
-        value = self._term(line)
+    def _expression(self) -> float:
+        value = self._term()
         while True:
             tok = self._peek()
             if tok is None or tok.text not in ("+", "-"):
                 return value
             self.pos += 1
-            rhs = self._term(line)
+            rhs = self._term()
             value = value + rhs if tok.text == "+" else value - rhs
 
-    def _term(self, line: int) -> float:
-        value = self._unary(line)
+    def _term(self) -> float:
+        value = self._unary()
         while True:
             tok = self._peek()
             if tok is None or tok.text not in ("*", "/"):
                 return value
             self.pos += 1
-            rhs = self._unary(line)
+            rhs = self._unary()
             if tok.text == "/":
                 if rhs == 0:
                     raise QasmSyntaxError("division by zero in angle expression", tok.line)
@@ -342,14 +313,14 @@ class _Parser:
             else:
                 value = value * rhs
 
-    def _unary(self, line: int) -> float:
+    def _unary(self) -> float:
         tok = self._next("angle expression")
         if tok.text == "-":
-            return -self._unary(line)
+            return -self._unary()
         if tok.text == "+":
-            return self._unary(line)
+            return self._unary()
         if tok.text == "(":
-            value = self._expression(line)
+            value = self._expression()
             self._expect_sym(")")
             return value
         if tok.kind == "number":
@@ -357,23 +328,6 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "pi":
             return math.pi
         raise QasmSyntaxError(f"invalid angle expression near {tok.text!r}", tok.line)
-
-
-def _qubit(name: str, index: int, register: tuple[int, int], line: int) -> int:
-    """Flat qubit index of ``name[index]``, given the register's (offset, size)."""
-    offset, size = register
-    if index >= size:
-        raise QubitIndexError(
-            f"index {index} out of range for register {name!r} of size {size}", line
-        )
-    return offset + index
-
-
-def _angle(name: str, params: list[float], line: int) -> float | None:
-    """The gate's one angle, or None for a gate without one; it must be finite."""
-    if not all(map(math.isfinite, params)):
-        raise QasmSyntaxError(f"{name}: angle is not a finite number", line)
-    return params[0] if params else None
 
 
 def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
@@ -403,6 +357,30 @@ def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
     ]
 
 
+def _canonical_gate(registers: dict[str, tuple[int, int]], groups: tuple) -> Gate | None:
+    """The gate spelled by a ``_STATEMENT_RE`` match's groups, or None when they
+    spell no canonical gate or fail a check (run in the token-by-token
+    reading's order); the caller then reads the statement token by token."""
+    _, name, angle, reg_a, index_a, reg_b, index_b = groups
+    kind = _CANONICAL_KINDS.get((name, angle is not None, reg_b is not None))
+    param = None if angle is None else float(angle)
+    if kind is None or (param is not None and not math.isfinite(param)) or reg_a not in registers:
+        return None
+    offset_a, size_a = registers[reg_a]
+    a = int(index_a)
+    if a >= size_a:
+        return None
+    if reg_b is None:
+        return Gate(kind, (offset_a + a,), param)
+    if reg_b not in registers:
+        return None
+    offset_b, size_b = registers[reg_b]
+    b = int(index_b)
+    if b >= size_b or offset_a + a == offset_b + b:
+        return None
+    return Gate(kind, (offset_a + a, offset_b + b), param)
+
+
 def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     """Parse OpenQASM 2.0 text into a :class:`Circuit`.
 
@@ -410,8 +388,34 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     declaration order. ``ccx`` is expanded at parse time so downstream
     stages only ever see one- and two-qubit gates.
     """
-    circuit = _Parser(_tokenize(source)).parse()
-    return Circuit(circuit.num_qubits, circuit.gates, name)
+    parser = _Parser(source)
+    registers, gates = parser.registers, parser.gates
+    shared: dict[str, Gate] = {}  # canonical statement -> its param-less gate
+    offset = 0
+    try:
+        while True:
+            match = _STATEMENT_RE.match(source, offset)
+            if match is not None:
+                text = match[1]
+                gate = shared.get(text)
+                if gate is None:
+                    gate = _canonical_gate(registers, match.groups())
+                    if gate is not None and gate.param is None:
+                        shared[text] = gate
+                if gate is not None:
+                    gates.append(gate)
+                    offset = match.end()
+                    continue
+            offset = parser.lex(offset)
+            if not parser.tokens:
+                return Circuit(parser.num_qubits, tuple(gates), name)
+            parser.statement()
+    except (QasmSyntaxError, UnsupportedGateError, QubitIndexError):
+        # Lex the rest: an unexpected character anywhere wins. A lex error of
+        # the failing statement itself is raised again, unchained.
+        while offset < len(source):
+            offset = parser.lex(offset)
+        raise
 
 
 def parse_qasm_file(path: str | Path) -> Circuit:
@@ -431,17 +435,13 @@ def to_qasm(circuit: Circuit) -> str:
 
     Float parameters are printed via ``repr``, with ``.0`` added to an
     exponent form's mantissa, so parse -> print -> parse reproduces the
-    exact gate list. Gates other than barrier and measure are
-    written in the canonical form that the lexer reads as one statement
-    token. A circuit with a measure also declares ``creg c[num_qubits];``
-    right after the ``qreg`` line, and measure ``q[i]`` writes to ``c[i]``;
-    a circuit without one declares no classical register.
+    exact gate list. Gates other than barrier and measure are written in
+    the canonical form that the parser reads in one regex match. A circuit
+    with a measure also declares ``creg c[num_qubits];`` right after the
+    ``qreg`` line, and measure ``q[i]`` writes to ``c[i]``; a circuit
+    without one declares no classical register.
     """
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{circuit.num_qubits}];",
-    ]
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
     if any(gate.kind is GateKind.MEASURE for gate in circuit.gates):
         lines.append(f"creg c[{circuit.num_qubits}];")
     for gate in circuit.gates:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -157,6 +158,7 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["gen", "-n", "4", "--gates", "0"], 1),
         (["gen", "-n", "4", "--gates", "-3"], 1),
         (["bench", "--eps", "0.5"], 1),
+        (["gen", "-n", "4", "--gates", "x"], 1),
     ],
 )
 def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
@@ -166,7 +168,22 @@ def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     if argv[:3] == ["bench", "--eps", "0.5"]:
         assert "exceeds 1" in err  # the reason, not just the rejected value
+    assert not re.search(r"\b_[a-z]", err)  # the reason, not the name of a private parser
     assert not (tmp_path / "out").exists()
+
+
+def test_main_parses_cleanly_after_a_usage_error(tmp_path, capsys):
+    # the argument parser is built once per process and shared by every call
+    circuit = tmp_path / "g.qasm"
+    assert main(["gen", "-n", "4", "--gates", "10", "-o", str(circuit)]) == 0
+    assert main(["synth", str(circuit), "--bogus", "-o", str(tmp_path / "t.json")]) == 1
+    capsys.readouterr()
+    topology = tmp_path / "t.json"
+    assert main(["synth", str(circuit), "-o", str(topology)]) == 0
+    assert main(["route", str(circuit), "-t", str(topology)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out.splitlines()[-1])["verified"] is True
+    assert load_topology(topology).num_qubits == 4
 
 
 @pytest.mark.parametrize("module", ["cacore", "cacore.cli"])

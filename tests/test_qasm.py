@@ -11,7 +11,7 @@ from oracles import token_parse
 from cacore.bench import gen_random_circuit
 from cacore.errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind, validate_circuit
-from cacore.qasm import _tokenize, parse_qasm, to_qasm
+from cacore.qasm import _CANONICAL_KINDS, _STATEMENT_RE, parse_qasm, to_qasm
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -300,12 +300,18 @@ swap q[2],r[0];
 ry(.5e-3) q[2];
 measure q[1] -> c[1];
 barrier q;
+cx q[2], // a comment inside a statement
+   q[0];
 h q[7];
+cx q[0],q[2];
+x u[0];
+$
 """
 
 _MUTATION_ALPHABET = [
     "cx ", "rx(", "q[", "];", ";", "\n", "->", "//", "$", "ccx ", "measure ", "qreg r[2];",
     "creg c[2];", "h ", "rz(-", ")", ",", " ", "[", "]", "0", "1", "7", "e", ".", "pi", "r[",
+    "cx q[0],\n q[1];", "cx q[0], // c\n q[1];", "x u[0];",
 ]
 
 
@@ -330,6 +336,15 @@ def _mutate(rng, source):
     return source
 
 
+def _canonical_statements(source):
+    """The statements between ';'s that the scanner reads in one match."""
+    matches = (_STATEMENT_RE.fullmatch(part + ";") for part in source.split(";"))
+    return [
+        m[1] for m in matches
+        if m and (m[2], m[3] is not None, m[6] is not None) in _CANONICAL_KINDS
+    ]
+
+
 def test_statement_tokens_match_token_by_token_oracle():
     """Mutated sources parse to the same circuit, or fail with the same error and
     line, as the parser that reads every statement token by token."""
@@ -338,8 +353,8 @@ def test_statement_tokens_match_token_by_token_oracle():
         path.read_text(encoding="utf-8") for path in sorted(DATA_DIR.glob("*.qasm"))
     ]
     bases += [to_qasm(_mixed_circuit(rng, rng.randint(2, 12))) for _ in range(40)]
-    # every base lexes at least partly into statement tokens, so both paths are compared
-    assert all(any(tok.kind == "statement" for tok in _tokenize(base)) for base in bases)
+    # every base holds a canonical statement, so both readings are compared
+    assert all(_canonical_statements(base) for base in bases)
     parsed = failed = 0
     for i in range(2500):
         source = _mutate(rng, bases[i % len(bases)])
@@ -350,3 +365,25 @@ def test_statement_tokens_match_token_by_token_oracle():
         else:
             failed += 1
     assert parsed >= 300 and failed >= 300
+
+
+def test_repeated_param_less_gates_are_shared_and_rotations_are_not():
+    circuit = parse_qasm(
+        "qreg q[2];\ncx q[0],q[1];\nh q[0];\nrz(0.5) q[0];\nrz(-0.0) q[1];\n"
+        "cx q[0],q[1];\nh q[0];\nrz(0.5) q[0];\nrz(0.0) q[1];\n"
+    )
+    first, again = circuit.gates[:4], circuit.gates[4:]
+    assert first[0] is again[0] and first[1] is again[1]
+    assert first[2] == again[2] and first[2] is not again[2]
+    assert [math.copysign(1.0, g.param) for g in (first[3], again[3])] == [-1.0, 1.0]
+
+
+def test_long_run_of_blank_and_comment_lines_before_a_statement():
+    # A non-canonical statement after the run makes the one-match reading fail
+    # there, so its whitespace-and-comment part must not backtrack super-linearly.
+    filler = "".join("\n" if i % 2 else "// a // b // c $\n" for i in range(10_000))
+    circuit = parse_qasm("qreg q[1];\n" + filler + "measure q[0] -> c[0];\n")
+    assert circuit.gates == (Gate(GateKind.MEASURE, (0,)),)
+    with pytest.raises(QasmSyntaxError) as err:
+        parse_qasm("qreg q[1];\n" + filler + "measure q[0] -> c[0];\nh r[0];\n")
+    assert err.value.line == 10_003

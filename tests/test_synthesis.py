@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cacore.analysis import CorrelationMatrix, build_correlation
-from cacore.bench import gen_random_circuit
+from cacore.bench import NoiseParams, gen_random_circuit, run_comparison
 from cacore.errors import DegenerateInputError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from cacore.synthesis import (
@@ -19,6 +19,7 @@ from cacore.synthesis import (
     prune_diagonals,
     synthesize_topology,
 )
+from cacore.topology import builtin_topology
 
 from oracles import brute_force_diagonal_groups, components, degrees, is_diagonal, multi_pass_join
 
@@ -401,6 +402,18 @@ def test_synthesize_single_qubit_circuit():
 def test_synthesize_zero_qubits_degenerate():
     with pytest.raises(DegenerateInputError):
         synthesize_topology(Circuit(0, ()))
+
+
+@pytest.mark.parametrize("q", [-1, 3])
+def test_synthesize_rejects_out_of_range_logical_qubit(q):
+    # -1 would wrap around through list indexing; 3 would index past the degree list.
+    # run_comparison synthesizes before its per-pair try, so the error must be a CacoreError.
+    circuit = Circuit(3, (Gate(GateKind.H, (q,)), Gate(GateKind.CNOT, (q, 0))))
+    message = f"logical qubit {q} out of range for 3-qubit circuit"
+    with pytest.raises(DegenerateInputError, match=message):
+        synthesize_topology(circuit)
+    with pytest.raises(DegenerateInputError, match=message):
+        run_comparison([circuit], [builtin_topology("line(3)")], [NoiseParams(0.001)])
 
 
 def test_synthesize_figure_circuit_frozen_trace(figure_circuit):
