@@ -133,7 +133,8 @@ def run_comparison(
     """Route every circuit on its synthesized topology and each baseline.
 
     Pairs where the circuit does not fit the topology are recorded as
-    skips; per-pair routing failures are recorded and the run continues.
+    skips; a circuit's synthesis failure and per-pair routing failures are
+    recorded and the run continues.
     Aggregates hold per (qubit count, baseline) mean depth/gate/SWAP totals
     and reduction percentages against the synthesized topology.
     """
@@ -145,9 +146,14 @@ def run_comparison(
 
     for index, circuit in enumerate(circuits):
         seed = seeds[index] if seeds is not None and index < len(seeds) else None
-        ca_topology = synthesize_topology(circuit)
-        for topology in [ca_topology, *baselines]:
-            label = CA_CORE if topology is ca_topology else topology.name
+        pairs = [(topology.name, topology) for topology in baselines]
+        try:
+            pairs.insert(0, (CA_CORE, synthesize_topology(circuit)))
+        except CacoreError as exc:
+            report.failures.append(
+                {"circuit": circuit.name, "topology": CA_CORE, "error": str(exc)}
+            )
+        for label, topology in pairs:
             if circuit.num_qubits > topology.num_qubits:
                 report.skips.append(
                     {"circuit": circuit.name, "topology": label, "reason": "circuit too large"}

@@ -154,7 +154,11 @@ class _Parser:
         tok = self._next("integer")
         if tok.kind != "number" or not tok.text.isdigit():
             raise QasmSyntaxError(f"expected integer, got {tok.text!r}", tok.line)
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            message = f"integer of {len(tok.text)} digits is too large"
+            raise QasmSyntaxError(message, tok.line) from None
 
     def statement(self) -> None:
         """Read the lexed statement; a ``;`` in it is its last token or an error."""
@@ -367,7 +371,11 @@ def _canonical_gate(registers: dict[str, tuple[int, int]], groups: tuple) -> Gat
     if kind is None or (param is not None and not math.isfinite(param)) or reg_a not in registers:
         return None
     offset_a, size_a = registers[reg_a]
-    a = int(index_a)
+    try:
+        a = int(index_a)
+        b = None if reg_b is None else int(index_b)
+    except ValueError:  # more digits than int() converts
+        return None
     if a >= size_a:
         return None
     if reg_b is None:
@@ -375,7 +383,6 @@ def _canonical_gate(registers: dict[str, tuple[int, int]], groups: tuple) -> Gat
     if reg_b not in registers:
         return None
     offset_b, size_b = registers[reg_b]
-    b = int(index_b)
     if b >= size_b or offset_a + a == offset_b + b:
         return None
     return Gate(kind, (offset_a + a, offset_b + b), param)

@@ -8,14 +8,20 @@ minimal-optimization transpile so topology comparisons stay router-fixed.
 
 The router keeps one next-hop table per target qubit for the call, built
 by a BFS on first use: each entry is the smallest neighbour one hop closer
-to the target, so the walk takes that path one SWAP per step. Gates are
-immutable, so the routed circuit reuses a source gate whose physical
-qubits equal its logical ones and shares one gate per distinct (kind,
-physical qubits) among the rest; rotations are built fresh, since a cache
-keyed on the angle would merge 0.0 and -0.0. The verifier replays the
-routed gates into (kind, logical qubits, param) tuples and accepts at once
-when they equal the source gates in order; otherwise it compares each
-qubit's lane, so gates on disjoint qubits may commute.
+to the target, so the walk takes that path one SWAP per step, updating the
+layout in place (the qubit moved is always the gate's first operand).
+Gates are immutable, so the routed circuit reuses a source gate whose
+physical qubits equal its logical ones, one inserted SWAP per coupler
+direction, and one gate per distinct (kind, physical qubits) among the
+rest; rotations are built fresh, since a cache keyed on the angle would
+merge 0.0 and -0.0.
+
+The verifier streams the routed gates against the source, tracking the
+SWAP permutation and keeping nothing per gate while each non-inserted
+gate's kind, logical qubits and angle equal the next source gate's. From
+the first mismatch on it collects (kind, logical qubits, param) tuples and
+compares each qubit's lane with that of the unmatched source tail, so
+gates on disjoint qubits may commute.
 """
 
 from __future__ import annotations
@@ -35,14 +41,6 @@ class Layout:
 
     log_to_phys: list[int]
     phys_to_log: list[int | None]
-
-    def swap_physical(self, p1: int, p2: int) -> None:
-        l1, l2 = self.phys_to_log[p1], self.phys_to_log[p2]
-        self.phys_to_log[p1], self.phys_to_log[p2] = l2, l1
-        if l1 is not None:
-            self.log_to_phys[l1] = p2
-        if l2 is not None:
-            self.log_to_phys[l2] = p1
 
 
 def trivial_layout(num_logical: int, num_physical: int) -> Layout:
@@ -117,9 +115,10 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             f"logical qubit {q} out of range for {circuit.num_qubits}-qubit circuit {circuit.name!r}"
         )
     layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
-    log_to_phys = layout.log_to_phys
+    log_to_phys, phys_to_log = layout.log_to_phys, layout.phys_to_log
     adjacency = topology.adjacency()
     next_hops: dict[int, dict[int, int]] = {}  # target qubit -> next-hop table, built on first use
+    swaps: dict[tuple[int, int], Gate] = {}  # (pa, hop) -> the inserted SWAP on that coupler
     shared: dict[tuple, Gate] = {}  # (kind, physical qubits) -> one gate for the whole call
     routed: list[Gate] = []
     inserted: list[int] = []
@@ -131,23 +130,39 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             a, b = qubits
             pa, pb = log_to_phys[a], log_to_phys[b]
             next_hop = next_hops.get(pb) or next_hops.setdefault(pb, _next_hops(adjacency, pb))
-            if pa not in next_hop:
+            hop = next_hop.get(pa)
+            if hop is None:
                 raise UnroutableGateError(
                     f"{kind.value} on logical {qubits}: physical qubits "
                     f"{pa} and {pb} are in different components of {topology.name!r}"
                 )
-            while (hop := next_hop[pa]) != pb:
+            while hop != pb:
                 inserted.append(len(routed))
-                key = (swap, (pa, hop))
-                routed.append(shared.get(key) or shared.setdefault(key, Gate(swap, (pa, hop))))
-                layout.swap_physical(pa, hop)
-                pa = hop
+                pair = (pa, hop)
+                routed.append(swaps.get(pair) or swaps.setdefault(pair, Gate(swap, pair)))
+                moved = phys_to_log[hop]
+                phys_to_log[pa], phys_to_log[hop] = moved, a
+                if moved is not None:
+                    log_to_phys[moved] = pa
+                pa, hop = hop, next_hop[hop]
+            log_to_phys[a] = pa
+            if pa == a and pb == b:
+                routed.append(gate)
+                continue
             physical = (pa, pb)
+        elif len(qubits) == 1:
+            (q,) = qubits
+            p = log_to_phys[q]
+            if p == q:
+                routed.append(gate)
+                continue
+            physical = (p,)
         else:
             physical = tuple(map(log_to_phys.__getitem__, qubits))
-        if physical == qubits:
-            routed.append(gate)
-        elif gate.param is not None:
+            if physical == qubits:
+                routed.append(gate)
+                continue
+        if gate.param is not None:
             # Never shared: 0.0 == -0.0, so a cache keyed on the angle
             # would turn rz(-0.0) into rz(0.0).
             routed.append(Gate(kind, physical, gate.param))
@@ -175,40 +190,52 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
 
     Replaying the routed gates while tracking the permutation induced by
     inserted SWAPs must recover the original logical gate sequence: same
-    kinds, same logical operands, same per-qubit order.
+    kinds, same logical operands, same per-qubit order. Only a SWAP on a
+    coupler may be marked inserted.
     """
-    adjacency = topology.adjacency()
+    couplers = {(a, b) for a, neighbors in topology.adjacency().items() for b in neighbors}
     inserted = set(result.inserted)
-    layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
-    phys_to_log = layout.phys_to_log
-    replayed: list[tuple] = []  # (kind, logical qubits, param)
+    phys_to_log = trivial_layout(circuit.num_qubits, topology.num_qubits).phys_to_log
+    source = circuit.gates
+    matched = 0  # source gates replayed in order so far
+    rest: list[tuple] | None = None  # (kind, logical qubits, param) from the first mismatch on
     swap = GateKind.SWAP
 
     for idx, gate in enumerate(result.routed.gates):
-        kind, qubits = gate.kind, gate.qubits
+        kind, qubits, param = gate.kind, gate.qubits, gate.param
         if kind in TWO_QUBIT_KINDS:
-            a, b = qubits
-            if b not in adjacency.get(a, ()):
+            if qubits not in couplers:
                 return False
+            a, b = qubits
             if idx in inserted:
                 if kind is not swap:
                     return False
-                layout.swap_physical(a, b)
+                phys_to_log[a], phys_to_log[b] = phys_to_log[b], phys_to_log[a]
                 continue
             logical = (phys_to_log[a], phys_to_log[b])
         elif idx in inserted:
-            return False  # only a SWAP may be marked inserted
+            return False
         else:
             logical = tuple(map(phys_to_log.__getitem__, qubits))
         if None in logical:
             return False
-        replayed.append((kind, logical, gate.param))
+        if rest is None:
+            if matched < len(source):
+                want = source[matched]
+                # exactly tuple equality of (kind, qubits, param)
+                if want.kind is kind and want.qubits == logical and (
+                    want.param is param or want.param == param
+                ):
+                    matched += 1
+                    continue
+            rest = []
+        rest.append((kind, logical, param))
 
-    source = [(gate.kind, gate.qubits, gate.param) for gate in circuit.gates]
-    if replayed == source:
-        return True
+    if rest is None:
+        return matched == len(source)
+    tail = [(gate.kind, gate.qubits, gate.param) for gate in source[matched:]]
     n = circuit.num_qubits
-    return len(replayed) == len(source) and _lanes(replayed, n) == _lanes(source, n)
+    return len(rest) == len(tail) and _lanes(rest, n) == _lanes(tail, n)
 
 
 def _lanes(gates: list[tuple], num_qubits: int) -> list[list[tuple]]:

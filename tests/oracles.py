@@ -35,7 +35,7 @@ from cacore.ir import (
     GateKind,
 )
 from cacore.qasm import _decompose_ccx
-from cacore.routing import RouteMetrics, RoutingResult, trivial_layout
+from cacore.routing import Layout, RouteMetrics, RoutingResult, trivial_layout
 from cacore.topology import Topology
 
 
@@ -195,6 +195,16 @@ def _shortest_path(adjacency, src: int, dst: int) -> list[int] | None:
     return path
 
 
+def _swap_physical(layout: Layout, p1: int, p2: int) -> None:
+    """Exchange the states on physical qubits p1 and p2, then re-point
+    the logical qubits now on them."""
+    phys_to_log = layout.phys_to_log
+    phys_to_log[p1], phys_to_log[p2] = phys_to_log[p2], phys_to_log[p1]
+    for p in (p1, p2):
+        if phys_to_log[p] is not None:
+            layout.log_to_phys[phys_to_log[p]] = p
+
+
 def bfs_route(circuit: Circuit, topology: Topology) -> RoutingResult:
     """Route with a fresh BFS path search for every non-adjacent two-qubit gate."""
     layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
@@ -217,7 +227,7 @@ def bfs_route(circuit: Circuit, topology: Topology) -> RoutingResult:
             for hop in path[1:-1]:
                 inserted.append(len(routed))
                 routed.append(Gate(GateKind.SWAP, (pa, hop)))
-                layout.swap_physical(pa, hop)
+                _swap_physical(layout, pa, hop)
                 pa = hop
         routed.append(Gate(gate.kind, (pa, pb), gate.param))
     routed_circuit = Circuit(
@@ -247,7 +257,7 @@ def rescan_verify(circuit: Circuit, result: RoutingResult, topology: Topology) -
         if idx in inserted:
             if gate.kind is not GateKind.SWAP:
                 return False
-            layout.swap_physical(*gate.qubits)
+            _swap_physical(layout, *gate.qubits)
             continue
         logical = tuple(layout.phys_to_log[p] for p in gate.qubits)
         if any(q is None for q in logical):

@@ -16,7 +16,7 @@ from cacore.bench import (
     write_report_csv,
     write_report_json,
 )
-from cacore.ir import GateKind
+from cacore.ir import Circuit, Gate, GateKind
 from cacore.routing import route_circuit
 from cacore.topology import builtin_topology
 
@@ -125,6 +125,19 @@ def test_oversized_circuits_are_skipped():
         {"circuit": circuits[0].name, "topology": "almaden20", "reason": "circuit too large"}
     ]
     assert [r["topology"] for r in report.rows] == ["ca_core"]
+
+
+def test_synthesis_failure_is_recorded_and_the_run_continues():
+    good = gen_random_circuit(4, 50, 0)
+    bad = Circuit(3, (Gate(GateKind.CNOT, (3, 0)),), "bad")
+    report = run_comparison([good, bad], [builtin_topology("line(4)")], [NoiseParams(0.001)])
+    assert [(r["circuit"], r["topology"]) for r in report.rows] == [
+        (good.name, "ca_core"), (good.name, "line(4)")
+    ]
+    assert [(f["circuit"], f["topology"]) for f in report.failures] == [
+        ("bad", "ca_core"), ("bad", "line(4)")
+    ]
+    assert all("out of range" in f["error"] for f in report.failures)
 
 
 def test_csv_row_count_and_columns(tmp_path):

@@ -172,6 +172,15 @@ def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["qreg q[2];\nh q[{}];\n", "qreg q[{}];\n"])
+def test_validate_reports_an_oversized_integer_on_one_line(tmp_path, capsys, text):
+    source = tmp_path / "big.qasm"
+    source.write_text(text.format("1" * 5000))
+    assert main(["validate", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and len(err.splitlines()) == 1
+
+
 def test_main_parses_cleanly_after_a_usage_error(tmp_path, capsys):
     # the argument parser is built once per process and shared by every call
     circuit = tmp_path / "g.qasm"

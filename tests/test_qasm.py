@@ -187,6 +187,25 @@ def test_index_out_of_range_with_line():
     assert err.value.line == 3
 
 
+_HUGE = "1" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        (f"qreg q[2];\nh q[{_HUGE}];", 2),
+        (f"qreg q[2];\ncx q[0],q[{_HUGE}];", 2),
+        (f"qreg q[{_HUGE}];", 1),
+        (f"qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[{_HUGE}];", 3),
+        (f"qreg q[2];\nh q[{_HUGE}];\n$", 3),  # the rest is lexed first
+    ],
+)
+def test_oversized_integers_raise_syntax_errors_with_line(source, line):
+    with pytest.raises(QasmSyntaxError) as err:
+        parse_qasm(source)
+    assert err.value.line == line
+
+
 def test_comments_ignored():
     circuit = parse_qasm("// header comment\nqreg q[1]; // trailing\nh q[0];")
     assert kinds(circuit) == [GateKind.H]

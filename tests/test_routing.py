@@ -343,6 +343,64 @@ def test_hop_table_router_and_one_pass_verify_match_oracles():
     assert verdicts == {True, False}
 
 
+_NAN = float("nan")
+# Routed on line(4): h q[0]; x q[3]; swap q[0],q[1] (inserted); cx q[1],q[2];
+# rz(nan) q[1]; rz(0.0) q[0]; h q[2]; cx q[3],q[2]; t q[0];
+_HAND_OFF_CIRCUIT = Circuit(4, (
+    Gate(GateKind.H, (0,)),
+    Gate(GateKind.X, (3,)),
+    cnot(0, 2),
+    Gate(GateKind.RZ, (0,), _NAN),
+    Gate(GateKind.RZ, (1,), 0.0),
+    Gate(GateKind.H, (2,)),
+    cnot(3, 2),
+    Gate(GateKind.T, (1,)),
+))
+
+
+def _exchange(gates, i):
+    gates[i], gates[i + 1] = gates[i + 1], gates[i]
+
+
+def _replace(i, gate):
+    def edit(gates):
+        gates[i] = gate
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda gates: None, True),
+        (_replace(0, Gate(GateKind.X, (0,))), False),  # first difference at index 0
+        (lambda gates: _exchange(gates, 0), True),  # h and x on disjoint qubits commute
+        (_replace(3, cnot(2, 1)), False),  # first difference in the middle
+        (lambda gates: _exchange(gates, 3), False),  # cx and rz share a qubit
+        (lambda gates: _exchange(gates, 4), True),  # the two rz on disjoint qubits commute
+        (_replace(8, Gate(GateKind.S, (0,))), False),  # first difference at the last gate
+        (lambda gates: _exchange(gates, 7), True),  # cx and t on disjoint qubits commute
+        (lambda gates: gates.append(Gate(GateKind.H, (0,))), False),  # one extra trailing gate
+        (lambda gates: gates.pop(), False),  # the last gate dropped
+        # behind the SWAP: the source's own NaN matches, a fresh NaN does not
+        (_replace(4, Gate(GateKind.RZ, (1,), _NAN)), True),
+        (_replace(4, Gate(GateKind.RZ, (1,), float("nan"))), False),
+        (_replace(5, Gate(GateKind.RZ, (0,), -0.0)), True),  # 0.0 == -0.0
+    ],
+)
+def test_verify_hands_off_from_in_order_matching_like_the_oracle(edit, expected):
+    from oracles import rescan_verify
+
+    topology = builtin_topology("line(4)")
+    result = route_circuit(_HAND_OFF_CIRCUIT, topology)
+    assert result.inserted == (2,)
+    gates = list(result.routed.gates)
+    edit(gates)
+    routed = Circuit(result.routed.num_qubits, tuple(gates), result.routed.name)
+    mutant = RoutingResult(routed, result.final_layout, result.inserted, result.metrics)
+    assert rescan_verify(_HAND_OFF_CIRCUIT, mutant, topology) is expected
+    assert verify_routing(_HAND_OFF_CIRCUIT, mutant, topology) is expected
+
+
 def test_rotations_by_signed_zero_keep_their_sign():
     circuit = parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[2];\nrz(0) q[0];\nrz(-0) q[0];\n")
     result = route_circuit(circuit, builtin_topology("line(3)"))

@@ -407,13 +407,15 @@ def test_synthesize_zero_qubits_degenerate():
 @pytest.mark.parametrize("q", [-1, 3])
 def test_synthesize_rejects_out_of_range_logical_qubit(q):
     # -1 would wrap around through list indexing; 3 would index past the degree list.
-    # run_comparison synthesizes before its per-pair try, so the error must be a CacoreError.
+    # run_comparison records a CacoreError from synthesis as a ca_core failure.
     circuit = Circuit(3, (Gate(GateKind.H, (q,)), Gate(GateKind.CNOT, (q, 0))))
     message = f"logical qubit {q} out of range for 3-qubit circuit"
     with pytest.raises(DegenerateInputError, match=message):
         synthesize_topology(circuit)
-    with pytest.raises(DegenerateInputError, match=message):
-        run_comparison([circuit], [builtin_topology("line(3)")], [NoiseParams(0.001)])
+    report = run_comparison([circuit], [builtin_topology("line(3)")], [NoiseParams(0.001)])
+    assert report.rows == []
+    assert [f["topology"] for f in report.failures] == ["ca_core", "line(3)"]
+    assert all(message in f["error"] for f in report.failures)
 
 
 def test_synthesize_figure_circuit_frozen_trace(figure_circuit):
