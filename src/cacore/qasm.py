@@ -36,6 +36,11 @@ from typing import NamedTuple
 from .errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 
+# The most qubits the declared registers may add up to, far above the largest
+# bundled device (53), so a one-line file cannot make later stages allocate
+# per-qubit lists of any size it names.
+MAX_QUBITS = 2**16
+
 _NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 
@@ -200,6 +205,12 @@ class _Parser:
         self._expect_sym(";")
         if keyword == "creg":
             self.classical.add(reg.text)
+        elif self.num_qubits + size > MAX_QUBITS:
+            message = (
+                f"qreg {reg.text}[{size}] brings the qubit count to "
+                f"{self.num_qubits + size}, above the limit of {MAX_QUBITS}"
+            )
+            raise QasmSyntaxError(message, reg.line)
         else:
             self.registers[reg.text] = (self.num_qubits, size)
             self.num_qubits += size

@@ -14,7 +14,9 @@ Gates are immutable, so the routed circuit reuses a source gate whose
 physical qubits equal its logical ones, one inserted SWAP per coupler
 direction, and one gate per distinct (kind, physical qubits) among the
 rest; rotations are built fresh, since a cache keyed on the angle would
-merge 0.0 and -0.0.
+merge 0.0 and -0.0. The same walk scores the route: it keeps each
+physical qubit's ASAP finish time and the gate counts, so the metrics
+equal those of ``circuit_stats(result.routed)`` without a second pass.
 
 The verifier streams the routed gates against the source, tracking the
 SWAP permutation and keeping nothing per gate while each non-inserted
@@ -29,9 +31,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass
 
-from .analysis import circuit_stats
 from .errors import DegenerateInputError, UnroutableGateError
-from .ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .topology import Topology
 
 
@@ -59,7 +60,12 @@ def trivial_layout(num_logical: int, num_physical: int) -> Layout:
 class RouteMetrics:
     """Routed-circuit totals. ``swap_count`` counts inserted SWAPs only;
     ``total_swap_gates`` additionally includes SWAPs already present in the
-    source circuit."""
+    source circuit.
+
+    The router computes these in its walk; every field other than
+    ``swap_count`` equals the same-named total of
+    ``circuit_stats(result.routed)`` (``total_swap_gates`` its
+    ``swap_count``)."""
 
     depth: int
     total_gates: int
@@ -80,21 +86,23 @@ class RoutingResult:
     metrics: RouteMetrics
 
 
-def _next_hops(adjacency: dict[int, tuple[int, ...]], dst: int) -> dict[int, int]:
-    """Next qubit toward dst for every qubit that can reach it.
+def _next_hops(adjacency: dict[int, tuple[int, ...]], dst: int) -> list[int | None]:
+    """Next qubit toward dst, indexed by physical qubit; None where dst is
+    unreachable.
 
     Each entry is the smallest neighbour one BFS hop closer to dst, so a
     walk along the table takes the lexicographically smallest shortest
     path; dst maps to itself.
     """
-    hops = {dst: 0}
-    next_hop = {dst: dst}
+    hops: list[int | None] = [None] * len(adjacency)
+    next_hop: list[int | None] = [None] * len(adjacency)
+    hops[dst], next_hop[dst] = 0, dst
     frontier = deque([dst])
     while frontier:
         node = frontier.popleft()
         closer = hops[node] + 1
         for nb in adjacency[node]:
-            if nb not in hops:
+            if hops[nb] is None:
                 hops[nb] = closer
                 next_hop[nb] = node
                 frontier.append(nb)
@@ -114,14 +122,20 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
         raise DegenerateInputError(
             f"logical qubit {q} out of range for {circuit.num_qubits}-qubit circuit {circuit.name!r}"
         )
-    layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
+    size = topology.num_qubits
+    layout = trivial_layout(circuit.num_qubits, size)
     log_to_phys, phys_to_log = layout.log_to_phys, layout.phys_to_log
     adjacency = topology.adjacency()
-    next_hops: dict[int, dict[int, int]] = {}  # target qubit -> next-hop table, built on first use
-    swaps: dict[tuple[int, int], Gate] = {}  # (pa, hop) -> the inserted SWAP on that coupler
+    # target qubit -> its next-hop table, built on first use
+    tables: list[list[int | None] | None] = [None] * size
+    swaps: dict[int, Gate] = {}  # pa * size + hop -> the inserted SWAP on that coupler
     shared: dict[tuple, Gate] = {}  # (kind, physical qubits) -> one gate for the whole call
     routed: list[Gate] = []
     inserted: list[int] = []
+    # The circuit_stats pass, run on the routed gates as they are emitted:
+    # each physical qubit's ASAP finish time, and the counts that set the totals.
+    busy = [0] * size
+    exempt = two_qubit = source_swaps = 0
     swap = GateKind.SWAP
 
     for gate in circuit.gates:
@@ -129,8 +143,10 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
         if kind in TWO_QUBIT_KINDS:
             a, b = qubits
             pa, pb = log_to_phys[a], log_to_phys[b]
-            next_hop = next_hops.get(pb) or next_hops.setdefault(pb, _next_hops(adjacency, pb))
-            hop = next_hop.get(pa)
+            next_hop = tables[pb]
+            if next_hop is None:
+                next_hop = tables[pb] = _next_hops(adjacency, pb)
+            hop = next_hop[pa]
             if hop is None:
                 raise UnroutableGateError(
                     f"{kind.value} on logical {qubits}: physical qubits "
@@ -138,14 +154,21 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
                 )
             while hop != pb:
                 inserted.append(len(routed))
-                pair = (pa, hop)
-                routed.append(swaps.get(pair) or swaps.setdefault(pair, Gate(swap, pair)))
+                key = pa * size + hop
+                routed.append(swaps.get(key) or swaps.setdefault(key, Gate(swap, (pa, hop))))
+                finish_a, finish_b = busy[pa], busy[hop]
+                busy[pa] = busy[hop] = (finish_a if finish_a > finish_b else finish_b) + 1
                 moved = phys_to_log[hop]
                 phys_to_log[pa], phys_to_log[hop] = moved, a
                 if moved is not None:
                     log_to_phys[moved] = pa
                 pa, hop = hop, next_hop[hop]
             log_to_phys[a] = pa
+            finish_a, finish_b = busy[pa], busy[pb]
+            busy[pa] = busy[pb] = (finish_a if finish_a > finish_b else finish_b) + 1
+            two_qubit += 1
+            if kind is swap:
+                source_swaps += 1
             if pa == a and pb == b:
                 routed.append(gate)
                 continue
@@ -153,12 +176,20 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
         elif len(qubits) == 1:
             (q,) = qubits
             p = log_to_phys[q]
+            if kind in METRIC_EXEMPT_KINDS:
+                exempt += 1
+            else:
+                busy[p] += 1
             if p == q:
                 routed.append(gate)
                 continue
             physical = (p,)
-        else:
+        else:  # a barrier on several qubits: it fences them at their latest finish
+            exempt += 1
             physical = tuple(map(log_to_phys.__getitem__, qubits))
+            fence = max(map(busy.__getitem__, physical))
+            for p in physical:
+                busy[p] = fence
             if physical == qubits:
                 routed.append(gate)
                 continue
@@ -170,17 +201,16 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             key = (kind, physical)
             routed.append(shared.get(key) or shared.setdefault(key, Gate(kind, physical)))
 
-    routed_circuit = Circuit(
-        topology.num_qubits, tuple(routed), name=f"{circuit.name}@{topology.name}"
-    )
-    stats = circuit_stats(routed_circuit)
+    routed_circuit = Circuit(size, tuple(routed), name=f"{circuit.name}@{topology.name}")
+    total = len(routed) - exempt
+    two_qubit += len(inserted)
     metrics = RouteMetrics(
-        depth=stats.depth,
-        total_gates=stats.total_gates,
-        one_qubit_gates=stats.one_qubit_gates,
-        two_qubit_gates=stats.two_qubit_gates,
+        depth=max(busy, default=0),
+        total_gates=total,
+        one_qubit_gates=total - two_qubit,
+        two_qubit_gates=two_qubit,
         swap_count=len(inserted),
-        total_swap_gates=stats.swap_count,
+        total_swap_gates=source_swaps + len(inserted),
     )
     return RoutingResult(routed_circuit, layout, tuple(inserted), metrics)
 
@@ -191,34 +221,55 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     Replaying the routed gates while tracking the permutation induced by
     inserted SWAPs must recover the original logical gate sequence: same
     kinds, same logical operands, same per-qubit order. Only a SWAP on a
-    coupler may be marked inserted.
+    coupler may be marked inserted, and a routed gate on a physical qubit
+    outside the topology fails.
+
+    ``result.inserted`` is read as a set: the verifier steps through its
+    distinct non-negative indices in ascending order, so their order,
+    duplicates and indices outside the routed circuit do not change the
+    verdict.
     """
-    couplers = {(a, b) for a, neighbors in topology.adjacency().items() for b in neighbors}
-    inserted = set(result.inserted)
-    phys_to_log = trivial_layout(circuit.num_qubits, topology.num_qubits).phys_to_log
+    couplers = {pair for a, b in topology.edges for pair in ((a, b), (b, a))}
+    size = topology.num_qubits
+    phys_to_log = trivial_layout(circuit.num_qubits, size).phys_to_log
+    marks = iter([idx for idx in sorted(set(result.inserted)) if idx >= 0])
+    mark = next(marks, -1)  # the next inserted index, -1 after the last
     source = circuit.gates
     matched = 0  # source gates replayed in order so far
     rest: list[tuple] | None = None  # (kind, logical qubits, param) from the first mismatch on
     swap = GateKind.SWAP
 
     for idx, gate in enumerate(result.routed.gates):
+        if idx == mark:
+            mark = next(marks, -1)
+            if gate.kind is not swap or gate.qubits not in couplers:
+                return False
+            a, b = gate.qubits
+            phys_to_log[a], phys_to_log[b] = phys_to_log[b], phys_to_log[a]
+            continue
         kind, qubits, param = gate.kind, gate.qubits, gate.param
         if kind in TWO_QUBIT_KINDS:
             if qubits not in couplers:
                 return False
             a, b = qubits
-            if idx in inserted:
-                if kind is not swap:
-                    return False
-                phys_to_log[a], phys_to_log[b] = phys_to_log[b], phys_to_log[a]
-                continue
-            logical = (phys_to_log[a], phys_to_log[b])
-        elif idx in inserted:
-            return False
+            la, lb = phys_to_log[a], phys_to_log[b]
+            if la is None or lb is None:
+                return False
+            logical = (la, lb)
+        elif len(qubits) == 1:
+            (q,) = qubits
+            if not 0 <= q < size:
+                return False
+            la = phys_to_log[q]
+            if la is None:
+                return False
+            logical = (la,)
         else:
+            if not all(0 <= p < size for p in qubits):
+                return False
             logical = tuple(map(phys_to_log.__getitem__, qubits))
-        if None in logical:
-            return False
+            if None in logical:
+                return False
         if rest is None:
             if matched < len(source):
                 want = source[matched]

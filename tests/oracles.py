@@ -259,6 +259,8 @@ def rescan_verify(circuit: Circuit, result: RoutingResult, topology: Topology) -
                 return False
             _swap_physical(layout, *gate.qubits)
             continue
+        if any(not 0 <= p < topology.num_qubits for p in gate.qubits):
+            return False
         logical = tuple(layout.phys_to_log[p] for p in gate.qubits)
         if any(q is None for q in logical):
             return False

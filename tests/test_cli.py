@@ -181,6 +181,15 @@ def test_validate_reports_an_oversized_integer_on_one_line(tmp_path, capsys, tex
     assert err.startswith("error: line ") and len(err.splitlines()) == 1
 
 
+def test_validate_reports_an_oversized_register_on_one_line(tmp_path, capsys):
+    source = tmp_path / "huge.qasm"
+    source.write_text("qreg q[99999999999];\nh q[0];\n")
+    assert main(["validate", str(source)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line 1: ") and len(err.splitlines()) == 1
+
+
 def test_main_parses_cleanly_after_a_usage_error(tmp_path, capsys):
     # the argument parser is built once per process and shared by every call
     circuit = tmp_path / "g.qasm"

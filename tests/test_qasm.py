@@ -11,7 +11,7 @@ from oracles import token_parse
 from cacore.bench import gen_random_circuit
 from cacore.errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind, validate_circuit
-from cacore.qasm import _CANONICAL_KINDS, _STATEMENT_RE, parse_qasm, to_qasm
+from cacore.qasm import _CANONICAL_KINDS, _STATEMENT_RE, MAX_QUBITS, parse_qasm, to_qasm
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -204,6 +204,27 @@ def test_oversized_integers_raise_syntax_errors_with_line(source, line):
     with pytest.raises(QasmSyntaxError) as err:
         parse_qasm(source)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("qreg q[99999999999];\nh q[0];", 1),
+        (f"qreg a[{MAX_QUBITS}];\nqreg b[1];", 2),  # the declared total counts
+        (f"creg c[2];\nqreg q[{MAX_QUBITS + 1}];\nh q[0];", 2),
+    ],
+)
+def test_declared_qubit_count_is_bounded(source, line):
+    with pytest.raises(QasmSyntaxError, match=f"above the limit of {MAX_QUBITS}") as err:
+        parse_qasm(source)
+    assert err.value.line == line
+
+
+def test_declared_qubit_count_may_reach_the_bound():
+    source = f"qreg a[{MAX_QUBITS - 1}];\nqreg b[1];\ncreg c[{MAX_QUBITS + 1}];\nh b[0];"
+    circuit = parse_qasm(source)
+    assert circuit.num_qubits == MAX_QUBITS
+    assert circuit.gates == (Gate(GateKind.H, (MAX_QUBITS - 1,)),)
 
 
 def test_comments_ignored():

@@ -4,12 +4,13 @@ import math
 import random
 
 import pytest
+from conftest import DATA_DIR
 
 from cacore.analysis import circuit_stats
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError, UnroutableGateError
 from cacore.ir import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
-from cacore.qasm import parse_qasm, to_qasm
+from cacore.qasm import parse_qasm, parse_qasm_file, to_qasm
 from cacore.routing import (
     RouteMetrics,
     RoutingResult,
@@ -110,6 +111,27 @@ def test_verify_rejects_deleted_swap():
     assert not verify_routing(circuit, tampered, topology)
 
 
+@pytest.mark.parametrize(
+    "routed",
+    [
+        (Gate(GateKind.H, (-3,)), Gate(GateKind.BARRIER, (0, 1))),  # -3 would wrap around to 0
+        (Gate(GateKind.H, (7,)), Gate(GateKind.BARRIER, (0, 1))),  # 7 would index past the layout
+        (Gate(GateKind.H, (0,)), Gate(GateKind.BARRIER, (-3, 1))),
+        (Gate(GateKind.H, (0,)), Gate(GateKind.BARRIER, (0, 3))),
+    ],
+)
+def test_verify_rejects_a_routed_gate_off_the_topology(routed):
+    from oracles import rescan_verify
+
+    circuit = Circuit(3, (Gate(GateKind.H, (0,)), Gate(GateKind.BARRIER, (0, 1))))
+    topology = builtin_topology("line(3)")
+    result = route_circuit(circuit, topology)
+    assert result.routed.gates == circuit.gates
+    tampered = RoutingResult(Circuit(3, routed), result.final_layout, (), result.metrics)
+    assert rescan_verify(circuit, tampered, topology) is False
+    assert verify_routing(circuit, tampered, topology) is False
+
+
 def test_verify_rejects_wrong_logical_operands():
     circuit = Circuit(2, (cnot(0, 1),))
     topology = builtin_topology("line(3)")
@@ -147,11 +169,10 @@ def test_one_inserted_swap_adds_one_gate():
     assert result.metrics.total_gates == circuit_stats(circuit).total_gates + 1
 
 
-def test_routed_metrics_recomputes_identically():
-    circuit = gen_random_circuit(8, 150, seed=3)
-    result = route_circuit(circuit, builtin_topology("line(8)"))
+def _recounted(result):
+    """The route's metrics rebuilt from a separate pass over the routed gates."""
     stats = circuit_stats(result.routed)
-    assert result.metrics == RouteMetrics(
+    return RouteMetrics(
         depth=stats.depth,
         total_gates=stats.total_gates,
         one_qubit_gates=stats.one_qubit_gates,
@@ -159,6 +180,29 @@ def test_routed_metrics_recomputes_identically():
         swap_count=len(result.inserted),
         total_swap_gates=stats.swap_count,
     )
+
+
+def test_routed_metrics_recomputes_identically():
+    circuit = gen_random_circuit(8, 150, seed=3)
+    result = route_circuit(circuit, builtin_topology("line(8)"))
+    assert result.metrics == _recounted(result)
+
+
+_DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53", "half_sycamore24")
+
+
+@pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.qasm")), ids=lambda path: path.stem)
+def test_routed_metrics_recompute_identically_on_bundled_circuits(path):
+    # these hold measures, register-wide barriers and ccx expansions
+    circuit = parse_qasm_file(path)
+    devices = [builtin_topology(name) for name in _DEVICES]
+    routes = 0
+    for topology in [synthesize_topology(circuit), *devices]:
+        if circuit.num_qubits <= topology.num_qubits:
+            result = route_circuit(circuit, topology)
+            assert result.metrics == _recounted(result), topology.name
+            routes += 1
+    assert routes >= 2
 
 
 def test_metrics_match_scheduler_oracle_on_routed_circuit():
@@ -340,6 +384,41 @@ def test_hop_table_router_and_one_pass_verify_match_oracles():
                 mutants += 1
     assert unroutable > 0
     assert mutants >= 1000
+    assert verdicts == {True, False}
+
+
+def _reindexed(result, how, rng):
+    """The same inserted set written out of order, with repeats, or with an
+    index before or past the routed gates."""
+    marks = sorted(set(result.inserted))
+    if how == "unsorted":
+        marks.reverse()
+    elif how == "duplicated":
+        marks = sorted(marks + rng.sample(marks, (len(marks) + 1) // 2))
+    elif how == "negative":
+        marks.insert(0, -rng.randint(1, len(result.routed.gates)))
+    else:
+        marks.append(len(result.routed.gates) + rng.randrange(3))
+    return RoutingResult(result.routed, result.final_layout, tuple(marks), result.metrics)
+
+
+@pytest.mark.parametrize("how", ["unsorted", "duplicated", "negative", "past_end"])
+def test_verify_reads_inserted_indices_as_a_set_like_the_oracle(how):
+    from oracles import rescan_verify
+
+    rng = random.Random(how)
+    verdicts = set()
+    for n in range(4, 28, 3):
+        circuit = _mixed_circuit(n, seed=n)
+        for topology in (builtin_topology(f"line({n})"), builtin_topology("cairo27")):
+            result = route_circuit(circuit, topology)
+            assert len(result.inserted) >= 2
+            for base in (result, *(_mutate(result, rng) for _ in range(6))):
+                mutant = _reindexed(base, how, rng)
+                verdict = verify_routing(circuit, mutant, topology)
+                assert verdict == rescan_verify(circuit, mutant, topology)
+                assert verdict == verify_routing(circuit, base, topology)
+                verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
