@@ -18,9 +18,9 @@ statement that fails a check, to raise its error. Lines are counted only
 there, each newline once per parse.
 
 Gates are immutable, so a repeated param-less canonical statement gets the
-gate of its first occurrence, stored once that gate passed its checks; a
-register cannot be declared twice, so the gate stays valid for the whole
-parse. A gate with an angle is built fresh each time, as in the router.
+gate of its first occurrence once that passed its checks, looked up by its
+text before any regex runs; a register cannot be declared twice, so the
+gate stays valid for the whole parse. A rotation is built fresh each time.
 
 An unexpected character anywhere in the source wins over every other
 error, as if the whole source were lexed first.
@@ -408,10 +408,19 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     """
     parser = _Parser(source)
     registers, gates = parser.registers, parser.gates
-    shared: dict[str, Gate] = {}  # canonical statement -> its param-less gate
+    # Text the regex reads as a param-less gate -> that gate: the statement alone,
+    # and a whole match that ends at the first ';' after its offset.
+    shared: dict[str, Gate] = {}
     offset = 0
     try:
         while True:
+            end = source.find(";", offset) + 1
+            raw = source[offset:end]
+            gate = shared.get(raw)
+            if gate is not None:
+                gates.append(gate)
+                offset = end
+                continue
             match = _STATEMENT_RE.match(source, offset)
             if match is not None:
                 text = match[1]
@@ -421,6 +430,8 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
                     if gate is not None and gate.param is None:
                         shared[text] = gate
                 if gate is not None:
+                    if gate.param is None and match.end() == end:
+                        shared[raw] = gate
                     gates.append(gate)
                     offset = match.end()
                     continue
@@ -453,26 +464,35 @@ def to_qasm(circuit: Circuit) -> str:
 
     Float parameters are printed via ``repr``, with ``.0`` added to an
     exponent form's mantissa, so parse -> print -> parse reproduces the
-    exact gate list. Gates other than barrier and measure are written in
-    the canonical form that the parser reads in one regex match. A circuit
-    with a measure also declares ``creg c[num_qubits];`` right after the
-    ``qreg`` line, and measure ``q[i]`` writes to ``c[i]``; a circuit
-    without one declares no classical register.
+    exact gate list; a non-finite angle raises ``ValueError``. Every other
+    line is rendered once per ``(kind, qubits)``, in the canonical form the
+    parser reads in one regex match unless it is a barrier or measure. A
+    measure ``q[i]`` writes to ``c[i]``, and ``creg c[num_qubits];`` is
+    declared right after the ``qreg`` line only when the circuit measures.
     """
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
-    if any(gate.kind is GateKind.MEASURE for gate in circuit.gates):
-        lines.append(f"creg c[{circuit.num_qubits}];")
+    rendered: dict[tuple, str] = {}  # (kind, qubits) -> the line of a param-less gate
+    measured = False
     for gate in circuit.gates:
-        if gate.kind is GateKind.BARRIER:
-            operands = ",".join(f"q[{q}]" for q in gate.qubits)
-            lines.append(f"barrier {operands};")
-        elif gate.kind is GateKind.MEASURE:
-            q = gate.qubits[0]
-            lines.append(f"measure q[{q}] -> c[{q}];")
-        elif gate.param is not None:
-            lines.append(f"{gate.kind.value}({_real(gate.param)}) q[{gate.qubits[0]}];")
-        elif gate.kind in TWO_QUBIT_KINDS:
-            lines.append(f"{gate.kind.value} q[{gate.qubits[0]}],q[{gate.qubits[1]}];")
-        else:
-            lines.append(f"{gate.kind.value} q[{gate.qubits[0]}];")
+        kind, qubits, param = gate.kind, gate.qubits, gate.param
+        if param is not None:
+            if not math.isfinite(param):
+                raise ValueError(f"gate {len(lines) - 3}: angle {param!r} is not finite")
+            lines.append(f"{kind.value}({_real(param)}) q[{qubits[0]}];")
+            continue
+        line = rendered.get((kind, qubits))
+        if line is None:
+            if kind is GateKind.BARRIER:
+                line = "barrier " + ",".join(f"q[{q}]" for q in qubits) + ";"
+            elif kind is GateKind.MEASURE:
+                measured = True
+                line = f"measure q[{qubits[0]}] -> c[{qubits[0]}];"
+            elif kind in TWO_QUBIT_KINDS:
+                line = f"{kind.value} q[{qubits[0]}],q[{qubits[1]}];"
+            else:
+                line = f"{kind.value} q[{qubits[0]}];"
+            rendered[kind, qubits] = line
+        lines.append(line)
+    if measured:
+        lines.insert(3, f"creg c[{circuit.num_qubits}];")
     return "\n".join(lines) + "\n"

@@ -41,11 +41,19 @@ class Topology:
     positions: dict[int, tuple[int, int]] | None = None
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Neighbor lists in ascending order, one entry per qubit."""
-        neighbors: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
-        for a, b in self.edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+        """Neighbor lists in ascending order, one entry per qubit.
+
+        An edge endpoint that is not a qubit index raises TopologyFormatError.
+        """
+        n = self.num_qubits
+        neighbors: dict[int, list[int]] = {q: [] for q in range(n)}
+        try:  # costs nothing per edge when every endpoint is a qubit
+            for a, b in self.edges:
+                neighbors[a].append(b)
+                neighbors[b].append(a)
+        except KeyError:
+            message = f"coupler ({a}, {b}) has an endpoint that is not a qubit index in [0, {n})"
+            raise TopologyFormatError(message, f"topology {self.name!r}") from None
         return {q: tuple(sorted(ns)) for q, ns in neighbors.items()}
 
 

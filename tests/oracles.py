@@ -8,8 +8,9 @@ component joining from a multi-pass loop that re-finds every component after
 each join, routing from a fresh BFS and an explicit path list per
 non-adjacent gate, built ``Gate`` by ``Gate`` (``bfs_route``), routing
 verification from a rescan of every gate once per qubit (``rescan_verify``),
-and QASM parsing from a lexer that emits every token on its own and a parser
-that reads each statement token by token (``token_parse``).
+QASM parsing from a lexer that emits every token on its own and a parser
+that reads each statement token by token (``token_parse``), and QASM output
+from a renderer that formats every gate on its own (``plain_to_qasm``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from cacore.ir import (
     Gate,
     GateKind,
 )
-from cacore.qasm import _decompose_ccx
+from cacore.qasm import _decompose_ccx, _real
 from cacore.routing import Layout, RouteMetrics, RoutingResult, trivial_layout
 from cacore.topology import Topology
 
@@ -544,3 +545,24 @@ class _TokenParser:
 def token_parse(source: str) -> Circuit:
     """Parse OpenQASM 2.0 text with one token per lexeme and no statement tokens."""
     return _TokenParser(_tokenize(source)).parse()
+
+
+def plain_to_qasm(circuit: Circuit) -> str:
+    """Render a circuit to OpenQASM 2.0 one gate at a time, with no memo."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
+    if any(gate.kind is GateKind.MEASURE for gate in circuit.gates):
+        lines.append(f"creg c[{circuit.num_qubits}];")
+    for gate in circuit.gates:
+        if gate.kind is GateKind.BARRIER:
+            operands = ",".join(f"q[{q}]" for q in gate.qubits)
+            lines.append(f"barrier {operands};")
+        elif gate.kind is GateKind.MEASURE:
+            q = gate.qubits[0]
+            lines.append(f"measure q[{q}] -> c[{q}];")
+        elif gate.param is not None:
+            lines.append(f"{gate.kind.value}({_real(gate.param)}) q[{gate.qubits[0]}];")
+        elif gate.kind in TWO_QUBIT_KINDS:
+            lines.append(f"{gate.kind.value} q[{gate.qubits[0]}],q[{gate.qubits[1]}];")
+        else:
+            lines.append(f"{gate.kind.value} q[{gate.qubits[0]}];")
+    return "\n".join(lines) + "\n"

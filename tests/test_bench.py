@@ -18,7 +18,7 @@ from cacore.bench import (
 )
 from cacore.ir import Circuit, Gate, GateKind
 from cacore.routing import route_circuit
-from cacore.topology import builtin_topology
+from cacore.topology import Topology, builtin_topology
 
 
 def test_generator_deterministic():
@@ -138,6 +138,16 @@ def test_synthesis_failure_is_recorded_and_the_run_continues():
         ("bad", "ca_core"), ("bad", "line(4)")
     ]
     assert all("out of range" in f["error"] for f in report.failures)
+
+
+def test_baseline_with_an_out_of_range_coupler_is_recorded_and_the_run_continues():
+    circuit = gen_random_circuit(3, 30, 0)
+    bad = Topology("bad", 3, ((0, 1), (0, 5)))
+    report = run_comparison([circuit], [bad, builtin_topology("line(3)")], [NoiseParams(0.001)])
+    assert [r["topology"] for r in report.rows] == ["ca_core", "line(3)"]
+    assert len(report.failures) == 1
+    assert report.failures[0]["topology"] == "bad"
+    assert "coupler (0, 5) has an endpoint that is not a qubit" in report.failures[0]["error"]
 
 
 def test_csv_row_count_and_columns(tmp_path):

@@ -6,12 +6,15 @@ import re
 from pathlib import Path
 
 import pytest
-from oracles import token_parse
+from oracles import plain_to_qasm, token_parse
 
 from cacore.bench import gen_random_circuit
 from cacore.errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind, validate_circuit
 from cacore.qasm import _CANONICAL_KINDS, _STATEMENT_RE, MAX_QUBITS, parse_qasm, to_qasm
+from cacore.routing import route_circuit
+from cacore.synthesis import synthesize_topology
+from cacore.topology import BUILTIN_NAMES, builtin_topology
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -263,6 +266,50 @@ def test_reals_have_a_dot_in_the_mantissa_and_round_trip():
     assert [math.copysign(1.0, g.param) for g in back] == [math.copysign(1.0, a) for a in angles]
 
 
+@pytest.mark.parametrize("kind, angle", [(GateKind.RZ, math.nan), (GateKind.RX, math.inf),
+                                         (GateKind.RY, -math.inf)])
+def test_non_finite_angle_is_not_emitted(kind, angle):
+    circuit = Circuit(2, (Gate(GateKind.H, (0,)), Gate(kind, (1,), angle)))
+    with pytest.raises(ValueError, match=rf"gate 1: angle {angle!r} is not finite"):
+        to_qasm(circuit)
+
+
+def _with_special_angles(rng, circuit):
+    """The circuit with rotations by angles whose text is easy to get wrong."""
+    gates = list(circuit.gates)
+    for angle in (0.0, -0.0, 1e-05, 5e-324, -0.0, 0.0):
+        gate = Gate(rng.choice([GateKind.RX, GateKind.RY, GateKind.RZ]),
+                    (rng.randrange(circuit.num_qubits),), angle)
+        gates.insert(rng.randrange(len(gates) + 1), gate)
+    return Circuit(circuit.num_qubits, tuple(gates))
+
+
+def test_emit_matches_per_gate_renderer():
+    """to_qasm writes the same bytes as a renderer that formats every gate alone."""
+    paths = sorted(DATA_DIR.glob("*.qasm"))
+    assert len(paths) == 7
+    devices = [builtin_topology(name) for name in BUILTIN_NAMES if "(" not in name]
+    circuits = []
+    for path in paths:
+        circuit = parse_qasm(path.read_text(encoding="utf-8"))
+        circuits.append(circuit)
+        for topology in [synthesize_topology(circuit)] + devices:
+            if circuit.num_qubits <= topology.num_qubits:
+                circuits.append(route_circuit(circuit, topology).routed)
+    rng = random.Random(20261019)
+    circuits += [_with_special_angles(rng, _mixed_circuit(rng, rng.randint(2, 12)))
+                 for _ in range(40)]
+    # equal gates that are distinct objects, and one shared object repeated
+    twin = Gate(GateKind.CNOT, (0, 1))
+    circuits.append(Circuit(3, (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (0, 1)), twin,
+                                Gate(GateKind.MEASURE, (2,)), twin, Gate(GateKind.MEASURE, (2,)),
+                                Gate(GateKind.BARRIER, (0, 2)), Gate(GateKind.BARRIER, (0, 2)),
+                                Gate(GateKind.RZ, (2,), -0.0), Gate(GateKind.RZ, (2,), 0.0))))
+    assert len(circuits) > 80
+    for circuit in circuits:
+        assert to_qasm(circuit) == plain_to_qasm(circuit)
+
+
 def test_round_trip_of_ccx_expansion():
     circuit = parse_qasm("qreg q[5]; ccx q[4],q[1],q[2]; ccx q[0],q[2],q[3];")
     assert parse_qasm(to_qasm(circuit)).gates == circuit.gates
@@ -352,6 +399,8 @@ _MUTATION_ALPHABET = [
     "cx ", "rx(", "q[", "];", ";", "\n", "->", "//", "$", "ccx ", "measure ", "qreg r[2];",
     "creg c[2];", "h ", "rz(-", ")", ",", " ", "[", "]", "0", "1", "7", "e", ".", "pi", "r[",
     "cx q[0],\n q[1];", "cx q[0], // c\n q[1];", "x u[0];",
+    # aimed at the lookup of a repeated statement by its text
+    "// a;b\n", "\r\n", "h\tq[0];", "cx q[0],\tq[1];", "h q[0];\nqreg r[2];\nh q[0];",
 ]
 
 
@@ -416,6 +465,24 @@ def test_repeated_param_less_gates_are_shared_and_rotations_are_not():
     assert first[0] is again[0] and first[1] is again[1]
     assert first[2] == again[2] and first[2] is not again[2]
     assert [math.copysign(1.0, g.param) for g in (first[3], again[3])] == [-1.0, 1.0]
+
+
+def test_repeats_after_a_comment_holding_a_semicolon_and_crlf_are_shared():
+    # The text through the first ';' of a statement after "// a;b" is only a
+    # prefix of it, so it must not be stored: the next "// a;b" is followed by h.
+    source = (
+        "qreg q[2];\r\ncx q[0],q[1];\r\n// a;b\ncx q[0],q[1];\r\ncx q[0],q[1];\r\n"
+        "// a;b\nh q[1]; // c;d\r\nh q[1];\r\n\th q[1];\r\nh q[1];\r\ncx q[0],q[1];\r\n"
+    )
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
+    gates = parse_qasm(source).gates
+    assert [g.kind for g in gates] == [GateKind.CNOT] * 3 + [GateKind.H] * 4 + [GateKind.CNOT]
+    assert all(g is gates[0] for g in gates if g.kind is GateKind.CNOT)
+    assert all(g is gates[3] for g in gates if g.kind is GateKind.H)
+    # an error after the repeats keeps its line, counted through the skipped text
+    with pytest.raises(QubitIndexError) as err:
+        parse_qasm(source + "h q[2];\r\n")
+    assert err.value.line == 12
 
 
 def test_long_run_of_blank_and_comment_lines_before_a_statement():

@@ -6,6 +6,8 @@ import pytest
 
 from cacore.bench import gen_random_circuit
 from cacore.errors import TopologyFormatError, UnknownTopologyError
+from cacore.ir import Circuit, Gate, GateKind
+from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
 from cacore.topology import (
     Topology,
@@ -34,6 +36,15 @@ def test_out_of_range_and_duplicate_diagnostics():
     messages = [d.message for d in topology_errors(topology)]
     assert any("duplicate" in m for m in messages)
     assert any("out of range" in m for m in messages)
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (-1, 2), (3, 1), (0, 1.5)])
+def test_out_of_range_coupler_endpoint_raises_format_error(edge):
+    bad = Topology("bad", 3, ((0, 1), edge))
+    with pytest.raises(TopologyFormatError, match=rf"coupler \({edge[0]}, {edge[1]}\)"):
+        bad.adjacency()
+    with pytest.raises(TopologyFormatError, match="not a qubit index in \\[0, 3\\)"):
+        route_circuit(Circuit(3, (Gate(GateKind.CNOT, (0, 2)),)), bad)
 
 
 def test_collision_warning_on_side_sharing_diagonals():
