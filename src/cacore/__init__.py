@@ -6,12 +6,7 @@ baselines with a deterministic SWAP-insertion router, gate/depth metrics,
 and a depolarizing fidelity proxy.
 """
 
-from .analysis import (
-    CircuitStats,
-    CorrelationMatrix,
-    build_correlation,
-    circuit_stats,
-)
+from .analysis import CorrelationMatrix, build_correlation
 from .bench import (
     BenchmarkReport,
     NoiseParams,

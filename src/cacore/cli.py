@@ -28,7 +28,7 @@ from .errors import (
     UnknownTopologyError,
     UnsupportedGateError,
 )
-from .ir import validate_circuit
+from .ir import MAX_QUBITS, validate_circuit
 from .qasm import parse_qasm_file, to_qasm
 from .routing import route_circuit, verify_routing
 from .synthesis import synthesize_topology
@@ -73,17 +73,23 @@ def _resolve_topology(spec: str):
         raise
 
 
-def _parse_qubit_range(text: str) -> list[int]:
+def _qubit_count(text: str) -> int:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            qubits = list(range(int(lo), int(hi) + 1))
-        else:
-            qubits = [int(part) for part in text.split(",") if part]
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a range a..b or a comma list of integers, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected an integer qubit count, got {text!r}") from None
+    if value > MAX_QUBITS:
+        raise argparse.ArgumentTypeError(f"{value} qubits exceed the limit of {MAX_QUBITS}")
+    return value
+
+
+def _parse_qubit_range(text: str) -> list[int]:
+    """A range a..b or a comma list, each bound checked before the list is built."""
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        qubits = list(range(_qubit_count(lo), _qubit_count(hi) + 1))
+    else:
+        qubits = [_qubit_count(part) for part in text.split(",") if part]
     if not qubits:
         raise argparse.ArgumentTypeError(f"empty qubit range {text!r}")
     return qubits
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--routed-qasm", help="write the routed circuit as OpenQASM")
 
     p_gen = sub.add_parser("gen", help="generate a seeded random circuit")
-    p_gen.add_argument("-n", "--qubits", type=int, required=True)
+    p_gen.add_argument("-n", "--qubits", type=_qubit_count, required=True)
     p_gen.add_argument("--gates", type=_positive_int, default=2000, help="target gate count")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True, help="QASM output path")
@@ -184,11 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     circuit = parse_qasm_file(args.circuit)
-    problems = validate_circuit(circuit)
-    if problems:
-        for message in problems:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_PIPELINE
     topology = synthesize_topology(circuit, keep_synthetic=not args.drop_synthetic)
     errors = topology_errors(topology)
     if errors:

@@ -36,7 +36,7 @@ class UnknownTopologyError(CacoreError):
 
 
 class TopologyFormatError(CacoreError):
-    """Topology file violates the JSON schema."""
+    """Topology file violates the JSON schema, or names more than MAX_QUBITS qubits."""
 
     def __init__(self, message: str, location: str = ""):
         suffix = f" (at {location})" if location else ""

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import cached_property
+
+from .errors import DegenerateInputError
 
 
 @unique
@@ -35,6 +38,11 @@ PARAMETRIC_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})
 # Barrier and measure are bookkeeping only: they never count toward gate
 # totals, depth, or correlation weight.
 METRIC_EXEMPT_KINDS = frozenset({GateKind.MEASURE, GateKind.BARRIER})
+
+# The most qubits a circuit or topology read from outside may have: far above
+# the largest bundled device (53), so one short input cannot make later stages
+# allocate per-qubit lists of any size it names.
+MAX_QUBITS = 2**16
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,21 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+
+    def check_qubits(self) -> None:
+        """Raise DegenerateInputError if a gate names a logical qubit outside
+        [0, num_qubits): the lowest negative one, else the highest too large."""
+        q = self._stray_qubit
+        if q is not None:
+            raise DegenerateInputError(
+                f"logical qubit {q} out of range for {self.num_qubits}-qubit circuit {self.name!r}"
+            )
+
+    @cached_property  # stored in the instance __dict__; the circuit never changes
+    def _stray_qubit(self) -> int | None:
+        used = {q for gate in self.gates for q in gate.qubits}
+        low, high = min(used, default=0), max(used, default=-1)
+        return low if low < 0 else high if high >= self.num_qubits else None
 
 
 def validate_circuit(circuit: Circuit) -> list[str]:

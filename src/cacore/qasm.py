@@ -34,12 +34,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
+from .ir import MAX_QUBITS  # the limit on the declared registers' total
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
-
-# The most qubits the declared registers may add up to, far above the largest
-# bundled device (53), so a one-line file cannot make later stages allocate
-# per-qubit lists of any size it names.
-MAX_QUBITS = 2**16
 
 _NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -464,24 +460,29 @@ def to_qasm(circuit: Circuit) -> str:
 
     Float parameters are printed via ``repr``, with ``.0`` added to an
     exponent form's mantissa, so parse -> print -> parse reproduces the
-    exact gate list; a non-finite angle raises ``ValueError``. Every other
-    line is rendered once per ``(kind, qubits)``, in the canonical form the
-    parser reads in one regex match unless it is a barrier or measure. A
-    measure ``q[i]`` writes to ``c[i]``, and ``creg c[num_qubits];`` is
-    declared right after the ``qreg`` line only when the circuit measures.
+    exact gate list; a non-finite angle or a qubit outside [0, num_qubits)
+    raises ``ValueError``. Every other line is rendered once per ``(kind,
+    qubits)``, in the canonical form the parser reads in one regex match
+    unless it is a barrier or measure. A measure ``q[i]`` writes to ``c[i]``,
+    and ``creg c[num_qubits];`` is declared right after the ``qreg`` line
+    only when the circuit measures.
     """
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
+    n = circuit.num_qubits
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
     rendered: dict[tuple, str] = {}  # (kind, qubits) -> the line of a param-less gate
     measured = False
     for gate in circuit.gates:
         kind, qubits, param = gate.kind, gate.qubits, gate.param
-        if param is not None:
-            if not math.isfinite(param):
-                raise ValueError(f"gate {len(lines) - 3}: angle {param!r} is not finite")
-            lines.append(f"{kind.value}({_real(param)}) q[{qubits[0]}];")
-            continue
-        line = rendered.get((kind, qubits))
-        if line is None:
+        line = rendered.get((kind, qubits)) if param is None else None
+        if line is None:  # a line rendered for the first time: check what it names
+            for q in qubits:
+                if not 0 <= q < n:
+                    raise ValueError(f"gate {len(lines) - 3}: qubit {q} is outside qreg q[{n}]")
+            if param is not None:
+                if not math.isfinite(param):
+                    raise ValueError(f"gate {len(lines) - 3}: angle {param!r} is not finite")
+                lines.append(f"{kind.value}({_real(param)}) q[{qubits[0]}];")
+                continue
             if kind is GateKind.BARRIER:
                 line = "barrier " + ",".join(f"q[{q}]" for q in qubits) + ";"
             elif kind is GateKind.MEASURE:
@@ -494,5 +495,5 @@ def to_qasm(circuit: Circuit) -> str:
             rendered[kind, qubits] = line
         lines.append(line)
     if measured:
-        lines.insert(3, f"creg c[{circuit.num_qubits}];")
+        lines.insert(3, f"creg c[{n}];")
     return "\n".join(lines) + "\n"

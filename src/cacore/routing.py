@@ -15,8 +15,8 @@ physical qubits equal its logical ones, one inserted SWAP per coupler
 direction, and one gate per distinct (kind, physical qubits) among the
 rest; rotations are built fresh, since a cache keyed on the angle would
 merge 0.0 and -0.0. The same walk scores the route: it keeps each
-physical qubit's ASAP finish time and the gate counts, so the metrics
-equal those of ``circuit_stats(result.routed)`` without a second pass.
+physical qubit's ASAP finish time and the gate counts, so the metrics equal
+those of ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
 
 The verifier streams the routed gates against the source, tracking the
 SWAP permutation and keeping nothing per gate while each non-inserted
@@ -62,10 +62,11 @@ class RouteMetrics:
     ``total_swap_gates`` additionally includes SWAPs already present in the
     source circuit.
 
-    The router computes these in its walk; every field other than
-    ``swap_count`` equals the same-named total of
-    ``circuit_stats(result.routed)`` (``total_swap_gates`` its
-    ``swap_count``)."""
+    Unit-time ASAP: every computational gate, SWAP included, takes one step;
+    barriers fence their qubits without a step, and measures are ignored.
+    Every field other than ``swap_count`` equals the same-named total of
+    ``asap_stats(result.routed)`` in tests/oracles.py (``total_swap_gates``
+    its ``swap_count``)."""
 
     depth: int
     total_gates: int
@@ -116,12 +117,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
 
     A logical qubit outside [0, num_qubits) raises DegenerateInputError.
     """
-    used = {q for gate in circuit.gates for q in gate.qubits}
-    if used and (min(used) < 0 or max(used) >= circuit.num_qubits):
-        q = min(used) if min(used) < 0 else max(used)
-        raise DegenerateInputError(
-            f"logical qubit {q} out of range for {circuit.num_qubits}-qubit circuit {circuit.name!r}"
-        )
+    circuit.check_qubits()
     size = topology.num_qubits
     layout = trivial_layout(circuit.num_qubits, size)
     log_to_phys, phys_to_log = layout.log_to_phys, layout.phys_to_log
@@ -132,8 +128,8 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     shared: dict[tuple, Gate] = {}  # (kind, physical qubits) -> one gate for the whole call
     routed: list[Gate] = []
     inserted: list[int] = []
-    # The circuit_stats pass, run on the routed gates as they are emitted:
-    # each physical qubit's ASAP finish time, and the counts that set the totals.
+    # The ASAP pass, run on the routed gates as they are emitted: each
+    # physical qubit's finish time, and the counts that set the totals.
     busy = [0] * size
     exempt = two_qubit = source_swaps = 0
     swap = GateKind.SWAP

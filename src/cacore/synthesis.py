@@ -19,7 +19,6 @@ The stages pass two plain values:
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
 from .analysis import CorrelationMatrix, _ordered, build_correlation
 from .errors import DegenerateInputError
@@ -199,18 +198,12 @@ def synthesize_topology(circuit: Circuit, *, keep_synthetic: bool = True) -> Top
     With ``keep_synthetic`` (the default) the zero-correlation joining
     edges stay in the topology, guaranteeing one connected device; setting
     it to False configures couplers only where a correlation exists, which
-    may leave uncorrelated fragments disconnected. A logical qubit of a
-    two-qubit gate outside [0, num_qubits) raises DegenerateInputError.
+    may leave uncorrelated fragments disconnected. A logical qubit outside
+    [0, num_qubits) raises DegenerateInputError (``Circuit.check_qubits``).
     """
+    circuit.check_qubits()
     n = circuit.num_qubits
     matrix = build_correlation(circuit)
-    if matrix.weights:  # sorted (a, b) keys with a < b: the first holds the smallest end
-        low, high = next(iter(matrix.weights))[0], max(map(itemgetter(1), matrix.weights))
-        if low < 0 or high >= n:
-            raise DegenerateInputError(
-                f"logical qubit {low if low < 0 else high} out of range for {n}-qubit circuit "
-                f"{circuit.name!r}"
-            )
     path = join_components(n, generate_mwpg(matrix))
     nrow, ncol = choose_grid_dims(n)
     positions = place_on_grid(n, path, nrow, ncol)

@@ -11,12 +11,14 @@ JSON schema is the contract between the synth and route commands: ``name``
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import TopologyFormatError, UnknownTopologyError
+from .ir import MAX_QUBITS
 
 _DEVICE_FILES = {
     "almaden20": "almaden20.json",
@@ -163,6 +165,7 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
     _require(isinstance(data.get("name"), str), "missing or non-string 'name'", "name")
     num_qubits = data.get("num_qubits")
     _require(type(num_qubits) is int and num_qubits >= 0, "missing or bad 'num_qubits'", "num_qubits")
+    _require(num_qubits <= MAX_QUBITS, f"more than {MAX_QUBITS} qubits", "num_qubits")
     raw_edges = data.get("edges")
     _require(isinstance(raw_edges, list), "missing or non-array 'edges'", "edges")
 
@@ -278,16 +281,20 @@ def builtin_topology(name: str) -> Topology:
 
     Device maps (``almaden20``, ``cairo27``, ``prague33``, ``sycamore53``)
     come from bundled data files; ``half_sycamore24``, ``line(n)``, and
-    ``grid(nrow,ncol)`` are generated.
+    ``grid(nrow,ncol)`` are generated, up to ``MAX_QUBITS`` qubits.
     """
     if name in _DEVICE_FILES:
         return _load_bundled(_DEVICE_FILES[name])
     if name == "half_sycamore24":
         return half_sycamore_topology()
-    if m := _LINE_RE.match(name):
-        return line_topology(int(m.group(1)))
-    if m := _GRID_RE.match(name):
-        return grid_topology(int(m.group(1)), int(m.group(2)))
+    if m := _LINE_RE.match(name) or _GRID_RE.match(name):
+        try:
+            dims = [int(d) for d in m.groups()]
+        except ValueError:  # more digits than int() converts
+            dims = [MAX_QUBITS + 1]
+        if math.prod(dims) > MAX_QUBITS:
+            raise TopologyFormatError(f"more than {MAX_QUBITS} qubits", f"topology {name!r}")
+        return line_topology(*dims) if len(dims) == 1 else grid_topology(*dims)
     raise UnknownTopologyError(
         f"unknown topology {name!r}; builtins are {', '.join(BUILTIN_NAMES)}"
     )

@@ -11,6 +11,8 @@ verification from a rescan of every gate once per qubit (``rescan_verify``),
 QASM parsing from a lexer that emits every token on its own and a parser
 that reads each statement token by token (``token_parse``), and QASM output
 from a renderer that formats every gate on its own (``plain_to_qasm``).
+``complete`` builds the complete-graph topology, on which a route inserts no
+SWAP, so its metrics are the router's own score of the circuit.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from cacore.analysis import CircuitStats
 from cacore.errors import (
     QasmSyntaxError,
     QubitIndexError,
@@ -65,7 +67,23 @@ def layered_depth(circuit: Circuit) -> int:
     return len(layers)
 
 
-def asap_stats(circuit: Circuit) -> CircuitStats:
+class AsapStats(NamedTuple):
+    """Gate and depth totals under the unit-time ASAP convention.
+
+    ``swap_count`` is the number of SWAP gates present in the circuit.
+    Depth charges every computational gate (SWAP included) one time step;
+    barriers synchronize their qubits without consuming a step, and
+    measures are ignored entirely.
+    """
+
+    depth: int
+    total_gates: int
+    one_qubit_gates: int
+    two_qubit_gates: int
+    swap_count: int
+
+
+def asap_stats(circuit: Circuit) -> AsapStats:
     """Gate and depth totals, one generator ``max`` per gate over its qubits'
     busy times; barriers fence their qubits, measures are skipped."""
     busy_until: dict[int, int] = {}
@@ -89,7 +107,14 @@ def asap_stats(circuit: Circuit) -> CircuitStats:
         else:
             one_qubit += 1
     depth = max(busy_until.values(), default=0)
-    return CircuitStats(depth, total, one_qubit, two_qubit, swaps)
+    return AsapStats(depth, total, one_qubit, two_qubit, swaps)
+
+
+def complete(n: int) -> Topology:
+    """The complete graph on n qubits: every two-qubit gate is adjacent, so a
+    route on it inserts no SWAP and its metrics score the circuit itself."""
+    edges = tuple((a, b) for a in range(n) for b in range(a + 1, n))
+    return Topology(f"complete({n})", n, edges)
 
 
 def brute_force_diagonal_groups(positions: dict, edges: dict) -> tuple[set, set]:

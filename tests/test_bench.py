@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from cacore.analysis import circuit_stats
 from cacore.bench import (
     BenchmarkReport,
     NoiseParams,
@@ -19,6 +18,8 @@ from cacore.bench import (
 from cacore.ir import Circuit, Gate, GateKind
 from cacore.routing import route_circuit
 from cacore.topology import Topology, builtin_topology
+
+from oracles import complete
 
 
 def test_generator_deterministic():
@@ -46,7 +47,8 @@ def test_generator_gate_vocabulary():
 def test_generator_depth_near_target_regime():
     # 16 qubits at 2000 gates should land within a factor 2 of depth 200
     depths = [
-        circuit_stats(gen_random_circuit(16, 2000, seed)).depth for seed in range(100)
+        route_circuit(gen_random_circuit(16, 2000, seed), complete(16)).metrics.depth
+        for seed in range(100)
     ]
     assert all(100 <= d <= 400 for d in depths)
 

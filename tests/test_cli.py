@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cacore.cli import main
+from cacore.ir import MAX_QUBITS
 from cacore.qasm import parse_qasm_file
 from cacore.topology import load_topology
 
@@ -159,6 +161,8 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["gen", "-n", "4", "--gates", "-3"], 1),
         (["bench", "--eps", "0.5"], 1),
         (["gen", "-n", "4", "--gates", "x"], 1),
+        (["gen", "-n", str(MAX_QUBITS + 1)], 1),
+        (["bench", "--qubits", f"2..{MAX_QUBITS + 1}"], 1),
     ],
 )
 def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
@@ -170,6 +174,23 @@ def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
         assert "exceeds 1" in err  # the reason, not just the rejected value
     assert not re.search(r"\b_[a-z]", err)  # the reason, not the name of a private parser
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["file", f"line({MAX_QUBITS + 1})", f"grid(1,{MAX_QUBITS + 1})", f"line({'1' * 5000})"],
+    ids=["json", "line", "grid", "line-of-5000-digits"],
+)
+def test_oversized_topology_fails_with_one_error_line(tmp_path, capsys, spec):
+    qasm = tmp_path / "c.qasm"
+    qasm.write_text("qreg q[2];\ncx q[0],q[1];\n")
+    if spec == "file":
+        spec = str(tmp_path / "big.json")
+        Path(spec).write_text(json.dumps({"name": "big", "num_qubits": MAX_QUBITS + 1, "edges": []}))
+    assert main(["route", str(qasm), "-t", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"more than {MAX_QUBITS} qubits" in err
 
 
 @pytest.mark.parametrize("text", ["qreg q[2];\nh q[{}];\n", "qreg q[{}];\n"])

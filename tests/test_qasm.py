@@ -274,6 +274,16 @@ def test_non_finite_angle_is_not_emitted(kind, angle):
         to_qasm(circuit)
 
 
+@pytest.mark.parametrize("gate, qubit", [(Gate(GateKind.H, (-1,)), -1),
+                                         (Gate(GateKind.CNOT, (0, 5)), 5),
+                                         (Gate(GateKind.RZ, (3,), 0.5), 3)])
+def test_out_of_range_qubit_is_not_emitted(gate, qubit):
+    # a repeated valid gate first, so the check holds past the rendered-line cache
+    circuit = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.H, (0,)), gate))
+    with pytest.raises(ValueError, match=rf"gate 2: qubit {qubit} is outside qreg q\[2\]"):
+        to_qasm(circuit)
+
+
 def _with_special_angles(rng, circuit):
     """The circuit with rotations by angles whose text is easy to get wrong."""
     gates = list(circuit.gates)
@@ -451,6 +461,8 @@ def test_statement_tokens_match_token_by_token_oracle():
         assert _outcome(parse_qasm, source) == expected, source
         if isinstance(expected[0], int):
             parsed += 1
+            # a parsed circuit is always valid, so ``cacore synth`` need not check it
+            assert validate_circuit(parse_qasm(source)) == []
         else:
             failed += 1
     assert parsed >= 300 and failed >= 300

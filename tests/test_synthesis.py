@@ -418,6 +418,20 @@ def test_synthesize_rejects_out_of_range_logical_qubit(q):
     assert all(message in f["error"] for f in report.failures)
 
 
+@pytest.mark.parametrize("q", [-1, 3])
+def test_synthesize_rejects_a_stray_one_qubit_gate(q):
+    # every two-qubit gate is in range, so only the one-qubit gate is at fault
+    circuit = Circuit(3, (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.H, (q,))))
+    message = f"logical qubit {q} out of range for 3-qubit circuit"
+    with pytest.raises(DegenerateInputError, match=message):
+        synthesize_topology(circuit)
+    report = run_comparison([circuit], [], [NoiseParams(0.001)])
+    assert report.rows == []
+    assert report.failures == [
+        {"circuit": circuit.name, "topology": "ca_core", "error": f"{message} 'circuit'"}
+    ]
+
+
 def test_synthesize_figure_circuit_frozen_trace(figure_circuit):
     """Frozen end-to-end expectations for the six-qubit walkthrough."""
     matrix = build_correlation(figure_circuit)
