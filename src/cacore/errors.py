@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class CacoreError(Exception):
     """Base class for all toolchain errors."""
@@ -46,3 +48,15 @@ class TopologyFormatError(CacoreError):
 
 class UnroutableGateError(CacoreError):
     """Two-qubit gate whose endpoints lie in different topology components."""
+
+
+def undecodable_byte(path: Path) -> tuple[int, int]:
+    """The line, counted as text mode counts it, and the value of the first
+    byte of a file that is not UTF-8; (0, 0) when every byte is."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1, data[exc.start]
+    return 0, 0

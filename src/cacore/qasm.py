@@ -5,25 +5,27 @@ Supported statements: the ``OPENQASM 2.0;`` header, ``include``, ``qreg``,
 (expanded at parse time), ``barrier``, and ``measure``. A ``creg`` only
 reserves its name: classical state is not modeled, and a measure target
 need not be declared. Conditionals are rejected. Angle expressions cover
-``pi``, numeric literals, ``+ - * /``, unary minus, and parentheses.
+``pi``, numeric literals, ``+ - * /``, unary minus, and parentheses, nested
+at most ``_MAX_NESTING`` deep.
 
-``parse_qasm`` scans the source once, one statement at a time. One regex
-match reads the whitespace and comments before a statement together with a
-canonical gate application, ``name[(number)] reg[i][,reg[j]];`` with one
-space before the first operand (``cx q[3],q[7];``, ``rz(-0.25) q[1];``).
-Every other statement (header, include, ``qreg``/``creg``, measure,
-barrier, ``ccx`` and any other spelling) is lexed token by token through
-its ``;`` and read by recursive descent, which also re-reads a canonical
-statement that fails a check, to raise its error. Lines are counted only
-there, each newline once per parse.
+``parse_qasm`` splits the source at every ``;`` once. The blanks and whole
+comments before a statement are stripped (a comment holding a ``;`` joins
+the pieces it spans), and a canonical gate application,
+``name[(number)] reg[i][,reg[j]]`` with one space before the first operand
+(``cx q[3],q[7]``, ``rz(-0.25) q[1]``), is read without the lexer, through a
+table from each ``reg[i]`` text to its checked flat qubit index. Any other
+piece (header, include, ``qreg``/``creg``, measure, barrier, ``ccx``, an
+angle expression, a comment inside a statement, any error) is lexed token by
+token from its offset through its ``;`` and read by recursive descent; the
+reader then moves on by pieces to where the lexer stopped. Lines are counted
+only there, each newline once per parse.
 
-Gates are immutable, so a repeated param-less canonical statement gets the
-gate of its first occurrence once that passed its checks, looked up by its
-text before any regex runs; a register cannot be declared twice, so the
-gate stays valid for the whole parse. A rotation is built fresh each time.
-
-An unexpected character anywhere in the source wins over every other
-error, as if the whole source were lexed first.
+A repeated param-less statement gets the gate of its first occurrence, looked
+up by its piece and by its text without that prefix; a register cannot be
+declared twice, so the gate stays valid for the whole parse. Rotations are
+built fresh, and no table is keyed on an angle. An unexpected character
+anywhere in the source wins over every other error, as if the whole source
+were lexed first.
 """
 
 from __future__ import annotations
@@ -33,34 +35,23 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
+from .errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError, undecodable_byte
 from .ir import MAX_QUBITS  # the limit on the declared registers' total
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 
-_NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-
 _TOKEN_RE = re.compile(
-    rf"""
+    r"""
       (?P<comment>//[^\n]*)
     | (?P<newline>\n)
     | (?P<ws>[\ \t\r]+)
-    | (?P<number>{_NUMBER})
-    | (?P<ident>{_IDENT})
+    | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"[^"\n]*")
     | (?P<arrow>->)
     | (?P<cmp>==|!=|<=|>=|[<>=])
-    | (?P<sym>[;,\[\]()*/+\-{{}}])
+    | (?P<sym>[;,\[\]()*/+\-{}])
     """,
     re.VERBOSE,
-)
-
-# The whitespace and comments before a statement, then a canonical gate
-# application: (statement, name, angle, reg, index, reg, index). A comment
-# must end at its newline, so a failed match backtracks in linear time.
-_STATEMENT_RE = re.compile(
-    r"[ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*"
-    rf"(({_IDENT})(?:\((-?(?:{_NUMBER}))\))? ({_IDENT})\[(\d+)\](?:,({_IDENT})\[(\d+)\])?;)"
 )
 
 # Mnemonic -> (kind, operand count, parameter count); ccx expands at parse time.
@@ -70,12 +61,9 @@ _APPLIED_GATES = {
     if kind not in METRIC_EXEMPT_KINDS
 } | {"ccx": (None, 3, 0)}
 
-# (name, has an angle, has a second operand) -> kind, for each gate one match may read.
-_CANONICAL_KINDS = {
-    (name, n_params == 1, n_operands == 2): kind
-    for name, (kind, n_operands, n_params) in _APPLIED_GATES.items()
-    if n_operands <= 2
-}
+_BLANK = " \t\r\n"  # what the lexer skips between tokens, besides comments
+_REAL_CHARS = "0123456789.eE+-"  # a signed literal: the only angle read without the lexer
+_MAX_NESTING = 64  # how deep unary signs and parentheses may nest in one angle
 
 _REJECTED_STATEMENTS = {
     "if": "classical conditionals are not supported",
@@ -85,10 +73,7 @@ _REJECTED_STATEMENTS = {
 }
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
+_Token = NamedTuple("_Token", [("kind", str), ("text", str), ("line", int)])
 
 
 class _Parser:
@@ -170,9 +155,8 @@ class _Parser:
         if name == "OPENQASM":
             version = self._next("version number")
             if version.kind != "number" or not version.text.startswith("2"):
-                raise QasmSyntaxError(
-                    f"only OpenQASM 2.0 is supported, got version {version.text!r}", version.line
-                )
+                message = f"only OpenQASM 2.0 is supported, got version {version.text!r}"
+                raise QasmSyntaxError(message, version.line)
             self._expect_sym(";")
         elif name == "include":
             target = self._next("include path")
@@ -202,11 +186,9 @@ class _Parser:
         if keyword == "creg":
             self.classical.add(reg.text)
         elif self.num_qubits + size > MAX_QUBITS:
-            message = (
-                f"qreg {reg.text}[{size}] brings the qubit count to "
-                f"{self.num_qubits + size}, above the limit of {MAX_QUBITS}"
-            )
-            raise QasmSyntaxError(message, reg.line)
+            total = self.num_qubits + size
+            message = f"brings the qubit count to {total}, above the limit of {MAX_QUBITS}"
+            raise QasmSyntaxError(f"qreg {reg.text}[{size}] {message}", reg.line)
         else:
             self.registers[reg.text] = (self.num_qubits, size)
             self.num_qubits += size
@@ -223,17 +205,13 @@ class _Parser:
             index = self._expect_int()
             self._expect_sym("]")
             if index >= size:
-                raise QubitIndexError(
-                    f"index {index} out of range for register {reg.text!r} of size {size}",
-                    reg.line,
-                )
+                message = f"index {index} out of range for register {reg.text!r} of size {size}"
+                raise QubitIndexError(message, reg.line)
             return [offset + index]
         if not allow_broadcast:
-            raise QasmSyntaxError(
-                f"expected indexed operand {reg.text}[...], register broadcast is only "
-                "supported for one-qubit gates, measure, and barrier",
-                reg.line,
-            )
+            message = f"expected indexed operand {reg.text}[...], register broadcast is only "
+            message += "supported for one-qubit gates, measure, and barrier"
+            raise QasmSyntaxError(message, reg.line)
         return [offset + i for i in range(size)]
 
     def _measure(self) -> None:
@@ -291,32 +269,30 @@ class _Parser:
         if n_operands > 1 and len(set(operands)) != len(operands):
             raise QasmSyntaxError(f"{name}: duplicate qubit operand", line)
         if kind is None:
-            self.gates.extend(_decompose_ccx(*operands))
+            self.gates.extend(Gate(k, tuple(operands[p] for p in at), a) for k, at, a in _CCX)
         elif n_operands > 1:
             self.gates.append(Gate(kind, tuple(operands), param))
         else:
             self.gates.extend(Gate(kind, (q,), param) for q in operands)
 
-    # -- angle expressions ---------------------------------------------------
-
-    def _expression(self) -> float:
-        value = self._term()
+    def _expression(self, depth: int = 0) -> float:
+        value = self._term(depth)
         while True:
             tok = self._peek()
             if tok is None or tok.text not in ("+", "-"):
                 return value
             self.pos += 1
-            rhs = self._term()
+            rhs = self._term(depth)
             value = value + rhs if tok.text == "+" else value - rhs
 
-    def _term(self) -> float:
-        value = self._unary()
+    def _term(self, depth: int) -> float:
+        value = self._unary(depth)
         while True:
             tok = self._peek()
             if tok is None or tok.text not in ("*", "/"):
                 return value
             self.pos += 1
-            rhs = self._unary()
+            rhs = self._unary(depth)
             if tok.text == "/":
                 if rhs == 0:
                     raise QasmSyntaxError("division by zero in angle expression", tok.line)
@@ -324,16 +300,18 @@ class _Parser:
             else:
                 value = value * rhs
 
-    def _unary(self) -> float:
+    def _unary(self, depth: int) -> float:
         tok = self._next("angle expression")
-        if tok.text == "-":
-            return -self._unary()
-        if tok.text == "+":
-            return self._unary()
-        if tok.text == "(":
-            value = self._expression()
-            self._expect_sym(")")
-            return value
+        if tok.text in ("-", "+", "("):
+            if depth == _MAX_NESTING:  # recursion, not the input, would set the limit
+                message = f"angle expression nested more than {_MAX_NESTING} deep"
+                raise QasmSyntaxError(message, tok.line)
+            if tok.text == "(":
+                value = self._expression(depth + 1)
+                self._expect_sym(")")
+                return value
+            value = self._unary(depth + 1)
+            return -value if tok.text == "-" else value
         if tok.kind == "number":
             return float(tok.text)
         if tok.kind == "ident" and tok.text == "pi":
@@ -341,97 +319,115 @@ class _Parser:
         raise QasmSyntaxError(f"invalid angle expression near {tok.text!r}", tok.line)
 
 
-def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
-    """Standard Toffoli expansion: 6 CNOTs plus 9 one-qubit gates.
-
-    The dagger phases come out as rz(-pi/4), which keeps the gate
-    vocabulary closed under this expansion.
-    """
-    t = GateKind.T
-    tdg = -math.pi / 4
-    return [
-        Gate(GateKind.H, (c,)),
-        Gate(GateKind.CNOT, (b, c)),
-        Gate(GateKind.RZ, (c,), tdg),
-        Gate(GateKind.CNOT, (a, c)),
-        Gate(t, (c,)),
-        Gate(GateKind.CNOT, (b, c)),
-        Gate(GateKind.RZ, (c,), tdg),
-        Gate(GateKind.CNOT, (a, c)),
-        Gate(t, (b,)),
-        Gate(t, (c,)),
-        Gate(GateKind.H, (c,)),
-        Gate(GateKind.CNOT, (a, b)),
-        Gate(t, (a,)),
-        Gate(GateKind.RZ, (b,), tdg),
-        Gate(GateKind.CNOT, (a, b)),
-    ]
+# ccx a,b,c expands to the standard Toffoli circuit of 6 CNOTs and 9 one-qubit gates,
+# as (kind, operand positions in (a, b, c), angle); the dagger phases are rz(-pi/4).
+_CCX = [(GateKind(m), at, -math.pi / 4 if m == "rz" else None) for m, at in (
+    ("h", (2,)), ("cx", (1, 2)), ("rz", (2,)), ("cx", (0, 2)), ("t", (2,)),
+    ("cx", (1, 2)), ("rz", (2,)), ("cx", (0, 2)), ("t", (1,)), ("t", (2,)),
+    ("h", (2,)), ("cx", (0, 1)), ("t", (0,)), ("rz", (1,)), ("cx", (0, 1)),
+)]
 
 
-def _canonical_gate(registers: dict[str, tuple[int, int]], groups: tuple) -> Gate | None:
-    """The gate spelled by a ``_STATEMENT_RE`` match's groups, or None when they
-    spell no canonical gate or fail a check (run in the token-by-token
-    reading's order); the caller then reads the statement token by token."""
-    _, name, angle, reg_a, index_a, reg_b, index_b = groups
-    kind = _CANONICAL_KINDS.get((name, angle is not None, reg_b is not None))
-    param = None if angle is None else float(angle)
-    if kind is None or (param is not None and not math.isfinite(param)) or reg_a not in registers:
-        return None
-    offset_a, size_a = registers[reg_a]
-    try:
-        a = int(index_a)
-        b = None if reg_b is None else int(index_b)
-    except ValueError:  # more digits than int() converts
-        return None
-    if a >= size_a:
-        return None
-    if reg_b is None:
-        return Gate(kind, (offset_a + a,), param)
-    if reg_b not in registers:
-        return None
-    offset_b, size_b = registers[reg_b]
-    if b >= size_b or offset_a + a == offset_b + b:
-        return None
-    return Gate(kind, (offset_a + a, offset_b + b), param)
+class _Qubits(dict):
+    """Operand text ``reg[i]`` -> flat qubit index, stored once it passed its checks
+    against ``registers``; -1 for one spelled otherwise (non-ASCII digits too) or failing one."""
+
+    def __init__(self, registers: dict[str, tuple[int, int]]):
+        super().__init__()
+        self.registers = registers
+
+    def __missing__(self, operand: str) -> int:
+        reg, _, index = operand.partition("[")
+        digits = index[:-1] if index[-1:] == "]" else ""
+        if reg not in self.registers or not (digits.isascii() and digits.isdigit()):
+            return -1
+        offset, size = self.registers[reg]
+        try:
+            i = int(digits)
+        except ValueError:  # more digits than int() converts
+            return -1
+        if i >= size:
+            return -1
+        self[operand] = offset + i
+        return offset + i
+
+
+def _read_gate(text: str, qubits: _Qubits) -> Gate | None:
+    """The gate a canonical application ``name[(number)] reg[i][,reg[j]]`` spells,
+    or None when the text is anything else or fails a check."""
+    head, space, operands = text.partition(" ")
+    name, paren, angle = head.partition("(")
+    spec = _APPLIED_GATES.get(name)
+    if spec is None or spec[0] is None or not space or bool(paren) != (spec[2] == 1):
+        return None  # ccx has no kind
+    kind, n_operands, _ = spec
+    param = None
+    if paren:
+        number = angle[:-1]
+        if angle[-1:] != ")" or number.strip(_REAL_CHARS):
+            return None
+        try:
+            param = float(number)  # on these characters, float() reads what the lexer reads
+        except ValueError:
+            return None
+        if not math.isfinite(param):
+            return None
+    if n_operands == 1:
+        a = qubits[operands]
+        return None if a < 0 else Gate(kind, (a,), param)
+    first, _, second = operands.partition(",")
+    a, b = qubits[first], qubits[second]
+    return None if a < 0 or b < 0 or a == b else Gate(kind, (a, b), param)
 
 
 def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     """Parse OpenQASM 2.0 text into a :class:`Circuit`.
 
-    Multiple ``qreg`` declarations flatten into one index space in
-    declaration order. ``ccx`` is expanded at parse time so downstream
-    stages only ever see one- and two-qubit gates.
+    Multiple ``qreg`` declarations flatten into one index space in declaration
+    order. ``ccx`` is expanded, so later stages see one- and two-qubit gates only.
     """
     parser = _Parser(source)
-    registers, gates = parser.registers, parser.gates
-    # Text the regex reads as a param-less gate -> that gate: the statement alone,
-    # and a whole match that ends at the first ';' after its offset.
-    shared: dict[str, Gate] = {}
-    offset = 0
+    gates, qubits = parser.gates, _Qubits(parser.registers)
+    shared: dict[str, Gate] = {}  # piece, or statement without its prefix -> param-less gate
+    pieces = source.split(";")
+    last = len(pieces) - 1  # the piece after the last ';'
+    i = offset = 0  # pieces[i] starts at source[offset]
     try:
         while True:
-            end = source.find(";", offset) + 1
-            raw = source[offset:end]
-            gate = shared.get(raw)
-            if gate is not None:
+            piece = pieces[i]
+            gate = shared.get(piece)
+            if gate is not None and i < last:  # the last piece has no ';' to end it
                 gates.append(gate)
-                offset = end
+                offset += len(piece) + 1
+                i += 1
                 continue
-            match = _STATEMENT_RE.match(source, offset)
-            if match is not None:
-                text = match[1]
-                gate = shared.get(text)
-                if gate is None:
-                    gate = _canonical_gate(registers, match.groups())
-                    if gate is not None and gate.param is None:
-                        shared[text] = gate
+            # Strip blanks and whole comments; one holding a ';' joins pieces through j.
+            text, j, size = piece.lstrip(_BLANK), i, len(piece) + 1
+            while text.startswith("//"):
+                newline = text.find("\n")
+                if newline >= 0:
+                    text = text[newline + 1 :].lstrip(_BLANK)
+                elif j < last:
+                    j += 1
+                    text += ";" + pieces[j]
+                    size += len(pieces[j]) + 1
+                else:
+                    break
+            if j < last:
+                gate = shared.get(text) or _read_gate(text, qubits)
                 if gate is not None:
-                    if gate.param is None and match.end() == end:
-                        shared[raw] = gate
+                    if gate.param is None:
+                        shared[text] = gate
+                        if j == i:  # a joined piece is only a prefix of its statement
+                            shared[piece] = gate
                     gates.append(gate)
-                    offset = match.end()
+                    offset += size
+                    i = j + 1
                     continue
-            offset = parser.lex(offset)
+            end = parser.lex(offset)
+            while offset < end:  # the lexer stops right after a ';', or at the end
+                offset += len(pieces[i]) + 1
+                i += 1
             if not parser.tokens:
                 return Circuit(parser.num_qubits, tuple(gates), name)
             parser.statement()
@@ -445,7 +441,12 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
 
 def parse_qasm_file(path: str | Path) -> Circuit:
     path = Path(path)
-    return parse_qasm(path.read_text(encoding="utf-8"), name=path.stem)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        line, byte = undecodable_byte(path)
+        raise QasmSyntaxError(f"byte {byte:#04x} is not valid UTF-8", line) from None
+    return parse_qasm(source, name=path.stem)
 
 
 def _real(value: float) -> str:
@@ -458,14 +459,13 @@ def _real(value: float) -> str:
 def to_qasm(circuit: Circuit) -> str:
     """Render a circuit back to OpenQASM 2.0.
 
-    Float parameters are printed via ``repr``, with ``.0`` added to an
-    exponent form's mantissa, so parse -> print -> parse reproduces the
-    exact gate list; a non-finite angle or a qubit outside [0, num_qubits)
-    raises ``ValueError``. Every other line is rendered once per ``(kind,
-    qubits)``, in the canonical form the parser reads in one regex match
-    unless it is a barrier or measure. A measure ``q[i]`` writes to ``c[i]``,
-    and ``creg c[num_qubits];`` is declared right after the ``qreg`` line
-    only when the circuit measures.
+    Angles are printed via ``repr`` with ``.0`` added to an exponent form's
+    mantissa, so parse -> print -> parse reproduces the exact gate list; a
+    non-finite angle or a qubit outside [0, num_qubits) raises ``ValueError``.
+    Every other line is rendered once per ``(kind, qubits)``, in the form the
+    parser reads without its lexer unless it is a barrier or measure. A
+    measure ``q[i]`` writes to ``c[i]``, declared as ``creg c[num_qubits];``
+    after the ``qreg`` line only when the circuit measures.
     """
     n = circuit.num_qubits
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import TopologyFormatError, UnknownTopologyError
+from .errors import TopologyFormatError, UnknownTopologyError, undecodable_byte
 from .ir import MAX_QUBITS
 
 _DEVICE_FILES = {
@@ -220,11 +220,17 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
 
 def load_topology(path: str | Path) -> Topology:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        line, byte = undecodable_byte(path)
+        raise TopologyFormatError(f"byte {byte:#04x} is not valid UTF-8", f"line {line}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TopologyFormatError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from exc
+    except RecursionError:
+        raise TopologyFormatError("invalid JSON: nested too deeply") from None
     return topology_from_dict(data, source=str(path))
 
 

@@ -211,6 +211,50 @@ def test_validate_reports_an_oversized_register_on_one_line(tmp_path, capsys):
     assert err.startswith("error: line 1: ") and len(err.splitlines()) == 1
 
 
+_DEEP = 5000  # far past the recursion limit of a descent without a depth bound
+_NESTED = b"[" * 100_000 + b"]" * 100_000  # past the JSON reader's own limit
+
+
+@pytest.mark.parametrize(
+    "name, data, command, message",
+    [
+        ("c.qasm", b"qreg q[2];\r\nh q[0];\n// caf\xff\nh q[1];\n", "validate",
+         "line 3: byte 0xff is not valid UTF-8"),
+        ("c.qasm", b"qreg q[2];\ncx q[0],q[1]; \xff\n", "synth",
+         "line 2: byte 0xff is not valid UTF-8"),
+        ("t.json", b'{"name": "t",\n "num_qubits": 2, "edges": [[0, 1]]}\xfe\n', "validate",
+         "byte 0xfe is not valid UTF-8 (at line 2)"),
+        ("t.json", b'{"name": "t", "num_qubits": 2, "edges": [[0, 1]]}\xff', "route",
+         "byte 0xff is not valid UTF-8 (at line 1)"),
+        ("c.qasm", f"qreg q[1];\nrz({'(' * _DEEP}1{')' * _DEEP}) q[0];\n".encode(), "validate",
+         "line 2: angle expression nested more than 64 deep"),
+        ("c.qasm", f"qreg q[1];\n\nrz({'-' * _DEEP}1) q[0];\n".encode(), "synth",
+         "line 3: angle expression nested more than 64 deep"),
+        ("t.json", b'{"name": "t", "num_qubits": 2, "edges": ' + _NESTED + b"}", "route",
+         "invalid JSON: nested too deeply"),
+        ("t.json", b'{"edges": ' + _NESTED + b"}", "validate", "invalid JSON: nested too deeply"),
+    ],
+    ids=["qasm-validate", "qasm-synth", "json-validate", "json-route", "parens", "unary-minus",
+         "json-route-deep", "json-validate-deep"],
+)
+def test_undecodable_or_deeply_nested_input_fails_with_one_error_line(
+    tmp_path, capsys, name, data, command, message
+):
+    path = tmp_path / name
+    path.write_bytes(data)
+    circuit = tmp_path / "ok.qasm"
+    circuit.write_text("qreg q[2];\ncx q[0],q[1];\n")
+    argv = {
+        "validate": ["validate", str(path)],
+        "synth": ["synth", str(path), "-o", str(tmp_path / "out.json")],
+        "route": ["route", str(circuit), "-t", str(path)],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"  # one line, no traceback
+
+
 def test_main_parses_cleanly_after_a_usage_error(tmp_path, capsys):
     # the argument parser is built once per process and shared by every call
     circuit = tmp_path / "g.qasm"

@@ -11,7 +11,7 @@ from oracles import plain_to_qasm, token_parse
 from cacore.bench import gen_random_circuit
 from cacore.errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind, validate_circuit
-from cacore.qasm import _CANONICAL_KINDS, _STATEMENT_RE, MAX_QUBITS, parse_qasm, to_qasm
+from cacore.qasm import MAX_QUBITS, _Qubits, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
 from cacore.topology import BUILTIN_NAMES, builtin_topology
@@ -104,6 +104,20 @@ def test_barrier_subset_kept_and_measure_target_optional():
 def test_angle_expressions(expr, value):
     circuit = parse_qasm(f"qreg q[1]; rz({expr}) q[0];")
     assert circuit.gates[0].param == pytest.approx(value)
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix, levels", [("-", "", 1), ("+", "", 1), ("(", ")", 1), ("-(", ")", 2)]
+)
+def test_angle_nesting_is_bounded_with_line(prefix, suffix, levels):
+    def source(depth):
+        return f"qreg q[1];\n\nrz({prefix * depth}1{suffix * depth}) q[0];\n"
+
+    assert abs(parse_qasm(source(64 // levels)).gates[0].param) == 1.0  # at the bound
+    for depth in (64 // levels + 1, 5000):
+        with pytest.raises(QasmSyntaxError, match="nested more than 64 deep") as err:
+            parse_qasm(source(depth))
+        assert err.value.line == 3
 
 
 def test_angle_division_by_zero():
@@ -411,6 +425,8 @@ _MUTATION_ALPHABET = [
     "cx q[0],\n q[1];", "cx q[0], // c\n q[1];", "x u[0];",
     # aimed at the lookup of a repeated statement by its text
     "// a;b\n", "\r\n", "h\tq[0];", "cx q[0],\tq[1];", "h q[0];\nqreg r[2];\nh q[0];",
+    # aimed at a reader that splits at every ';' and keys operands by their text
+    'include "a;b.inc";', "q[007]", "qreg qq[2];", "qq[0]", "cx qq[1],q[0];",
 ]
 
 
@@ -436,12 +452,14 @@ def _mutate(rng, source):
 
 
 def _canonical_statements(source):
-    """The statements between ';'s that the scanner reads in one match."""
-    matches = (_STATEMENT_RE.fullmatch(part + ";") for part in source.split(";"))
-    return [
-        m[1] for m in matches
-        if m and (m[2], m[3] is not None, m[6] is not None) in _CANONICAL_KINDS
-    ]
+    """The statements between ';'s that the split reader reads without the lexer,
+    against the registers the source declares."""
+    registers, total = {}, 0
+    for reg, size in re.findall(r"qreg (\w+)\[(\d+)\];", source):
+        registers[reg] = (total, int(size))
+        total += int(size)
+    texts = (piece.lstrip(" \t\r\n") for piece in source.split(";")[:-1])
+    return [text for text in texts if _read_gate(text, _Qubits(registers)) is not None]
 
 
 def test_statement_tokens_match_token_by_token_oracle():
@@ -466,6 +484,35 @@ def test_statement_tokens_match_token_by_token_oracle():
         else:
             failed += 1
     assert parsed >= 300 and failed >= 300
+
+
+@pytest.mark.parametrize("n", [8, 20, 33])
+def test_parse_builds_one_gate_per_distinct_param_less_gate(monkeypatch, n):
+    """A deterministic work count: repeats of a param-less gate share one Gate."""
+    circuit = gen_random_circuit(n, 2000, 1)
+    source = to_qasm(circuit)
+    built = []
+
+    def counting_gate(*args, **kwargs):
+        built.append(Gate(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("cacore.qasm.Gate", counting_gate)
+    assert parse_qasm(source).gates == circuit.gates
+    distinct = {(g.kind, g.qubits) for g in circuit.gates if g.param is None}
+    rotations = sum(g.param is not None for g in circuit.gates)
+    assert len(built) == len(distinct) + rotations < len(circuit.gates)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ["cx q[0],q[1]", "\ncx q[0],q[1]", "\n// a;b\ncx q[0],q[1]", "h q[1]", "h q[1]\n",
+     "rz(0.5) q[0]", "// a;b", "\n// a;b\n", "\n\n", ""],
+)
+def test_text_after_the_last_semicolon_reads_as_the_oracle_reads_it(tail):
+    # every statement in the tail is a repeat, so only the missing ';' can fail it
+    source = "qreg q[2];\ncx q[0],q[1];\nh q[1];\nrz(0.5) q[0];\n" + tail
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
 
 
 def test_repeated_param_less_gates_are_shared_and_rotations_are_not():
