@@ -61,6 +61,10 @@ _APPLIED_GATES = {
     if kind not in METRIC_EXEMPT_KINDS
 } | {"ccx": (None, 3, 0)}
 
+# The blanks and whole comments before a statement. A comment must end at its
+# newline, so a failed match backtracks in linear time.
+_PREFIX_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*")
+
 _BLANK = " \t\r\n"  # what the lexer skips between tokens, besides comments
 _REAL_CHARS = "0123456789.eE+-"  # a signed literal: the only angle read without the lexer
 _MAX_NESTING = 64  # how deep unary signs and parentheses may nest in one angle
@@ -73,7 +77,10 @@ _REJECTED_STATEMENTS = {
 }
 
 
-_Token = NamedTuple("_Token", [("kind", str), ("text", str), ("line", int)])
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
 
 
 class _Parser:
@@ -155,8 +162,9 @@ class _Parser:
         if name == "OPENQASM":
             version = self._next("version number")
             if version.kind != "number" or not version.text.startswith("2"):
-                message = f"only OpenQASM 2.0 is supported, got version {version.text!r}"
-                raise QasmSyntaxError(message, version.line)
+                raise QasmSyntaxError(
+                    f"only OpenQASM 2.0 is supported, got version {version.text!r}", version.line
+                )
             self._expect_sym(";")
         elif name == "include":
             target = self._next("include path")
@@ -186,9 +194,11 @@ class _Parser:
         if keyword == "creg":
             self.classical.add(reg.text)
         elif self.num_qubits + size > MAX_QUBITS:
-            total = self.num_qubits + size
-            message = f"brings the qubit count to {total}, above the limit of {MAX_QUBITS}"
-            raise QasmSyntaxError(f"qreg {reg.text}[{size}] {message}", reg.line)
+            message = (
+                f"qreg {reg.text}[{size}] brings the qubit count to "
+                f"{self.num_qubits + size}, above the limit of {MAX_QUBITS}"
+            )
+            raise QasmSyntaxError(message, reg.line)
         else:
             self.registers[reg.text] = (self.num_qubits, size)
             self.num_qubits += size
@@ -205,13 +215,17 @@ class _Parser:
             index = self._expect_int()
             self._expect_sym("]")
             if index >= size:
-                message = f"index {index} out of range for register {reg.text!r} of size {size}"
-                raise QubitIndexError(message, reg.line)
+                raise QubitIndexError(
+                    f"index {index} out of range for register {reg.text!r} of size {size}",
+                    reg.line,
+                )
             return [offset + index]
         if not allow_broadcast:
-            message = f"expected indexed operand {reg.text}[...], register broadcast is only "
-            message += "supported for one-qubit gates, measure, and barrier"
-            raise QasmSyntaxError(message, reg.line)
+            raise QasmSyntaxError(
+                f"expected indexed operand {reg.text}[...], register broadcast is only "
+                "supported for one-qubit gates, measure, and barrier",
+                reg.line,
+            )
         return [offset + i for i in range(size)]
 
     def _measure(self) -> None:
@@ -269,11 +283,13 @@ class _Parser:
         if n_operands > 1 and len(set(operands)) != len(operands):
             raise QasmSyntaxError(f"{name}: duplicate qubit operand", line)
         if kind is None:
-            self.gates.extend(Gate(k, tuple(operands[p] for p in at), a) for k, at, a in _CCX)
+            self.gates.extend(_decompose_ccx(*operands))
         elif n_operands > 1:
             self.gates.append(Gate(kind, tuple(operands), param))
         else:
             self.gates.extend(Gate(kind, (q,), param) for q in operands)
+
+    # -- angle expressions ---------------------------------------------------
 
     def _expression(self, depth: int = 0) -> float:
         value = self._term(depth)
@@ -319,13 +335,31 @@ class _Parser:
         raise QasmSyntaxError(f"invalid angle expression near {tok.text!r}", tok.line)
 
 
-# ccx a,b,c expands to the standard Toffoli circuit of 6 CNOTs and 9 one-qubit gates,
-# as (kind, operand positions in (a, b, c), angle); the dagger phases are rz(-pi/4).
-_CCX = [(GateKind(m), at, -math.pi / 4 if m == "rz" else None) for m, at in (
-    ("h", (2,)), ("cx", (1, 2)), ("rz", (2,)), ("cx", (0, 2)), ("t", (2,)),
-    ("cx", (1, 2)), ("rz", (2,)), ("cx", (0, 2)), ("t", (1,)), ("t", (2,)),
-    ("h", (2,)), ("cx", (0, 1)), ("t", (0,)), ("rz", (1,)), ("cx", (0, 1)),
-)]
+def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
+    """Standard Toffoli expansion: 6 CNOTs plus 9 one-qubit gates.
+
+    The dagger phases come out as rz(-pi/4), which keeps the gate
+    vocabulary closed under this expansion.
+    """
+    t = GateKind.T
+    tdg = -math.pi / 4
+    return [
+        Gate(GateKind.H, (c,)),
+        Gate(GateKind.CNOT, (b, c)),
+        Gate(GateKind.RZ, (c,), tdg),
+        Gate(GateKind.CNOT, (a, c)),
+        Gate(t, (c,)),
+        Gate(GateKind.CNOT, (b, c)),
+        Gate(GateKind.RZ, (c,), tdg),
+        Gate(GateKind.CNOT, (a, c)),
+        Gate(t, (b,)),
+        Gate(t, (c,)),
+        Gate(GateKind.H, (c,)),
+        Gate(GateKind.CNOT, (a, b)),
+        Gate(t, (a,)),
+        Gate(GateKind.RZ, (b,), tdg),
+        Gate(GateKind.CNOT, (a, b)),
+    ]
 
 
 class _Qubits(dict):
@@ -383,8 +417,9 @@ def _read_gate(text: str, qubits: _Qubits) -> Gate | None:
 def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     """Parse OpenQASM 2.0 text into a :class:`Circuit`.
 
-    Multiple ``qreg`` declarations flatten into one index space in declaration
-    order. ``ccx`` is expanded, so later stages see one- and two-qubit gates only.
+    Multiple ``qreg`` declarations flatten into one index space in
+    declaration order. ``ccx`` is expanded at parse time so downstream
+    stages only ever see one- and two-qubit gates.
     """
     parser = _Parser(source)
     gates, qubits = parser.gates, _Qubits(parser.registers)
@@ -401,18 +436,13 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
                 offset += len(piece) + 1
                 i += 1
                 continue
-            # Strip blanks and whole comments; one holding a ';' joins pieces through j.
-            text, j, size = piece.lstrip(_BLANK), i, len(piece) + 1
-            while text.startswith("//"):
-                newline = text.find("\n")
-                if newline >= 0:
-                    text = text[newline + 1 :].lstrip(_BLANK)
-                elif j < last:
-                    j += 1
-                    text += ";" + pieces[j]
-                    size += len(pieces[j]) + 1
-                else:
-                    break
+            # The statement after blanks and whole comments, which ends pieces[j]:
+            # a comment holding a ';' spans pieces.
+            text, j = piece.lstrip(_BLANK), i
+            if text.startswith("//"):
+                start = _PREFIX_RE.match(source, offset).end()
+                j += source.count(";", offset, start)
+                text = pieces[j][start - source.rfind(";", 0, start) - 1 :]
             if j < last:
                 gate = shared.get(text) or _read_gate(text, qubits)
                 if gate is not None:
@@ -421,8 +451,9 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
                         if j == i:  # a joined piece is only a prefix of its statement
                             shared[piece] = gate
                     gates.append(gate)
-                    offset += size
-                    i = j + 1
+                    while i <= j:
+                        offset += len(pieces[i]) + 1
+                        i += 1
                     continue
             end = parser.lex(offset)
             while offset < end:  # the lexer stops right after a ';', or at the end
@@ -459,13 +490,14 @@ def _real(value: float) -> str:
 def to_qasm(circuit: Circuit) -> str:
     """Render a circuit back to OpenQASM 2.0.
 
-    Angles are printed via ``repr`` with ``.0`` added to an exponent form's
-    mantissa, so parse -> print -> parse reproduces the exact gate list; a
-    non-finite angle or a qubit outside [0, num_qubits) raises ``ValueError``.
-    Every other line is rendered once per ``(kind, qubits)``, in the form the
-    parser reads without its lexer unless it is a barrier or measure. A
-    measure ``q[i]`` writes to ``c[i]``, declared as ``creg c[num_qubits];``
-    after the ``qreg`` line only when the circuit measures.
+    Float parameters are printed via ``repr``, with ``.0`` added to an
+    exponent form's mantissa, so parse -> print -> parse reproduces the
+    exact gate list; a non-finite angle or a qubit outside [0, num_qubits)
+    raises ``ValueError``. Every other line is rendered once per ``(kind,
+    qubits)``, in the canonical form the parser reads without its lexer
+    unless it is a barrier or measure. A measure ``q[i]`` writes to ``c[i]``,
+    and ``creg c[num_qubits];`` is declared right after the ``qreg`` line
+    only when the circuit measures.
     """
     n = circuit.num_qubits
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]

@@ -37,7 +37,7 @@ from cacore.ir import (
     Gate,
     GateKind,
 )
-from cacore.qasm import _real
+from cacore.qasm import _decompose_ccx, _real
 from cacore.routing import Layout, RouteMetrics, RoutingResult, trivial_layout
 from cacore.topology import Topology
 
@@ -352,29 +352,6 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token(kind, match.group(), line))
         pos = match.end()
     return tokens
-
-
-def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
-    """Standard Toffoli expansion, spelled out gate by gate."""
-    t = GateKind.T
-    tdg = -math.pi / 4
-    return [
-        Gate(GateKind.H, (c,)),
-        Gate(GateKind.CNOT, (b, c)),
-        Gate(GateKind.RZ, (c,), tdg),
-        Gate(GateKind.CNOT, (a, c)),
-        Gate(t, (c,)),
-        Gate(GateKind.CNOT, (b, c)),
-        Gate(GateKind.RZ, (c,), tdg),
-        Gate(GateKind.CNOT, (a, c)),
-        Gate(t, (b,)),
-        Gate(t, (c,)),
-        Gate(GateKind.H, (c,)),
-        Gate(GateKind.CNOT, (a, b)),
-        Gate(t, (a,)),
-        Gate(GateKind.RZ, (b,), tdg),
-        Gate(GateKind.CNOT, (a, b)),
-    ]
 
 
 class _TokenParser:

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -553,3 +554,22 @@ def test_long_run_of_blank_and_comment_lines_before_a_statement():
     with pytest.raises(QasmSyntaxError) as err:
         parse_qasm("qreg q[1];\n" + filler + "measure q[0] -> c[0];\nh r[0];\n")
     assert err.value.line == 10_003
+
+
+def test_half_a_million_comment_lines_before_a_canonical_statement_read_in_linear_time():
+    # 3 MB of comment lines before statements the lexer never sees. A reader
+    # that copies the rest of the run once per comment line moves about 750 GB
+    # here and runs for minutes; a linear one takes well under a second.
+    source = "qreg q[1];\n" + "// c\n\n" * 500_000 + "h q[0];\nh q[0];\n"
+
+    def too_slow(signum, frame):
+        raise TimeoutError("500 000 comment lines took over 20 s to read")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        circuit = parse_qasm(source)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert circuit.gates == (Gate(GateKind.H, (0,)),) * 2
