@@ -47,7 +47,6 @@ from .synthesis import (
     synthesize_topology,
 )
 from .topology import (
-    Diagnostic,
     Topology,
     builtin_topology,
     grid_topology,

@@ -51,7 +51,7 @@ _TOKEN_RE = re.compile(
     | (?P<cmp>==|!=|<=|>=|[<>=])
     | (?P<sym>[;,\[\]()*/+\-{}])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 # Mnemonic -> (kind, operand count, parameter count); ccx expands at parse time.

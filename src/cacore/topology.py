@@ -5,7 +5,9 @@ Baseline device maps ship as bundled JSON data files; ``line(n)``,
 JSON schema is the contract between the synth and route commands: ``name``
 (string), ``num_qubits`` (int), ``edges`` (sorted ``[i, j]`` pairs with
 ``i < j``), optional ``synthetic`` (booleans parallel to edges), optional
-``positions`` (``[row, col]`` per qubit).
+``positions`` (one distinct ``[row, col]`` cell per qubit).
+``topology_from_dict`` checks every rule of this schema;
+``validate_topology`` adds only the diagonal-collision warning.
 """
 
 from __future__ import annotations
@@ -59,79 +61,34 @@ class Topology:
         return {q: tuple(sorted(ns)) for q, ns in neighbors.items()}
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str  # "error" | "warning"
-    message: str
+def validate_topology(topology: Topology) -> list[str]:
+    """Warn about each pair of diagonal couplers whose unit cells share a side.
 
-
-def validate_topology(topology: Topology) -> list[Diagnostic]:
-    """Check structural invariants plus the diagonal-collision rule.
-
-    Errors flag invariant violations (self-edges, duplicates, out-of-range
-    indices, non-injective positions). When positions are present, a
-    non-fatal warning is emitted for every pair of diagonal couplers whose
-    unit cells share a side, the configuration the frequency-collision
-    constraint forbids.
+    That is the configuration the frequency-collision constraint forbids.
+    Diagonals are indexed by unit cell, so each is compared only with the
+    cells below and to the right of its own. The warnings come ordered by
+    the pair's edge indices; a topology without positions has none. Every
+    other rule is checked where a topology is read (``topology_from_dict``).
     """
-    out: list[Diagnostic] = []
-    seen: set[tuple[int, int]] = set()
-    for a, b in topology.edges:
-        if a == b:
-            out.append(Diagnostic("error", f"self-edge ({a},{b})"))
-            continue
-        pair = (a, b) if a < b else (b, a)
-        if pair in seen:
-            out.append(Diagnostic("error", f"duplicate edge ({pair[0]},{pair[1]})"))
-        seen.add(pair)
-        if a > b:
-            out.append(Diagnostic("error", f"edge ({a},{b}) not stored with i < j"))
-        for q in (a, b):
-            if not 0 <= q < topology.num_qubits:
-                out.append(Diagnostic("error", f"edge ({a},{b}): qubit {q} out of range"))
-    for pair in topology.synthetic:
-        if pair not in seen:
-            out.append(Diagnostic("error", f"synthetic flag on missing edge {pair}"))
-
-    if topology.positions is not None:
-        placed = list(topology.positions.items())
-        cells = [rc for _, rc in placed]
-        if len(set(cells)) != len(cells):
-            out.append(Diagnostic("error", "positions are not injective"))
-        for q, _ in placed:
-            if not 0 <= q < topology.num_qubits:
-                out.append(Diagnostic("error", f"position given for unknown qubit {q}"))
-        out.extend(_collision_warnings(topology))
-    return out
-
-
-def _collision_warnings(topology: Topology) -> list[Diagnostic]:
     positions = topology.positions or {}
-    diagonal_cells: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for a, b in topology.edges:
+    cells: dict[tuple[int, int], list[int]] = {}
+    for index, (a, b) in enumerate(topology.edges):
         if a not in positions or b not in positions:
             continue
         (r1, c1), (r2, c2) = positions[a], positions[b]
         if abs(r1 - r2) == 1 and abs(c1 - c2) == 1:
-            diagonal_cells.append(((min(r1, r2), min(c1, c2)), (a, b)))
-    warnings = []
-    for i, (cell_a, edge_a) in enumerate(diagonal_cells):
-        for cell_b, edge_b in diagonal_cells[i + 1 :]:
-            dr = abs(cell_a[0] - cell_b[0])
-            dc = abs(cell_a[1] - cell_b[1])
-            if dr + dc == 1:
-                warnings.append(
-                    Diagnostic(
-                        "warning",
-                        f"diagonal couplers {edge_a} and {edge_b} occupy side-sharing "
-                        "cells (frequency-collision risk)",
-                    )
-                )
-    return warnings
-
-
-def topology_errors(topology: Topology) -> list[Diagnostic]:
-    return [d for d in validate_topology(topology) if d.level == "error"]
+            cells.setdefault((min(r1, r2), min(c1, c2)), []).append(index)
+    pairs = []
+    for (r, c), here in cells.items():
+        for side in ((r + 1, c), (r, c + 1)):
+            for i in here:
+                pairs.extend((min(i, j), max(i, j)) for j in cells.get(side, ()))
+    edges = topology.edges
+    return [
+        f"diagonal couplers {edges[i]} and {edges[j]} occupy side-sharing cells "
+        "(frequency-collision risk)"
+        for i, j in sorted(pairs)
+    ]
 
 
 # -- JSON serialization ------------------------------------------------------
@@ -207,13 +164,16 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
             "positions",
         )
         positions = {}
+        owners: dict[tuple[int, int], int] = {}
         for q, item in enumerate(raw_pos):
             _require(
                 isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item),
                 "position must be an [row, col] integer pair",
                 f"positions[{q}]",
             )
-            positions[q] = (item[0], item[1])
+            cell = positions[q] = (item[0], item[1])
+            first = owners.setdefault(cell, q)
+            _require(first == q, f"qubits {first} and {q} share cell {list(cell)}", f"positions[{q}]")
 
     return Topology(data["name"], num_qubits, tuple(edges), synthetic, positions)
 

@@ -3,14 +3,16 @@
 These deliberately avoid the library's own code paths: depth comes from an
 explicit layered list scheduler, gate and depth totals from a per-gate ASAP
 pass with one ``max`` per gate (``asap_stats``), the diagonal grouping from a
-direct enumeration of unit cells, components from label propagation,
-component joining from a multi-pass loop that re-finds every component after
-each join, routing from a fresh BFS and an explicit path list per
-non-adjacent gate, built ``Gate`` by ``Gate`` (``bfs_route``), routing
-verification from a rescan of every gate once per qubit (``rescan_verify``),
-QASM parsing from a lexer that emits every token on its own and a parser
-that reads each statement token by token (``token_parse``), and QASM output
-from a renderer that formats every gate on its own (``plain_to_qasm``).
+direct enumeration of unit cells, the diagonal-collision warnings from a
+comparison of every pair of diagonals (``pairwise_collision_warnings``),
+components from label propagation, component joining from a multi-pass loop
+that re-finds every component after each join, routing from a fresh BFS
+and an explicit path list per non-adjacent gate, built ``Gate`` by ``Gate``
+(``bfs_route``), routing verification from a rescan of every gate once per
+qubit (``rescan_verify``), QASM parsing from a lexer that emits every token
+on its own and a parser that reads each statement token by token
+(``token_parse``), and QASM output from a renderer that formats every gate
+on its own (``plain_to_qasm``).
 ``complete`` builds the complete-graph topology, on which a route inserts no
 SWAP, so its metrics are the router's own score of the circuit.
 """
@@ -157,6 +159,26 @@ def is_diagonal(positions: dict, pair: tuple[int, int]) -> bool:
     """Whether the pair's cells differ by one row and one column."""
     (r1, c1), (r2, c2) = positions[pair[0]], positions[pair[1]]
     return abs(r1 - r2) == 1 and abs(c1 - c2) == 1
+
+
+def pairwise_collision_warnings(topology: Topology) -> list[str]:
+    """The diagonal-collision warnings from a comparison of every pair of
+    diagonal couplers, in the order of the pair's edge indices."""
+    positions = topology.positions or {}
+    diagonal_cells = []
+    for a, b in topology.edges:
+        if a in positions and b in positions and is_diagonal(positions, (a, b)):
+            (r1, c1), (r2, c2) = positions[a], positions[b]
+            diagonal_cells.append(((min(r1, r2), min(c1, c2)), (a, b)))
+    warnings = []
+    for i, (cell_a, edge_a) in enumerate(diagonal_cells):
+        for cell_b, edge_b in diagonal_cells[i + 1 :]:
+            if abs(cell_a[0] - cell_b[0]) + abs(cell_a[1] - cell_b[1]) == 1:
+                warnings.append(
+                    f"diagonal couplers {edge_a} and {edge_b} occupy side-sharing cells "
+                    "(frequency-collision risk)"
+                )
+    return warnings
 
 
 def components(num_qubits: int, edges) -> list[list[int]]:
@@ -313,7 +335,7 @@ _TOKEN_RE = re.compile(
     | (?P<cmp>==|!=|<=|>=|[<>=])
     | (?P<sym>[;,\[\]()*/+\-{}])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 _APPLIED_GATES = {

@@ -317,6 +317,45 @@ def test_validate_circuit_and_topology(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["validate", "route", "bench"])
+def test_two_qubits_in_one_cell_fail_with_one_error_line(tmp_path, capsys, command):
+    topo = tmp_path / "shared.json"
+    data = {"name": "t", "num_qubits": 3, "edges": [[0, 1], [1, 2]]}
+    topo.write_text(json.dumps({**data, "positions": [[0, 0], [0, 1], [0, 0]]}))
+    circuit = tmp_path / "c.qasm"
+    circuit.write_text("qreg q[3];\ncx q[0],q[2];\n")
+    argv = {
+        "validate": ["validate", str(topo)],
+        "route": ["route", str(circuit), "-t", str(topo)],
+        "bench": ["bench", "--qubits", "3", "--seeds", "1", "--gates", "20",
+                  "--baselines", str(topo), "-o", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: qubits 0 and 2 share cell [0, 0] (at positions[2])\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_warns_about_side_sharing_diagonals_and_exits_zero(tmp_path, capsys):
+    topo = tmp_path / "crowded.json"
+    data = {
+        "name": "crowded",
+        "num_qubits": 6,
+        "edges": [[0, 4], [1, 5]],
+        "positions": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]],
+    }
+    topo.write_text(json.dumps(data))
+    assert main(["validate", str(topo)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        "warning: diagonal couplers (0, 4) and (1, 5) occupy side-sharing cells "
+        "(frequency-collision risk)\n"
+        "crowded: 6 qubits, 2 couplers, ok\n"
+    )
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["synth"]) == 1

@@ -573,3 +573,21 @@ def test_half_a_million_comment_lines_before_a_canonical_statement_read_in_linea
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert circuit.gates == (Gate(GateKind.H, (0,)),) * 2
+
+
+@pytest.mark.parametrize(
+    "source, line, char",
+    [
+        ("qreg q[\u0664];\n", 1, "\u0664"),
+        ("qreg q[4];\nh q[\u0663];\n", 2, "\u0663"),
+        ("qreg q[1];\nrz(\u0661.\u0665) q[0];\n", 2, "\u0661"),
+    ],
+    ids=["qreg", "operand", "angle"],
+)
+def test_non_ascii_digits_are_unexpected_characters(source, line, char):
+    # OpenQASM 2.0 numbers are ASCII; int() and float() would read these
+    # Arabic-Indic digits as 4, 3 and 1.5.
+    with pytest.raises(QasmSyntaxError, match=rf"^line {line}: unexpected character '{char}'$"):
+        parse_qasm(source)
+    with pytest.raises(QasmSyntaxError, match=rf"^line {line}: unexpected character '{char}'$"):
+        token_parse(source)

@@ -1,12 +1,15 @@
-"""Topology model tests: validation, JSON round-trips, builtins."""
+"""Topology model tests: load checks, collision warnings, JSON round-trips, builtins."""
 
 import json
+import random
+import signal
 
 import pytest
 
 from cacore.bench import gen_random_circuit
 from cacore.errors import TopologyFormatError, UnknownTopologyError
 from cacore.ir import Circuit, Gate, GateKind
+from cacore.qasm import parse_qasm_file
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
 from cacore.topology import (
@@ -16,26 +19,15 @@ from cacore.topology import (
     line_topology,
     load_topology,
     save_topology,
-    topology_errors,
     validate_topology,
 )
 
-
-def test_self_edge_diagnostic():
-    topology = Topology("bad", 2, ((0, 0),))
-    messages = [d.message for d in topology_errors(topology)]
-    assert any("self-edge" in m for m in messages)
+from conftest import DATA_DIR
+from oracles import pairwise_collision_warnings
 
 
 def test_valid_grid_is_clean():
     assert validate_topology(grid_topology(3, 3)) == []
-
-
-def test_out_of_range_and_duplicate_diagnostics():
-    topology = Topology("bad", 2, ((0, 1), (0, 1), (1, 5)))
-    messages = [d.message for d in topology_errors(topology)]
-    assert any("duplicate" in m for m in messages)
-    assert any("out of range" in m for m in messages)
 
 
 @pytest.mark.parametrize("edge", [(0, 5), (-1, 2), (3, 1), (0, 1.5)])
@@ -50,15 +42,64 @@ def test_out_of_range_coupler_endpoint_raises_format_error(edge):
 def test_collision_warning_on_side_sharing_diagonals():
     positions = {0: (0, 0), 1: (0, 1), 2: (0, 2), 3: (1, 0), 4: (1, 1), 5: (1, 2)}
     topology = Topology("crowded", 6, ((0, 4), (1, 5)), positions=positions)
-    diagnostics = validate_topology(topology)
-    assert [d.level for d in diagnostics] == ["warning"]
-    assert "side-sharing" in diagnostics[0].message
+    warnings = validate_topology(topology)
+    assert len(warnings) == 1
+    assert "side-sharing" in warnings[0]
+    assert warnings == pairwise_collision_warnings(topology)
 
 
 def test_synthesized_topologies_validate_clean():
     for seed in range(5):
         circuit = gen_random_circuit(9 + seed, 200, seed)
         assert validate_topology(synthesize_topology(circuit)) == []
+
+
+def _all_diagonals(nrow: int, ncol: int) -> Topology:
+    """A grid holding both diagonals of every unit cell."""
+    grid = grid_topology(nrow, ncol)
+    diagonals = []
+    for r in range(nrow - 1):
+        for c in range(ncol - 1):
+            q = r * ncol + c
+            diagonals += [(q, q + ncol + 1), (q + 1, q + ncol)]
+    edges = grid.edges + tuple(diagonals)
+    return Topology("crowded", grid.num_qubits, edges, positions=grid.positions)
+
+
+def test_collision_warnings_match_the_pairwise_scan_on_random_layouts():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        side = rng.randint(1, 5)
+        grid = [(r, c) for r in range(side) for c in range(side)]
+        cells = rng.sample(grid, rng.randint(1, len(grid)))
+        n = len(cells)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = tuple(rng.sample(pairs, rng.randint(0, len(pairs))))
+        placed = rng.sample(range(n), rng.randint(0, n))  # some qubits may have no position
+        topology = Topology("random", n, edges, positions={q: cells[q] for q in placed})
+        assert validate_topology(topology) == pairwise_collision_warnings(topology)
+    full = _all_diagonals(4, 5)
+    assert validate_topology(full) == pairwise_collision_warnings(full)
+    assert len(validate_topology(full)) == 4 * (3 * 3 + 2 * 4)
+
+
+def test_all_diagonal_grid_collision_scan_runs_in_linear_time():
+    # 44 402 diagonals: a scan of every pair compares about 10^9 of them and
+    # runs for minutes; one that looks up each cell's side neighbours takes
+    # well under a second.
+    topology = _all_diagonals(150, 150)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the collision scan of 44 402 diagonals took over 20 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        warnings = validate_topology(topology)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(warnings) == 4 * 2 * 149 * 148  # four pairs per two side-sharing cells
 
 
 def test_save_load_round_trip(tmp_path):
@@ -91,6 +132,12 @@ def test_load_duplicate_edge_names_the_pair(tmp_path):
         ("edges", [[1, 0]], "i < j"),
         ("synthetic", [True, False], "synthetic"),
         ("positions", [[0, 0]], "positions"),
+        ("edges", [[1, 1]], "self-edge (1,1) (at edges[0])"),
+        ("edges", [[0, 1], [0, 1]], "duplicate edge (0,1) (at edges[1])"),
+        ("edges", [[0, 1], [1, 2]], "edge (1,2) out of range (at edges[1])"),
+        ("edges", [[-1, 1]], "edge (-1,1) out of range (at edges[0])"),
+        ("edges", [[1, 0]], "edge (1,0) must satisfy i < j (at edges[0])"),
+        ("positions", [[3, -2], [3, -2]], "qubits 0 and 1 share cell [3, -2] (at positions[1])"),
     ],
 )
 def test_load_schema_violations(tmp_path, field, value, needle):
@@ -124,7 +171,6 @@ def test_builtin_device_sizes(name, qubits, edges):
     topology = builtin_topology(name)
     assert topology.num_qubits == qubits
     assert len(topology.edges) == edges
-    assert topology_errors(topology) == []
 
 
 def test_every_builtin_is_connected():
@@ -157,3 +203,37 @@ def test_grid_edge_count_formula(nrow, ncol):
 def test_unknown_topology_error():
     with pytest.raises(UnknownTopologyError):
         builtin_topology("hexagon99")
+
+
+def _round_trips(topology: Topology, path) -> bool:
+    save_topology(topology, path)
+    return load_topology(path) == topology
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_synthesized_topologies_pass_the_load_checks(tmp_path, seed):
+    path = tmp_path / "t.json"
+    for n in range(2, 41):
+        for keep in (True, False):
+            topology = synthesize_topology(gen_random_circuit(n, 60, seed), keep_synthetic=keep)
+            assert _round_trips(topology, path), (n, keep)
+            assert validate_topology(topology) == []
+
+
+def test_topologies_of_the_bundled_circuits_pass_the_load_checks(tmp_path):
+    files = sorted(DATA_DIR.glob("*.qasm"))
+    assert files
+    for qasm in files:
+        topology = synthesize_topology(parse_qasm_file(qasm))
+        assert _round_trips(topology, tmp_path / "t.json"), qasm.name
+        assert validate_topology(topology) == []
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["almaden20", "cairo27", "prague33", "sycamore53", "half_sycamore24"]
+    + [f"line({n})" for n in range(1, 7)]
+    + ["grid(1,1)", "grid(2,3)", "grid(4,4)", "grid(5,2)"],
+)
+def test_builtins_pass_the_load_checks(tmp_path, name):
+    assert _round_trips(builtin_topology(name), tmp_path / "t.json")
