@@ -14,6 +14,9 @@ The stages pass two plain values:
 - ``Positions``: a ``qubit -> (row, col)`` dict. Path and adjacent couplers
   always join orthogonal neighbours, so a coupler is diagonal exactly when
   its ends differ by one row and one column.
+
+``generate_mwpg`` sorts the pairs itself, so no stage relies on the ascending
+pair order in which ``build_correlation`` stores the weights.
 """
 
 from __future__ import annotations
@@ -44,10 +47,12 @@ def generate_mwpg(matrix: CorrelationMatrix) -> Edges:
     # the two ends of one fragment.
     other_end = list(range(n))
     path: Edges = {}
-    for (a, b), weight in sorted(matrix.weights.items(), key=lambda item: (-item[1], item[0])):
+    weights = matrix.weights
+    # stable under reverse=True: equal weights keep the inner ascending pair order
+    for a, b in sorted(sorted(weights), key=weights.__getitem__, reverse=True):
         if degree[a] >= 2 or degree[b] >= 2 or other_end[a] == b:
             continue
-        path[(a, b)] = weight
+        path[(a, b)] = weights[(a, b)]
         degree[a] += 1
         degree[b] += 1
         end_a, end_b = other_end[a], other_end[b]
@@ -67,11 +72,13 @@ def _walk(adjacency: list[list[int]], end: int) -> list[int]:
     """Nodes of the fragment that ends at ``end``, from there to its other end."""
     order, prev = [end], None
     for _ in adjacency:  # at most one step per node, even off a simple path
-        ahead = [nb for nb in adjacency[order[-1]] if nb != prev]
-        if not ahead:
+        for step in adjacency[order[-1]]:
+            if step != prev:
+                break
+        else:  # no neighbour but the one it came from
             break
         prev = order[-1]
-        order.append(ahead[0])
+        order.append(step)
     return order
 
 
@@ -110,12 +117,6 @@ def choose_grid_dims(n: int) -> tuple[int, int]:
     return nrow, ncol
 
 
-def _serpentine_cell(index: int, ncol: int) -> tuple[int, int]:
-    row, offset = divmod(index, ncol)
-    col = offset if row % 2 == 0 else ncol - 1 - offset
-    return row, col
-
-
 def place_on_grid(num_qubits: int, path: Edges, nrow: int, ncol: int) -> Positions:
     """Lay a connected path into the grid in boustrophedon row order.
 
@@ -132,19 +133,21 @@ def place_on_grid(num_qubits: int, path: Edges, nrow: int, ncol: int) -> Positio
     order = _walk(adjacency, ends[0]) if ends else []
     if len(order) != num_qubits:
         raise ValueError("place_on_grid requires a connected path graph")
-    return {q: _serpentine_cell(idx, ncol) for idx, q in enumerate(order)}
+    cells = [(r, c if r % 2 == 0 else ncol - 1 - c) for r in range(nrow) for c in range(ncol)]
+    return dict(zip(order, cells))
 
 
 def _connect(positions: Positions, edges: Edges, matrix: CorrelationMatrix, offsets) -> Edges:
     """Add to ``edges``, in row-major cell order, each correlated occupant at an offset."""
     cells = {rc: q for q, rc in positions.items()}
-    for (row, col), q in sorted(cells.items()):
+    for row, col in sorted(cells):
+        q = cells[(row, col)]
         for dr, dc in offsets:
             nb = cells.get((row + dr, col + dc))
             if nb is None:
                 continue
-            pair = _ordered(q, nb)
-            weight = matrix.weight(*pair)
+            pair = (q, nb) if q < nb else (nb, q)
+            weight = matrix.weights.get(pair, 0)
             if weight > 0 and pair not in edges:
                 edges[pair] = weight
     return edges
@@ -156,7 +159,7 @@ def connect_adjacent(positions: Positions, path: Edges, matrix: CorrelationMatri
     Each occupied cell, in row-major order, is linked to its right and lower
     neighbours when they are occupied, correlated and not yet connected.
     """
-    return _connect(positions, dict(sorted(path.items())), matrix, ((0, 1), (1, 0)))
+    return _connect(positions, {p: path[p] for p in sorted(path)}, matrix, ((0, 1), (1, 0)))
 
 
 def connect_diagonals(positions: Positions, edges: Edges, matrix: CorrelationMatrix) -> Edges:

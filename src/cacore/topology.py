@@ -28,8 +28,9 @@ _DEVICE_FILES = {
     "prague33": "prague33.json",
     "sycamore53": "sycamore53.json",
 }
-_LINE_RE = re.compile(r"^line\((\d+)\)$")
-_GRID_RE = re.compile(r"^grid\((\d+),\s*(\d+)\)$")
+# ASCII digits and spaces only, and nothing after the closing parenthesis
+_LINE_RE = re.compile(r"line\((\d+)\)", re.ASCII)
+_GRID_RE = re.compile(r"grid\((\d+),\s*(\d+)\)", re.ASCII)
 
 BUILTIN_NAMES = (*_DEVICE_FILES, "half_sycamore24", "line(n)", "grid(nrow,ncol)")
 
@@ -253,7 +254,7 @@ def builtin_topology(name: str) -> Topology:
         return _load_bundled(_DEVICE_FILES[name])
     if name == "half_sycamore24":
         return half_sycamore_topology()
-    if m := _LINE_RE.match(name) or _GRID_RE.match(name):
+    if m := _LINE_RE.fullmatch(name) or _GRID_RE.fullmatch(name):
         try:
             dims = [int(d) for d in m.groups()]
         except ValueError:  # more digits than int() converts

@@ -12,7 +12,8 @@ and an explicit path list per non-adjacent gate, built ``Gate`` by ``Gate``
 qubit (``rescan_verify``), QASM parsing from a lexer that emits every token
 on its own and a parser that reads each statement token by token
 (``token_parse``), and QASM output from a renderer that formats every gate
-on its own (``plain_to_qasm``).
+on its own (``plain_to_qasm``), and synthesis from its stages as they were
+before their sorts and weight lookups were inlined (``reference_synthesize``).
 ``complete`` builds the complete-graph topology, on which a route inserts no
 SWAP, so its metrics are the router's own score of the circuit.
 """
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from cacore.analysis import CorrelationMatrix, _ordered
 from cacore.errors import (
     QasmSyntaxError,
     QubitIndexError,
@@ -41,6 +43,7 @@ from cacore.ir import (
 )
 from cacore.qasm import _decompose_ccx, _real
 from cacore.routing import Layout, RouteMetrics, RoutingResult, trivial_layout
+from cacore.synthesis import _adjacency, choose_grid_dims, partition_diagonals, prune_diagonals
 from cacore.topology import Topology
 
 
@@ -221,6 +224,117 @@ def multi_pass_join(num_qubits: int, path: dict) -> dict:
         first_cid, a = entries[0]
         b = next(node for cid, node in entries if cid != first_cid)
         edges[(a, b) if a < b else (b, a)] = 0
+
+
+# -- reference synthesis ------------------------------------------------------
+# The synthesis stages as they stood before their sorts and weight lookups
+# were inlined: a lambda sort key, ``matrix.weight``, one helper call per
+# serpentine cell, a list per walk step and ``dict(sorted(items))`` orders.
+
+
+def reference_correlation(circuit: Circuit) -> CorrelationMatrix:
+    """Two-qubit gate counts per ordered pair, sorted as (pair, count) items."""
+    counts = Counter(
+        (a, b) if a < b else (b, a)
+        for gate in circuit.gates
+        if gate.kind in TWO_QUBIT_KINDS
+        for a, b in (gate.qubits,)
+    )
+    return CorrelationMatrix(circuit.num_qubits, dict(sorted(counts.items())))
+
+
+def reference_mwpg(matrix: CorrelationMatrix) -> dict:
+    """``generate_mwpg`` scanning the items by a (-weight, pair) lambda key."""
+    n = matrix.num_qubits
+    degree = [0] * n
+    other_end = list(range(n))
+    path = {}
+    for (a, b), weight in sorted(matrix.weights.items(), key=lambda item: (-item[1], item[0])):
+        if degree[a] >= 2 or degree[b] >= 2 or other_end[a] == b:
+            continue
+        path[(a, b)] = weight
+        degree[a] += 1
+        degree[b] += 1
+        end_a, end_b = other_end[a], other_end[b]
+        other_end[end_a], other_end[end_b] = end_b, end_a
+    return path
+
+
+def _reference_walk(adjacency: list[list[int]], end: int) -> list[int]:
+    order, prev = [end], None
+    for _ in adjacency:
+        ahead = [nb for nb in adjacency[order[-1]] if nb != prev]
+        if not ahead:
+            break
+        prev = order[-1]
+        order.append(ahead[0])
+    return order
+
+
+def _reference_join(num_qubits: int, path: dict) -> dict:
+    adjacency = _adjacency(num_qubits, path)
+    fragments = []
+    far_ends = set()
+    for end in range(num_qubits):
+        if len(adjacency[end]) < 2 and end not in far_ends:
+            walk = _reference_walk(adjacency, end)
+            far_ends.add(walk[-1])
+            fragments.append((min(walk), end, walk[-1]))
+    joined = dict(path)
+    chain_ends = None
+    for _, head, tail in sorted(fragments):
+        if chain_ends is not None:
+            joined[_ordered(chain_ends[0], head)] = 0
+            head = chain_ends[1]
+        chain_ends = _ordered(head, tail)
+    return joined
+
+
+def _serpentine_cell(index: int, ncol: int) -> tuple[int, int]:
+    row, offset = divmod(index, ncol)
+    col = offset if row % 2 == 0 else ncol - 1 - offset
+    return row, col
+
+
+def _reference_place(num_qubits: int, path: dict, nrow: int, ncol: int) -> dict:
+    if num_qubits == 0:
+        return {}
+    adjacency = _adjacency(num_qubits, path)
+    ends = [q for q in range(num_qubits) if len(adjacency[q]) <= 1]
+    order = _reference_walk(adjacency, ends[0]) if ends else []
+    assert len(order) == num_qubits
+    return {q: _serpentine_cell(idx, ncol) for idx, q in enumerate(order)}
+
+
+def _reference_connect(positions: dict, edges: dict, matrix: CorrelationMatrix, offsets) -> dict:
+    cells = {rc: q for q, rc in positions.items()}
+    for (row, col), q in sorted(cells.items()):
+        for dr, dc in offsets:
+            nb = cells.get((row + dr, col + dc))
+            if nb is None:
+                continue
+            pair = _ordered(q, nb)
+            weight = matrix.weight(*pair)
+            if weight > 0 and pair not in edges:
+                edges[pair] = weight
+    return edges
+
+
+def reference_synthesize(circuit: Circuit, *, keep_synthetic: bool = True) -> Topology:
+    """``synthesize_topology`` from the stages above; the adjacency lists,
+    the grid size and the diagonal partition and prune come from the library,
+    which they share."""
+    n = circuit.num_qubits
+    matrix = reference_correlation(circuit)
+    path = _reference_join(n, reference_mwpg(matrix))
+    nrow, ncol = choose_grid_dims(n)
+    positions = _reference_place(n, path, nrow, ncol)
+    edges = _reference_connect(positions, dict(sorted(path.items())), matrix, ((0, 1), (1, 0)))
+    edges = _reference_connect(positions, dict(edges), matrix, ((1, -1), (1, 1)))
+    edges = prune_diagonals(edges, partition_diagonals(positions, edges))
+    pairs = sorted(pair for pair, weight in edges.items() if keep_synthetic or weight)
+    synthetic = frozenset(pair for pair in pairs if not edges[pair])
+    return Topology("ca_core", n, tuple(pairs), synthetic, positions)
 
 
 def _shortest_path(adjacency, src: int, dst: int) -> list[int] | None:

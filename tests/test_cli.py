@@ -193,6 +193,15 @@ def test_oversized_topology_fails_with_one_error_line(tmp_path, capsys, spec):
     assert f"more than {MAX_QUBITS} qubits" in err
 
 
+@pytest.mark.parametrize("spec", ["line(\u0664)", "line(4)\n", "grid(\uff12,\uff13)", "grid(2,\xa03)"])
+def test_non_ascii_builtin_name_fails_with_one_error_line(tmp_path, capsys, spec):
+    qasm = tmp_path / "c.qasm"
+    qasm.write_text("qreg q[2];\ncx q[0],q[1];\n")
+    assert main(["route", str(qasm), "-t", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown topology") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("text", ["qreg q[2];\nh q[{}];\n", "qreg q[{}];\n"])
 def test_validate_reports_an_oversized_integer_on_one_line(tmp_path, capsys, text):
     source = tmp_path / "big.qasm"

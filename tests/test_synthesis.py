@@ -8,6 +8,7 @@ from cacore.analysis import CorrelationMatrix, build_correlation
 from cacore.bench import NoiseParams, gen_random_circuit, run_comparison
 from cacore.errors import DegenerateInputError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from cacore.qasm import parse_qasm_file
 from cacore.synthesis import (
     choose_grid_dims,
     connect_adjacent,
@@ -21,7 +22,17 @@ from cacore.synthesis import (
 )
 from cacore.topology import builtin_topology
 
-from oracles import brute_force_diagonal_groups, components, degrees, is_diagonal, multi_pass_join
+from conftest import DATA_DIR
+from oracles import (
+    brute_force_diagonal_groups,
+    components,
+    degrees,
+    is_diagonal,
+    multi_pass_join,
+    reference_correlation,
+    reference_mwpg,
+    reference_synthesize,
+)
 
 
 def matrix_from_weights(num_qubits, weights):
@@ -107,6 +118,26 @@ def test_mwpg_dominance_replay():
             degree[a] += 1
             degree[b] += 1
             parent[find(a)] = find(b)
+
+
+def test_mwpg_does_not_depend_on_the_insertion_order_of_the_weights():
+    rng = random.Random(31)
+    for trial in range(300):
+        # weights 1..3 tie heavily, so the pair order decides most of the scan
+        n = rng.randint(2, 40)
+        density = (0.05, 0.1, 0.25, 0.6)[trial % 4]
+        weights = {
+            (i, j): rng.randint(1, 3)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        }
+        items = list(weights.items())
+        rng.shuffle(items)
+        shuffled = CorrelationMatrix(n, dict(items))
+        expected = list(reference_mwpg(shuffled).items())
+        assert list(generate_mwpg(shuffled).items()) == expected
+        assert list(generate_mwpg(matrix_from_weights(n, weights)).items()) == expected
 
 
 # -- join_components ---------------------------------------------------------
@@ -498,3 +529,26 @@ def test_joined_path_is_hamiltonian():
         counts = sorted(degrees(n, joined))
         assert counts[0] == 1 and counts[1] == 1
         assert all(d == 2 for d in counts[2:])
+
+
+def _synthesis_corpus():
+    """Random circuits of 2..40 qubits at 1, 10, 100 and 2000 gates, four
+    seeds each, and every bundled circuit."""
+    circuits = [
+        gen_random_circuit(n, gates, seed)
+        for n in range(2, 41)
+        for gates in (1, 10, 100, 2000)
+        for seed in range(4)
+    ]
+    return circuits + [parse_qasm_file(path) for path in sorted(DATA_DIR.glob("*.qasm"))]
+
+
+def test_synthesis_matches_the_reference_pipeline():
+    for circuit in _synthesis_corpus():
+        expected = reference_correlation(circuit).weights
+        assert list(build_correlation(circuit).weights.items()) == list(expected.items())
+        for keep_synthetic in (True, False):
+            topology = synthesize_topology(circuit, keep_synthetic=keep_synthetic)
+            reference = reference_synthesize(circuit, keep_synthetic=keep_synthetic)
+            assert topology == reference, circuit.name
+            assert list(topology.positions.items()) == list(reference.positions.items())

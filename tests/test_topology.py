@@ -205,6 +205,20 @@ def test_unknown_topology_error():
         builtin_topology("hexagon99")
 
 
+# Arabic-Indic and full-width digits, a trailing newline, a no-break space
+NON_ASCII_NAMES = ["line(\u0664)", "line(4)\n", "grid(\uff12,\uff13)", "grid(2,\xa03)"]
+
+
+@pytest.mark.parametrize("name", NON_ASCII_NAMES)
+def test_builtin_names_are_matched_on_ascii_text_only(name):
+    with pytest.raises(UnknownTopologyError):
+        builtin_topology(name)
+
+
+def test_grid_name_may_put_an_ascii_space_after_the_comma():
+    assert builtin_topology("grid(2, 3)") == builtin_topology("grid(2,3)")
+
+
 def _round_trips(topology: Topology, path) -> bool:
     save_topology(topology, path)
     return load_topology(path) == topology
