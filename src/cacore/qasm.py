@@ -8,24 +8,16 @@ need not be declared. Conditionals are rejected. Angle expressions cover
 ``pi``, numeric literals, ``+ - * /``, unary minus, and parentheses, nested
 at most ``_MAX_NESTING`` deep.
 
-``parse_qasm`` splits the source at every ``;`` once. The blanks and whole
-comments before a statement are stripped (a comment holding a ``;`` joins
-the pieces it spans), and a canonical gate application,
-``name[(number)] reg[i][,reg[j]]`` with one space before the first operand
-(``cx q[3],q[7]``, ``rz(-0.25) q[1]``), is read without the lexer, through a
-table from each ``reg[i]`` text to its checked flat qubit index. Any other
-piece (header, include, ``qreg``/``creg``, measure, barrier, ``ccx``, an
-angle expression, a comment inside a statement, any error) is lexed token by
-token from its offset through its ``;`` and read by recursive descent; the
-reader then moves on by pieces to where the lexer stopped. Lines are counted
-only there, each newline once per parse.
-
-A repeated param-less statement gets the gate of its first occurrence, looked
-up by its piece and by its text without that prefix; a register cannot be
-declared twice, so the gate stays valid for the whole parse. Rotations are
-built fresh, and no table is keyed on an angle. An unexpected character
-anywhere in the source wins over every other error, as if the whole source
-were lexed first.
+``parse_qasm`` reads the pieces of ``source.split(";")`` in order, with no
+line or offset. A repeated piece gets the gate of its first reading, a
+canonical gate application (``cx q[3],q[7]``, ``rz(-0.25) q[1]``) after
+blanks and whole comment lines is read by string splits and a table of
+checked ``reg[i]`` texts, and any other piece is lexed with its ``;`` and read
+by recursive descent. A failing file is read a second time, whole, token by
+token: that read raises the error with its line (an unexpected character
+anywhere wins), or reads a ``;`` that sits in a string or in a comment within
+a statement. A parse keeps one gate object per param-less ``(kind,
+qubits)``, whichever way it was read; rotations are built fresh.
 """
 
 from __future__ import annotations
@@ -50,6 +42,7 @@ _TOKEN_RE = re.compile(
     | (?P<arrow>->)
     | (?P<cmp>==|!=|<=|>=|[<>=])
     | (?P<sym>[;,\[\]()*/+\-{}])
+    | (?P<unexpected>.)
     """,
     re.VERBOSE | re.ASCII,
 )
@@ -65,7 +58,6 @@ _APPLIED_GATES = {
 # newline, so a failed match backtracks in linear time.
 _PREFIX_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*")
 
-_BLANK = " \t\r\n"  # what the lexer skips between tokens, besides comments
 _REAL_CHARS = "0123456789.eE+-"  # a signed literal: the only angle read without the lexer
 _MAX_NESTING = 64  # how deep unary signs and parentheses may nest in one angle
 
@@ -83,13 +75,25 @@ class _Token(NamedTuple):
     line: int
 
 
-class _Parser:
-    """Parse state, and the recursive descent over one lexed statement."""
+def _lex(text: str) -> list[_Token]:
+    """The tokens of ``text``, each with its line; blanks and comments are dropped."""
+    tokens = []
+    line = 1
+    for match in _TOKEN_RE.finditer(text):  # every character is in some match
+        kind = match.lastgroup
+        if kind == "newline":
+            line += 1
+        elif kind == "unexpected":
+            raise QasmSyntaxError(f"unexpected character {match.group()!r}", line)
+        elif kind != "ws" and kind != "comment":
+            tokens.append(_Token(kind, match.group(), line))
+    return tokens
 
-    def __init__(self, source: str):
-        self.source = source
-        self.line = 1
-        self.counted = 0  # the newlines before this offset are counted in self.line
+
+class _Parser:
+    """Parse state, and the recursive descent over lexed statements."""
+
+    def __init__(self):
         self.tokens: list[_Token] = []
         self.pos = 0
         # register name -> (offset, size); declaration order fixes offsets
@@ -97,28 +101,19 @@ class _Parser:
         self.classical: set[str] = set()
         self.num_qubits = 0
         self.gates: list[Gate] = []
+        self.shared: dict[tuple[GateKind, tuple[int, ...]], Gate] = {}  # the param-less gates
 
-    def lex(self, offset: int) -> int:
-        """Lex the statement at ``offset`` into ``tokens``, through its ``;`` or to
-        the end of the source, and return the offset after it."""
-        source = self.source
-        line = self.line + source.count("\n", self.counted, offset)
-        tokens = []
-        while offset < len(source):
-            match = _TOKEN_RE.match(source, offset)
-            if match is None:
-                raise QasmSyntaxError(f"unexpected character {source[offset]!r}", line) from None
-            offset = match.end()
-            kind = match.lastgroup
-            if kind == "newline":
-                line += 1
-            elif kind != "ws" and kind != "comment":
-                tokens.append(_Token(kind, match.group(), line))
-                if tokens[-1].text == ";":
-                    break
-        self.line, self.counted = line, offset
-        self.tokens, self.pos = tokens, 0
-        return offset
+    def _shared(self, kind: GateKind, qubits: tuple[int, ...]) -> Gate:
+        gate = self.shared.get((kind, qubits))
+        if gate is None:
+            gate = self.shared[kind, qubits] = Gate(kind, qubits)
+        return gate
+
+    def read(self, text: str) -> None:
+        """Lex ``text`` and read it statement by statement."""
+        self.tokens, self.pos = _lex(text), 0
+        while self.pos < len(self.tokens):
+            self.statement()
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -126,7 +121,7 @@ class _Parser:
     def _next(self, expected: str) -> _Token:
         tok = self._peek()
         if tok is None:
-            line = self.tokens[-1].line  # statement() runs only on a non-empty statement
+            line = self.tokens[-1].line  # statement() runs only where a token is left
             raise QasmSyntaxError(f"unexpected end of input, expected {expected}", line)
         self.pos += 1
         return tok
@@ -154,7 +149,7 @@ class _Parser:
             raise QasmSyntaxError(message, tok.line) from None
 
     def statement(self) -> None:
-        """Read the lexed statement; a ``;`` in it is its last token or an error."""
+        """Read the statement at ``pos``, through its ``;``."""
         tok = self._next("statement")
         if tok.kind != "ident":
             raise QasmSyntaxError(f"expected statement, got {tok.text!r}", tok.line)
@@ -240,8 +235,7 @@ class _Parser:
                 self._expect_int()
                 self._expect_sym("]")
         self._expect_sym(";")
-        for q in qubits:
-            self.gates.append(Gate(GateKind.MEASURE, (q,)))
+        self.gates.extend(self._shared(GateKind.MEASURE, (q,)) for q in qubits)
 
     def _barrier(self) -> None:
         qubits: list[int] = []
@@ -252,7 +246,8 @@ class _Parser:
                 break
             if tok.text != ",":
                 raise QasmSyntaxError(f"expected ',' or ';', got {tok.text!r}", tok.line)
-        self.gates.append(Gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
+        if qubits:  # operands that are only empty registers fence nothing
+            self.gates.append(self._shared(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
 
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:
@@ -284,10 +279,12 @@ class _Parser:
             raise QasmSyntaxError(f"{name}: duplicate qubit operand", line)
         if kind is None:
             self.gates.extend(_decompose_ccx(*operands))
-        elif n_operands > 1:
-            self.gates.append(Gate(kind, tuple(operands), param))
-        else:
+        elif param is not None:  # a rotation, on one qubit
             self.gates.extend(Gate(kind, (q,), param) for q in operands)
+        elif n_operands > 1:
+            self.gates.append(self._shared(kind, tuple(operands)))
+        else:
+            self.gates.extend(self._shared(kind, (q,)) for q in operands)
 
     # -- angle expressions ---------------------------------------------------
 
@@ -421,53 +418,41 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     declaration order. ``ccx`` is expanded at parse time so downstream
     stages only ever see one- and two-qubit gates.
     """
-    parser = _Parser(source)
-    gates, qubits = parser.gates, _Qubits(parser.registers)
-    shared: dict[str, Gate] = {}  # piece, or statement without its prefix -> param-less gate
-    pieces = source.split(";")
-    last = len(pieces) - 1  # the piece after the last ';'
-    i = offset = 0  # pieces[i] starts at source[offset]
+    parser = _Parser()
     try:
-        while True:
-            piece = pieces[i]
-            gate = shared.get(piece)
-            if gate is not None and i < last:  # the last piece has no ';' to end it
-                gates.append(gate)
-                offset += len(piece) + 1
-                i += 1
-                continue
-            # The statement after blanks and whole comments, which ends pieces[j]:
-            # a comment holding a ';' spans pieces.
-            text, j = piece.lstrip(_BLANK), i
-            if text.startswith("//"):
-                start = _PREFIX_RE.match(source, offset).end()
-                j += source.count(";", offset, start)
-                text = pieces[j][start - source.rfind(";", 0, start) - 1 :]
-            if j < last:
-                gate = shared.get(text) or _read_gate(text, qubits)
-                if gate is not None:
-                    if gate.param is None:
-                        shared[text] = gate
-                        if j == i:  # a joined piece is only a prefix of its statement
-                            shared[piece] = gate
-                    gates.append(gate)
-                    while i <= j:
-                        offset += len(pieces[i]) + 1
-                        i += 1
-                    continue
-            end = parser.lex(offset)
-            while offset < end:  # the lexer stops right after a ';', or at the end
-                offset += len(pieces[i]) + 1
-                i += 1
-            if not parser.tokens:
-                return Circuit(parser.num_qubits, tuple(gates), name)
-            parser.statement()
+        _read_pieces(parser, source)
+        return Circuit(parser.num_qubits, tuple(parser.gates), name)
     except (QasmSyntaxError, UnsupportedGateError, QubitIndexError):
-        # Lex the rest: an unexpected character anywhere wins. A lex error of
-        # the failing statement itself is raised again, unchained.
-        while offset < len(source):
-            offset = parser.lex(offset)
-        raise
+        pass  # the whole source is read below, outside this handler, for the error's line
+    parser = _Parser()
+    parser.read(source)
+    return Circuit(parser.num_qubits, tuple(parser.gates), name)
+
+
+def _read_pieces(parser: _Parser, source: str) -> None:
+    """Read ``source`` one ``;``-piece at a time, with no line or offset."""
+    gates, qubits, shared = parser.gates, _Qubits(parser.registers), parser.shared
+    memo: dict[str, Gate] = {}  # piece -> the one param-less gate it reads to
+    *pieces, tail = source.split(";")  # no ';' ends the tail
+    held = ""  # "//" while a comment that swallowed a ';' runs on into the next piece
+    for piece in pieces:
+        if held:
+            piece, held = held + piece, ""
+        gate = memo.get(piece)
+        if gate is None:
+            gate = _read_gate(piece[_PREFIX_RE.match(piece).end() :], qubits)
+            if gate is not None and gate.param is None:
+                gate = memo[piece] = shared.setdefault((gate.kind, gate.qubits), gate)
+        if gate is not None:
+            gates.append(gate)
+            continue
+        count = len(gates)
+        parser.read(piece + ";")
+        if not parser.tokens:  # a comment swallowed the ';'
+            held = "//"
+        elif len(gates) == count + 1 and gates[-1].param is None:
+            memo[piece] = gates[-1]
+    parser.read(held + tail)  # raises if it holds a statement, as no ';' ends it
 
 
 def parse_qasm_file(path: str | Path) -> Circuit:

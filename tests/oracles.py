@@ -625,7 +625,8 @@ class _TokenParser:
                 break
             if tok.text != ",":
                 raise QasmSyntaxError(f"expected ',' or ';', got {tok.text!r}", tok.line)
-        self.gates.append(Gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
+        if qubits:  # a barrier on empty registers only is no gate
+            self.gates.append(Gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
 
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:

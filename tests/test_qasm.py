@@ -10,6 +10,7 @@ import pytest
 from oracles import plain_to_qasm, token_parse
 
 from cacore.bench import gen_random_circuit
+from cacore.cli import main
 from cacore.errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind, validate_circuit
 from cacore.qasm import MAX_QUBITS, _Qubits, _read_gate, parse_qasm, to_qasm
@@ -88,6 +89,24 @@ def test_barrier_subset_kept_and_measure_target_optional():
     circuit = parse_qasm("qreg q[4]; barrier q[0],q[2]; measure q[1];")
     assert circuit.gates[0] == Gate(GateKind.BARRIER, (0, 2))
     assert circuit.gates[1] == Gate(GateKind.MEASURE, (1,))
+
+
+@pytest.mark.parametrize(
+    "source, gates, synth_code",
+    [("qreg q[0];\nbarrier q;\n", [], 3),  # no grid for 0 qubits
+     ("qreg q[0];\nqreg r[1];\nbarrier q,r;\nbarrier q,q;\n", [(GateKind.BARRIER, (0,), "None")], 0)],
+    ids=["empty", "one-empty-operand"],
+)
+def test_barrier_on_empty_registers_only_adds_no_gate(tmp_path, capsys, source, gates, synth_code):
+    # as `h q;` and `measure q;` on an empty register add none
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
+    assert _outcome(parse_qasm, source)[1] == gates
+    path = tmp_path / "empty.qasm"
+    path.write_text(source)
+    assert main(["validate", str(path)]) == 0
+    assert main(["synth", str(path), "-o", str(tmp_path / "t.json")]) == synth_code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == (synth_code != 0)
 
 
 @pytest.mark.parametrize(
@@ -487,11 +506,24 @@ def test_statement_tokens_match_token_by_token_oracle():
     assert parsed >= 300 and failed >= 300
 
 
-@pytest.mark.parametrize("n", [8, 20, 33])
-def test_parse_builds_one_gate_per_distinct_param_less_gate(monkeypatch, n):
-    """A deterministic work count: repeats of a param-less gate share one Gate."""
+_SPELLINGS = {  # a rewrite of ``to_qasm`` text that parses to the same circuit
+    "canonical": lambda text: text,
+    "spaced": lambda text: text.replace("],q[", "], q["),
+    "comment-line-before": lambda text: "".join(f"// c\n{line}\n" for line in text.splitlines()),
+    "semicolon-comment-after": lambda text: text.replace("\n", " // a;b\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "spelling, n",
+    [pytest.param(spelling, n, id=str(n) if spelling == "canonical" else f"{spelling}-{n}")
+     for spelling in _SPELLINGS for n in (8, 20, 33)],
+)
+def test_parse_builds_one_gate_per_distinct_param_less_gate(monkeypatch, spelling, n):
+    """A deterministic work count: repeats of a param-less gate share one Gate,
+    however the file spells them."""
     circuit = gen_random_circuit(n, 2000, 1)
-    source = to_qasm(circuit)
+    source = _SPELLINGS[spelling](to_qasm(circuit))
     built = []
 
     def counting_gate(*args, **kwargs):
@@ -513,6 +545,24 @@ def test_parse_builds_one_gate_per_distinct_param_less_gate(monkeypatch, n):
 def test_text_after_the_last_semicolon_reads_as_the_oracle_reads_it(tail):
     # every statement in the tail is a repeat, so only the missing ';' can fail it
     source = "qreg q[2];\ncx q[0],q[1];\nh q[1];\nrz(0.5) q[0];\n" + tail
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "qreg q[1];\n// ;h q[0]\n;",  # the oracle fails on line 3; trusting the split reads h
+        'include "a;b.inc";\nqreg q[1];\nh q[0];',
+        "qreg q[1];\nh q[0] // c;\n;",
+        "qreg q[2];\ncx q[0], // a;b\n q[1];",
+        "qreg q[1];\nh q[0];;",
+        "qreg q[1];\n// a;b;c\nh q[0];\n// ;\nh q[0];",
+        "qreg q[1];\nh q[0]; // a;b",
+        'qreg q[1];\ninclude ";";\nh q[0]; "a;b"',
+        "qreg q[1];\n// a;b\nh q[0]\n// c;d\n;",
+    ],
+)
+def test_a_semicolon_in_a_comment_or_string_reads_as_the_oracle_reads_it(source):
     assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
 
 
@@ -556,23 +606,38 @@ def test_long_run_of_blank_and_comment_lines_before_a_statement():
     assert err.value.line == 10_003
 
 
+def _parse_within_20_s(source):
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{len(source.splitlines())} lines took over 20 s to read")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        return parse_qasm(source)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_half_a_million_comment_lines_before_a_canonical_statement_read_in_linear_time():
     # 3 MB of comment lines before statements the lexer never sees. A reader
     # that copies the rest of the run once per comment line moves about 750 GB
     # here and runs for minutes; a linear one takes well under a second.
     source = "qreg q[1];\n" + "// c\n\n" * 500_000 + "h q[0];\nh q[0];\n"
+    assert _parse_within_20_s(source).gates == (Gate(GateKind.H, (0,)),) * 2
 
-    def too_slow(signum, frame):
-        raise TimeoutError("500 000 comment lines took over 20 s to read")
 
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 20)
-    try:
-        circuit = parse_qasm(source)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert circuit.gates == (Gate(GateKind.H, (0,)),) * 2
+@pytest.mark.parametrize(
+    "head, tail, gate",
+    [("qreg q[1];\n", "h q[0];\n", Gate(GateKind.H, (0,))),
+     ("qreg q[2];\ncx q[0],", "q[1];\n", Gate(GateKind.CNOT, (0, 1)))],
+    ids=["before-a-statement", "inside-a-statement"],
+)
+def test_comment_lines_holding_a_semicolon_read_in_linear_time(head, tail, gate):
+    # Each comment swallows a ';'. A reader that carries all the comment text
+    # it has swallowed into the next piece is quadratic here: 5000 lines take
+    # seconds, and 200 000 would take hours.
+    assert _parse_within_20_s(head + "// a;b\n" * 200_000 + tail).gates == (gate,)
 
 
 @pytest.mark.parametrize(
