@@ -25,27 +25,16 @@ from .errors import (
     UnroutableGateError,
     UnsupportedGateError,
 )
-from .ir import Circuit, Gate, GateKind, validate_circuit
+from .ir import Circuit, Gate, GateKind
 from .qasm import parse_qasm, parse_qasm_file, to_qasm
 from .routing import (
-    Layout,
     RouteMetrics,
     RoutingResult,
     route_circuit,
     trivial_layout,
     verify_routing,
 )
-from .synthesis import (
-    choose_grid_dims,
-    connect_adjacent,
-    connect_diagonals,
-    generate_mwpg,
-    join_components,
-    partition_diagonals,
-    place_on_grid,
-    prune_diagonals,
-    synthesize_topology,
-)
+from .synthesis import synthesize_topology
 from .topology import (
     Topology,
     builtin_topology,

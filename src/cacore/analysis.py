@@ -14,19 +14,12 @@ from dataclasses import dataclass
 from .ir import TWO_QUBIT_KINDS, Circuit
 
 
-def _ordered(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Symmetric qubit-pair interaction counts, stored once per pair (i < j)."""
 
     num_qubits: int
     weights: dict[tuple[int, int], int]
-
-    def weight(self, a: int, b: int) -> int:
-        return self.weights.get(_ordered(a, b), 0)
 
 
 def build_correlation(circuit: Circuit) -> CorrelationMatrix:

@@ -92,8 +92,9 @@ def estimate_fidelity(metrics: RouteMetrics, noise: NoiseParams) -> float:
     return (1.0 - noise.epsilon) ** n1 * (1.0 - noise.epsilon * noise.two_qubit_factor) ** n2
 
 
-def _fidelity_key(noise: NoiseParams) -> str:
-    return f"fidelity@{noise.epsilon:g}"
+def _fidelity_key(epsilon: float) -> str:
+    """The report column of the fidelity proxy at one error rate."""
+    return f"fidelity@{epsilon:g}"
 
 
 @dataclass
@@ -178,7 +179,7 @@ def run_comparison(
                 "swaps": result.metrics.swap_count,
             }
             for params in noise:
-                row[_fidelity_key(params)] = estimate_fidelity(result.metrics, params)
+                row[_fidelity_key(params.epsilon)] = estimate_fidelity(result.metrics, params)
             report.rows.append(row)
 
     report.aggregates = _aggregate(report.rows, [t.name for t in baselines])
@@ -218,25 +219,18 @@ def _aggregate(rows: list[dict], baseline_names: list[str]) -> list[dict]:
     return aggregates
 
 
-def write_report_csv(report: BenchmarkReport, path: str | Path) -> None:
-    columns = ["circuit", "seed", "qubits", "topology", "depth", "gates", "swaps"]
-    columns += [f"fidelity@{e:g}" for e in report.config.get("epsilons", [])]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in report.rows:
-            writer.writerow(row)
-
-
-def write_report_json(report: BenchmarkReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-
 def emit_report(report: BenchmarkReport, fmt: str, path: str | Path) -> None:
-    """Write the report as ``csv`` or ``json``."""
+    """Write the report as ``csv``, one line per row with a fidelity column
+    per configured error rate, or as ``json``, the whole ``to_dict``."""
     if fmt == "csv":
-        write_report_csv(report, path)
+        columns = ["circuit", "seed", "qubits", "topology", "depth", "gates", "swaps"]
+        columns += [_fidelity_key(e) for e in report.config.get("epsilons", [])]
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
+            writer.writeheader()
+            for row in report.rows:
+                writer.writerow(row)
     elif fmt == "json":
-        write_report_json(report, path)
+        Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

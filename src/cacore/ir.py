@@ -49,8 +49,8 @@ MAX_QUBITS = 2**16
 class Gate:
     """A single operation on one or more qubits.
 
-    Two-qubit kinds (CNOT, SWAP) take exactly two operands, barrier takes
-    any non-empty subset, everything else takes one. Rotation kinds carry
+    Two-qubit kinds (CNOT, SWAP) take exactly two distinct operands, barrier
+    takes any non-empty subset, everything else takes one. Rotation kinds carry
     an angle in radians; all other kinds carry none.
     """
 
@@ -63,6 +63,8 @@ class Gate:
         if self.kind in TWO_QUBIT_KINDS:
             if len(self.qubits) != 2:
                 raise ValueError(f"{self.kind.value} takes exactly 2 qubits, got {len(self.qubits)}")
+            if self.qubits[0] == self.qubits[1]:
+                raise ValueError(f"{self.kind.value}: identical endpoints {self.qubits[0]}")
         elif self.kind is GateKind.BARRIER:
             if not self.qubits:
                 raise ValueError("barrier requires at least one qubit")
@@ -97,26 +99,3 @@ class Circuit:
         used = {q for gate in self.gates for q in gate.qubits}
         low, high = min(used, default=0), max(used, default=-1)
         return low if low < 0 else high if high >= self.num_qubits else None
-
-
-def validate_circuit(circuit: Circuit) -> list[str]:
-    """Check circuit invariants, returning one diagnostic per violation.
-
-    An empty list means every gate references in-range qubits and every
-    two-qubit gate has distinct endpoints.
-    """
-    diagnostics: list[str] = []
-    if circuit.num_qubits < 0:
-        diagnostics.append(f"negative qubit count {circuit.num_qubits}")
-    for idx, gate in enumerate(circuit.gates):
-        for q in gate.qubits:
-            if not 0 <= q < circuit.num_qubits:
-                diagnostics.append(
-                    f"gate {idx} ({gate.kind.value}): qubit {q} out of range for "
-                    f"{circuit.num_qubits}-qubit circuit"
-                )
-        if gate.kind in TWO_QUBIT_KINDS and gate.qubits[0] == gate.qubits[1]:
-            diagnostics.append(
-                f"gate {idx} ({gate.kind.value}): identical endpoints {gate.qubits[0]}"
-            )
-    return diagnostics

@@ -36,16 +36,9 @@ from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .topology import Topology
 
 
-@dataclass
-class Layout:
-    """Bijective logical -> physical qubit mapping, mutated SWAP by SWAP."""
-
-    log_to_phys: list[int]
-    phys_to_log: list[int | None]
-
-
-def trivial_layout(num_logical: int, num_physical: int) -> Layout:
-    """Identity mapping: logical qubit i starts on physical qubit i."""
+def trivial_layout(num_logical: int, num_physical: int) -> list[int | None]:
+    """Identity mapping as the logical qubit on each physical qubit: logical
+    qubit i starts on physical qubit i, and the rest hold None."""
     if num_logical > num_physical:
         raise DegenerateInputError(
             f"{num_logical} logical qubits exceed {num_physical} physical qubits"
@@ -53,7 +46,7 @@ def trivial_layout(num_logical: int, num_physical: int) -> Layout:
     phys_to_log: list[int | None] = [None] * num_physical
     for q in range(num_logical):
         phys_to_log[q] = q
-    return Layout(list(range(num_logical)), phys_to_log)
+    return phys_to_log
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,6 @@ class RouteMetrics:
 @dataclass
 class RoutingResult:
     routed: Circuit
-    final_layout: Layout
     inserted: tuple[int, ...]  # indices of inserted SWAPs within routed.gates
     metrics: RouteMetrics
 
@@ -119,8 +111,8 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     """
     circuit.check_qubits()
     size = topology.num_qubits
-    layout = trivial_layout(circuit.num_qubits, size)
-    log_to_phys, phys_to_log = layout.log_to_phys, layout.phys_to_log
+    phys_to_log = trivial_layout(circuit.num_qubits, size)
+    log_to_phys = list(range(circuit.num_qubits))
     adjacency = topology.adjacency()
     # target qubit -> its next-hop table, built on first use
     tables: list[list[int | None] | None] = [None] * size
@@ -208,7 +200,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
         swap_count=len(inserted),
         total_swap_gates=source_swaps + len(inserted),
     )
-    return RoutingResult(routed_circuit, layout, tuple(inserted), metrics)
+    return RoutingResult(routed_circuit, tuple(inserted), metrics)
 
 
 def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) -> bool:
@@ -227,7 +219,7 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     """
     couplers = {pair for a, b in topology.edges for pair in ((a, b), (b, a))}
     size = topology.num_qubits
-    phys_to_log = trivial_layout(circuit.num_qubits, size).phys_to_log
+    phys_to_log = trivial_layout(circuit.num_qubits, size)
     marks = iter([idx for idx in sorted(set(result.inserted)) if idx >= 0])
     mark = next(marks, -1)  # the next inserted index, -1 after the last
     source = circuit.gates

@@ -23,13 +23,17 @@ from __future__ import annotations
 
 import math
 
-from .analysis import CorrelationMatrix, _ordered, build_correlation
+from .analysis import CorrelationMatrix, build_correlation
 from .errors import DegenerateInputError
 from .ir import Circuit
 from .topology import Topology
 
 Edges = dict[tuple[int, int], int]
 Positions = dict[int, tuple[int, int]]
+
+
+def _ordered(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
 
 
 def generate_mwpg(matrix: CorrelationMatrix) -> Edges:

@@ -233,11 +233,6 @@ def sycamore_pattern(nrow: int, ncol: int) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def half_sycamore_topology() -> Topology:
-    """Six rows by four columns of the diagonal-grid pattern, all couplers enabled."""
-    return Topology("half_sycamore24", 24, tuple(sycamore_pattern(6, 4)))
-
-
 def _load_bundled(fname: str) -> Topology:
     text = resources.files("cacore").joinpath("data", fname).read_text(encoding="utf-8")
     return topology_from_dict(json.loads(text), source=fname)
@@ -252,8 +247,8 @@ def builtin_topology(name: str) -> Topology:
     """
     if name in _DEVICE_FILES:
         return _load_bundled(_DEVICE_FILES[name])
-    if name == "half_sycamore24":
-        return half_sycamore_topology()
+    if name == "half_sycamore24":  # six rows by four columns, all couplers enabled
+        return Topology(name, 24, tuple(sycamore_pattern(6, 4)))
     if m := _LINE_RE.fullmatch(name) or _GRID_RE.fullmatch(name):
         try:
             dims = [int(d) for d in m.groups()]

@@ -26,8 +26,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from cacore.analysis import CorrelationMatrix, _ordered
+from cacore.analysis import CorrelationMatrix
 from cacore.errors import (
+    DegenerateInputError,
     QasmSyntaxError,
     QubitIndexError,
     UnroutableGateError,
@@ -42,8 +43,14 @@ from cacore.ir import (
     GateKind,
 )
 from cacore.qasm import _decompose_ccx, _real
-from cacore.routing import Layout, RouteMetrics, RoutingResult, trivial_layout
-from cacore.synthesis import _adjacency, choose_grid_dims, partition_diagonals, prune_diagonals
+from cacore.routing import RouteMetrics, RoutingResult
+from cacore.synthesis import (
+    _adjacency,
+    _ordered,
+    choose_grid_dims,
+    partition_diagonals,
+    prune_diagonals,
+)
 from cacore.topology import Topology
 
 
@@ -228,8 +235,9 @@ def multi_pass_join(num_qubits: int, path: dict) -> dict:
 
 # -- reference synthesis ------------------------------------------------------
 # The synthesis stages as they stood before their sorts and weight lookups
-# were inlined: a lambda sort key, ``matrix.weight``, one helper call per
-# serpentine cell, a list per walk step and ``dict(sorted(items))`` orders.
+# were inlined: a lambda sort key, an ``_ordered`` call and a lookup per
+# candidate pair, one helper call per serpentine cell, a list per walk step
+# and ``dict(sorted(items))`` orders.
 
 
 def reference_correlation(circuit: Circuit) -> CorrelationMatrix:
@@ -314,7 +322,7 @@ def _reference_connect(positions: dict, edges: dict, matrix: CorrelationMatrix, 
             if nb is None:
                 continue
             pair = _ordered(q, nb)
-            weight = matrix.weight(*pair)
+            weight = matrix.weights.get(pair, 0)
             if weight > 0 and pair not in edges:
                 edges[pair] = weight
     return edges
@@ -357,7 +365,23 @@ def _shortest_path(adjacency, src: int, dst: int) -> list[int] | None:
     return path
 
 
-def _swap_physical(layout: Layout, p1: int, p2: int) -> None:
+class _Layout(NamedTuple):
+    log_to_phys: list[int]
+    phys_to_log: list[int | None]
+
+
+def _identity_layout(circuit: Circuit, topology: Topology) -> _Layout:
+    """Logical qubit i on physical qubit i; every other physical qubit free."""
+    free = topology.num_qubits - circuit.num_qubits
+    if free < 0:
+        raise DegenerateInputError(
+            f"{circuit.num_qubits} logical qubits exceed {topology.num_qubits} physical qubits"
+        )
+    logical = list(range(circuit.num_qubits))
+    return _Layout(logical, logical + [None] * free)
+
+
+def _swap_physical(layout: _Layout, p1: int, p2: int) -> None:
     """Exchange the states on physical qubits p1 and p2, then re-point
     the logical qubits now on them."""
     phys_to_log = layout.phys_to_log
@@ -369,7 +393,7 @@ def _swap_physical(layout: Layout, p1: int, p2: int) -> None:
 
 def bfs_route(circuit: Circuit, topology: Topology) -> RoutingResult:
     """Route with a fresh BFS path search for every non-adjacent two-qubit gate."""
-    layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
+    layout = _identity_layout(circuit, topology)
     adjacency = topology.adjacency()
     routed: list[Gate] = []
     inserted: list[int] = []
@@ -404,14 +428,14 @@ def bfs_route(circuit: Circuit, topology: Topology) -> RoutingResult:
         swap_count=len(inserted),
         total_swap_gates=stats.swap_count,
     )
-    return RoutingResult(routed_circuit, layout, tuple(inserted), metrics)
+    return RoutingResult(routed_circuit, tuple(inserted), metrics)
 
 
 def rescan_verify(circuit: Circuit, result: RoutingResult, topology: Topology) -> bool:
     """Replay the routed gates, then compare each qubit's gate list by a full rescan."""
     adjacency = topology.adjacency()
     inserted = set(result.inserted)
-    layout = trivial_layout(circuit.num_qubits, topology.num_qubits)
+    layout = _identity_layout(circuit, topology)
     replayed: list[Gate] = []
     for idx, gate in enumerate(result.routed.gates):
         if gate.kind in TWO_QUBIT_KINDS and gate.qubits[1] not in adjacency.get(gate.qubits[0], ()):

@@ -12,8 +12,6 @@ from cacore.bench import (
     estimate_fidelity,
     gen_random_circuit,
     run_comparison,
-    write_report_csv,
-    write_report_json,
 )
 from cacore.ir import Circuit, Gate, GateKind
 from cacore.routing import route_circuit
@@ -155,7 +153,7 @@ def test_baseline_with_an_out_of_range_coupler_is_recorded_and_the_run_continues
 def test_csv_row_count_and_columns(tmp_path):
     report = small_report()
     path = tmp_path / "report.csv"
-    write_report_csv(report, path)
+    emit_report(report, "csv", path)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     header, body = rows[0], rows[1:]
@@ -170,7 +168,7 @@ def test_csv_row_count_and_columns(tmp_path):
 def test_empty_report_is_header_only(tmp_path):
     report = BenchmarkReport(config={"epsilons": [0.001]})
     path = tmp_path / "empty.csv"
-    write_report_csv(report, path)
+    emit_report(report, "csv", path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1
 
@@ -178,7 +176,7 @@ def test_empty_report_is_header_only(tmp_path):
 def test_json_round_trip(tmp_path):
     report = small_report()
     path = tmp_path / "report.json"
-    write_report_json(report, path)
+    emit_report(report, "json", path)
     assert BenchmarkReport(**json.loads(path.read_text())) == report
     # and the raw dict round-trips losslessly
     raw = json.loads(path.read_text())

@@ -220,6 +220,15 @@ def test_validate_reports_an_oversized_register_on_one_line(tmp_path, capsys):
     assert err.startswith("error: line 1: ") and len(err.splitlines()) == 1
 
 
+def test_validate_reports_identical_endpoints_on_one_line(tmp_path, capsys):
+    source = tmp_path / "loop.qasm"
+    source.write_text("qreg q[2];\nh q[0];\ncx q[0],q[0];\n")
+    assert main(["validate", str(source)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 3: cx: duplicate qubit operand\n"
+
+
 _DEEP = 5000  # far past the recursion limit of a descent without a depth bound
 _NESTED = b"[" * 100_000 + b"]" * 100_000  # past the JSON reader's own limit
 

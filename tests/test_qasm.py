@@ -11,8 +11,13 @@ from oracles import plain_to_qasm, token_parse
 
 from cacore.bench import gen_random_circuit
 from cacore.cli import main
-from cacore.errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError
-from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind, validate_circuit
+from cacore.errors import (
+    DegenerateInputError,
+    QasmSyntaxError,
+    QubitIndexError,
+    UnsupportedGateError,
+)
+from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from cacore.qasm import MAX_QUBITS, _Qubits, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
@@ -373,15 +378,17 @@ def test_parser_total_on_fuzzed_inputs():
             circuit = parse_qasm(program)
         except (QasmSyntaxError, UnsupportedGateError, QubitIndexError):
             continue
-        assert validate_circuit(circuit) == []
+        circuit.check_qubits()
 
 
-def test_validate_circuit_examples():
-    assert validate_circuit(parse_qasm("qreg q[2]; cx q[0],q[1];")) == []
-    bad_loop = Circuit(2, (Gate(GateKind.CNOT, (0, 0)),))
-    assert any("identical endpoints" in d for d in validate_circuit(bad_loop))
+def test_circuit_rule_examples():
+    parse_qasm("qreg q[2]; cx q[0],q[1];").check_qubits()
+    for kind, qubits in ((GateKind.CNOT, (0, 0)), (GateKind.SWAP, (1, 1))):
+        with pytest.raises(ValueError, match=f"{kind.value}: identical endpoints {qubits[0]}"):
+            Gate(kind, qubits)
     bad_range = Circuit(6, (Gate(GateKind.H, (7,)),))
-    assert any("out of range" in d for d in validate_circuit(bad_range))
+    with pytest.raises(DegenerateInputError, match="out of range"):
+        bad_range.check_qubits()
 
 
 def _outcome(parse, source):
@@ -500,7 +507,7 @@ def test_statement_tokens_match_token_by_token_oracle():
         if isinstance(expected[0], int):
             parsed += 1
             # a parsed circuit is always valid, so ``cacore synth`` need not check it
-            assert validate_circuit(parse_qasm(source)) == []
+            parse_qasm(source).check_qubits()
         else:
             failed += 1
     assert parsed >= 300 and failed >= 300

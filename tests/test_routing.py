@@ -27,13 +27,11 @@ def cnot(a, b):
 
 
 def test_trivial_layout_identity():
-    layout = trivial_layout(3, 5)
-    assert layout.log_to_phys == [0, 1, 2]
-    assert layout.phys_to_log == [0, 1, 2, None, None]
+    assert trivial_layout(3, 5) == [0, 1, 2, None, None]
 
 
 def test_trivial_layout_single_qubit():
-    assert trivial_layout(1, 1).log_to_phys == [0]
+    assert trivial_layout(1, 1) == [0]
 
 
 def test_trivial_layout_capacity():
@@ -104,7 +102,6 @@ def test_verify_rejects_deleted_swap():
     result = route_circuit(circuit, topology)
     tampered = RoutingResult(
         routed=Circuit(3, result.routed.gates[1:], result.routed.name),
-        final_layout=result.final_layout,
         inserted=(),
         metrics=result.metrics,
     )
@@ -127,7 +124,7 @@ def test_verify_rejects_a_routed_gate_off_the_topology(routed):
     topology = builtin_topology("line(3)")
     result = route_circuit(circuit, topology)
     assert result.routed.gates == circuit.gates
-    tampered = RoutingResult(Circuit(3, routed), result.final_layout, (), result.metrics)
+    tampered = RoutingResult(Circuit(3, routed), (), result.metrics)
     assert rescan_verify(circuit, tampered, topology) is False
     assert verify_routing(circuit, tampered, topology) is False
 
@@ -137,7 +134,6 @@ def test_verify_rejects_wrong_logical_operands():
     topology = builtin_topology("line(3)")
     swapped = RoutingResult(
         routed=Circuit(3, (cnot(1, 0),)),
-        final_layout=trivial_layout(2, 3),
         inserted=(),
         metrics=route_circuit(circuit, topology).metrics,
     )
@@ -331,7 +327,7 @@ def _mutate(result, rng):
         qubits = gate.qubits[::-1] if how == 3 else gate.qubits
         gates[i] = Gate(kind, qubits, param)
     routed = Circuit(result.routed.num_qubits, tuple(gates), result.routed.name)
-    return RoutingResult(routed, result.final_layout, tuple(sorted(inserted)), result.metrics)
+    return RoutingResult(routed, tuple(sorted(inserted)), result.metrics)
 
 
 def _routed(route, circuit, topology):
@@ -339,14 +335,13 @@ def _routed(route, circuit, topology):
         result = route(circuit, topology)
     except UnroutableGateError as exc:
         return str(exc)
-    layout = result.final_layout
+    # The routed gates and the inserted indices fix the final layout: it is
+    # the trivial one after the inserted SWAPs, in order.
     return (
         result.routed,
         to_qasm(result.routed),  # Gate equality has 0.0 == -0.0; the text keeps the sign
         result.inserted,
         result.metrics,
-        layout.log_to_phys,
-        layout.phys_to_log,
     )
 
 
@@ -399,7 +394,7 @@ def _reindexed(result, how, rng):
         marks.insert(0, -rng.randint(1, len(result.routed.gates)))
     else:
         marks.append(len(result.routed.gates) + rng.randrange(3))
-    return RoutingResult(result.routed, result.final_layout, tuple(marks), result.metrics)
+    return RoutingResult(result.routed, tuple(marks), result.metrics)
 
 
 @pytest.mark.parametrize("how", ["unsorted", "duplicated", "negative", "past_end"])
@@ -475,7 +470,7 @@ def test_verify_hands_off_from_in_order_matching_like_the_oracle(edit, expected)
     gates = list(result.routed.gates)
     edit(gates)
     routed = Circuit(result.routed.num_qubits, tuple(gates), result.routed.name)
-    mutant = RoutingResult(routed, result.final_layout, result.inserted, result.metrics)
+    mutant = RoutingResult(routed, result.inserted, result.metrics)
     assert rescan_verify(_HAND_OFF_CIRCUIT, mutant, topology) is expected
     assert verify_routing(_HAND_OFF_CIRCUIT, mutant, topology) is expected
 
@@ -498,7 +493,7 @@ def test_circuit_stats_match_asap_oracle():
                 Gate(GateKind.RX, (0,), 0.5),
                 Gate(GateKind.RZ, (2,), -0.0),
                 Gate(GateKind.BARRIER, (0, 2)),
-                cnot(1, 1),
+                cnot(1, 0),
                 Gate(GateKind.MEASURE, (1,)),
                 Gate(GateKind.SWAP, (0, 2)),
                 Gate(GateKind.RY, (1,), 0.0),
