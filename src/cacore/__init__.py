@@ -19,11 +19,9 @@ from .errors import (
     CacoreError,
     DegenerateInputError,
     QasmSyntaxError,
-    QubitIndexError,
     TopologyFormatError,
     UnknownTopologyError,
     UnroutableGateError,
-    UnsupportedGateError,
 )
 from .ir import Circuit, Gate, GateKind
 from .qasm import parse_qasm, parse_qasm_file, to_qasm

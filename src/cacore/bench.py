@@ -26,62 +26,56 @@ from .topology import Topology
 _ONE_QUBIT_POOL = (GateKind.H, GateKind.X, GateKind.S, GateKind.T)
 
 CA_CORE = "ca_core"
+# A two-qubit gate fails five times as often as a one-qubit gate.
+TWO_QUBIT_FACTOR = 5.0
 
 
-def gen_random_circuit(
-    num_qubits: int,
-    target_gates: int,
-    seed: int,
-    *,
-    pair_fraction: float = 0.25,
-    one_qubit_prob: float = 0.7,
-    name: str | None = None,
-) -> Circuit:
-    """Layered random circuit, fully reproducible from the seed.
+def gen_random_circuit(num_qubits: int, target_gates: int, seed: int) -> Circuit:
+    """Layered random circuit ``random_n{num_qubits}_s{seed}``, fully
+    reproducible from the seed.
 
-    Each layer shuffles the qubits, pairs the first ``2*floor(n *
-    pair_fraction)`` of them into disjoint CNOTs, and gives every
-    remaining qubit a uniformly chosen one-qubit gate with probability
-    ``one_qubit_prob``. Layers are appended until the gate count reaches
-    ``target_gates``, so the total lands in [target, target + layer size).
+    Each layer shuffles the qubits, pairs the first ``2*floor(n * 0.25)``
+    of them into disjoint CNOTs, and gives every remaining qubit a
+    uniformly chosen one-qubit gate with probability 0.7. Layers are
+    appended until the gate count reaches ``target_gates``, so the total
+    lands in [target, target + layer size).
     """
     if num_qubits < 2:
         raise DegenerateInputError(f"random circuits need at least 2 qubits, got {num_qubits}")
     rng = random.Random(seed)
     gates: list[Gate] = []
-    pairs = int(num_qubits * pair_fraction)
+    pairs = int(num_qubits * 0.25)
     while len(gates) < target_gates:
         order = list(range(num_qubits))
         rng.shuffle(order)
         for k in range(pairs):
             gates.append(Gate(GateKind.CNOT, (order[2 * k], order[2 * k + 1])))
         for q in order[2 * pairs :]:
-            if rng.random() < one_qubit_prob:
+            if rng.random() < 0.7:
                 gates.append(Gate(rng.choice(_ONE_QUBIT_POOL), (q,)))
-    return Circuit(num_qubits, tuple(gates), name or f"random_n{num_qubits}_s{seed}")
+    return Circuit(num_qubits, tuple(gates), f"random_n{num_qubits}_s{seed}")
 
 
 @dataclass(frozen=True)
 class NoiseParams:
     """Depolarizing error rates: epsilon per one-qubit gate, epsilon times
-    ``two_qubit_factor`` per two-qubit gate."""
+    ``TWO_QUBIT_FACTOR`` per two-qubit gate."""
 
     epsilon: float
-    two_qubit_factor: float = 5.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.two_qubit_factor)):
+        if not math.isfinite(self.epsilon):
             raise ValueError(f"noise parameters must be finite, got {self}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if self.epsilon * self.two_qubit_factor > 1:
+        if self.epsilon * TWO_QUBIT_FACTOR > 1:
             raise ValueError(
-                f"epsilon * factor = {self.epsilon * self.two_qubit_factor} exceeds 1"
+                f"epsilon * factor = {self.epsilon * TWO_QUBIT_FACTOR} exceeds 1"
             )
 
 
 def estimate_fidelity(metrics: RouteMetrics, noise: NoiseParams) -> float:
-    """Success-probability proxy F = (1-e)^N1 * (1-e*factor)^N2.
+    """Success-probability proxy F = (1-e)^N1 * (1-e*TWO_QUBIT_FACTOR)^N2.
 
     N1 counts one-qubit gates; N2 counts two-qubit gates with every SWAP
     expanded to its three-CNOT equivalent. More SWAPs therefore always
@@ -89,12 +83,15 @@ def estimate_fidelity(metrics: RouteMetrics, noise: NoiseParams) -> float:
     """
     n1 = metrics.one_qubit_gates
     n2 = metrics.two_qubit_gates + 2 * metrics.total_swap_gates
-    return (1.0 - noise.epsilon) ** n1 * (1.0 - noise.epsilon * noise.two_qubit_factor) ** n2
+    return (1.0 - noise.epsilon) ** n1 * (1.0 - noise.epsilon * TWO_QUBIT_FACTOR) ** n2
 
 
 def _fidelity_key(epsilon: float) -> str:
-    """The report column of the fidelity proxy at one error rate."""
-    return f"fidelity@{epsilon:g}"
+    """The report column of the fidelity proxy at one error rate: the short
+    ``:g`` text when it reads back as the same float, else the exact repr,
+    so two distinct rates never share a column."""
+    text = f"{epsilon:g}"
+    return f"fidelity@{text if float(text) == epsilon else repr(epsilon)}"
 
 
 @dataclass
@@ -145,6 +142,7 @@ def run_comparison(
     if seeds is not None:
         report.config.setdefault("seeds", list(seeds))
 
+    fidelity_keys = [(_fidelity_key(params.epsilon), params) for params in noise]
     for index, circuit in enumerate(circuits):
         seed = seeds[index] if seeds is not None and index < len(seeds) else None
         pairs = [(topology.name, topology) for topology in baselines]
@@ -178,8 +176,8 @@ def run_comparison(
                 "gates": result.metrics.total_gates,
                 "swaps": result.metrics.swap_count,
             }
-            for params in noise:
-                row[_fidelity_key(params.epsilon)] = estimate_fidelity(result.metrics, params)
+            for key, params in fidelity_keys:
+                row[key] = estimate_fidelity(result.metrics, params)
             report.rows.append(row)
 
     report.aggregates = _aggregate(report.rows, [t.name for t in baselines])

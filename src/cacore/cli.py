@@ -23,10 +23,8 @@ from .bench import (
 from .errors import (
     CacoreError,
     QasmSyntaxError,
-    QubitIndexError,
     TopologyFormatError,
     UnknownTopologyError,
-    UnsupportedGateError,
 )
 from .ir import MAX_QUBITS
 from .qasm import parse_qasm_file, to_qasm
@@ -48,8 +46,6 @@ EXIT_PARTIAL = 4
 _INPUT_ERRORS = (
     OSError,
     QasmSyntaxError,
-    UnsupportedGateError,
-    QubitIndexError,
     TopologyFormatError,
     UnknownTopologyError,
 )

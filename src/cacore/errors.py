@@ -9,24 +9,14 @@ class CacoreError(Exception):
     """Base class for all toolchain errors."""
 
 
-class _SourceLineError(CacoreError):
-    """Error at a source line; the message is prefixed with ``line N:``."""
+class QasmSyntaxError(CacoreError):
+    """OpenQASM source that cannot be read: a malformed token or statement,
+    a gate outside the supported subset, or a qubit index out of range. The
+    message is prefixed with ``line N:``."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class QasmSyntaxError(_SourceLineError):
-    """Malformed token or statement in an OpenQASM source."""
-
-
-class UnsupportedGateError(_SourceLineError):
-    """Statement or gate outside the supported OpenQASM subset."""
-
-
-class QubitIndexError(_SourceLineError):
-    """Qubit index outside the declared register range."""
 
 
 class DegenerateInputError(CacoreError):
@@ -43,7 +33,6 @@ class TopologyFormatError(CacoreError):
     def __init__(self, message: str, location: str = ""):
         suffix = f" (at {location})" if location else ""
         super().__init__(f"{message}{suffix}")
-        self.location = location
 
 
 class UnroutableGateError(CacoreError):

@@ -27,7 +27,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import QasmSyntaxError, QubitIndexError, UnsupportedGateError, undecodable_byte
+from .errors import QasmSyntaxError, undecodable_byte
 from .ir import MAX_QUBITS  # the limit on the declared registers' total
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 
@@ -169,7 +169,7 @@ class _Parser:
         elif name in ("qreg", "creg"):
             self._declaration(name)
         elif name in _REJECTED_STATEMENTS:
-            raise UnsupportedGateError(_REJECTED_STATEMENTS[name], tok.line)
+            raise QasmSyntaxError(_REJECTED_STATEMENTS[name], tok.line)
         elif name == "measure":
             self._measure()
         elif name == "barrier":
@@ -210,7 +210,7 @@ class _Parser:
             index = self._expect_int()
             self._expect_sym("]")
             if index >= size:
-                raise QubitIndexError(
+                raise QasmSyntaxError(
                     f"index {index} out of range for register {reg.text!r} of size {size}",
                     reg.line,
                 )
@@ -251,7 +251,7 @@ class _Parser:
 
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:
-            raise UnsupportedGateError(f"unsupported gate {name!r}", line)
+            raise QasmSyntaxError(f"unsupported gate {name!r}", line)
         kind, n_operands, n_params = _APPLIED_GATES[name]
         params: list[float] = []
         nxt = self._peek()
@@ -422,7 +422,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     try:
         _read_pieces(parser, source)
         return Circuit(parser.num_qubits, tuple(parser.gates), name)
-    except (QasmSyntaxError, UnsupportedGateError, QubitIndexError):
+    except QasmSyntaxError:
         pass  # the whole source is read below, outside this handler, for the error's line
     parser = _Parser()
     parser.read(source)

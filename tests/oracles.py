@@ -30,9 +30,7 @@ from cacore.analysis import CorrelationMatrix
 from cacore.errors import (
     DegenerateInputError,
     QasmSyntaxError,
-    QubitIndexError,
     UnroutableGateError,
-    UnsupportedGateError,
 )
 from cacore.ir import (
     METRIC_EXEMPT_KINDS,
@@ -579,7 +577,7 @@ class _TokenParser:
         elif name in ("qreg", "creg"):
             self._declaration(name)
         elif name in _REJECTED_STATEMENTS:
-            raise UnsupportedGateError(_REJECTED_STATEMENTS[name], tok.line)
+            raise QasmSyntaxError(_REJECTED_STATEMENTS[name], tok.line)
         elif name == "measure":
             self._measure()
         elif name == "barrier":
@@ -612,7 +610,7 @@ class _TokenParser:
             index = self._expect_int()
             self._expect_sym("]")
             if index >= size:
-                raise QubitIndexError(
+                raise QasmSyntaxError(
                     f"index {index} out of range for register {reg.text!r} of size {size}",
                     reg.line,
                 )
@@ -654,7 +652,7 @@ class _TokenParser:
 
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:
-            raise UnsupportedGateError(f"unsupported gate {name!r}", line)
+            raise QasmSyntaxError(f"unsupported gate {name!r}", line)
         kind, n_operands, n_params = _APPLIED_GATES[name]
         params: list[float] = []
         nxt = self._peek()

@@ -55,11 +55,11 @@ def test_noise_params_validation():
     NoiseParams(0.001)
     with pytest.raises(ValueError):
         NoiseParams(-0.1)
-    with pytest.raises(ValueError):
-        NoiseParams(0.3, two_qubit_factor=5.0)
-    for epsilon, factor in ((float("nan"), 5.0), (float("inf"), 0.0), (0.001, float("nan"))):
-        with pytest.raises(ValueError):
-            NoiseParams(epsilon, two_qubit_factor=factor)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        NoiseParams(0.3)
+    for epsilon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be finite"):
+            NoiseParams(epsilon)
 
 
 def test_fidelity_epsilon_zero_is_one():
@@ -163,6 +163,20 @@ def test_csv_row_count_and_columns(tmp_path):
     ]
     # circuits x (ca_core + 2 baselines) - 0 skips
     assert len(body) == 2 * 3
+
+
+def test_close_error_rates_get_distinct_columns(tmp_path):
+    noise = [NoiseParams(0.0010000001), NoiseParams(0.001)]
+    report = run_comparison([gen_random_circuit(4, 200, 0)], [builtin_topology("line(4)")], noise)
+    keys = ["fidelity@0.0010000001", "fidelity@0.001"]
+    for row in report.rows:
+        assert [k for k in row if k.startswith("fidelity@")] == keys
+        assert row[keys[0]] != row[keys[1]]
+    emit_report(report, "csv", tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as handle:
+        reader = csv.DictReader(handle)
+        assert reader.fieldnames[-2:] == keys
+        assert all(line[keys[0]] != line[keys[1]] for line in reader)
 
 
 def test_empty_report_is_header_only(tmp_path):

@@ -10,6 +10,10 @@ definition, in the way its kind is used:
 - an annotated field in a class body is read as an attribute. A keyword
   argument to a constructor or an assignment to ``x.name`` only writes it.
 
+A keyword-only parameter with a default must be passed by name, by its
+function's name or attribute, in some call in the package; one that no call
+sets is an option no caller uses.
+
 Re-exports in ``__init__.py`` do not count, and neither do strings or
 comments, which ``ast`` never shows as references. A method that overrides
 one of a base class (``_Parser.error``) is called through the base class, so
@@ -70,8 +74,12 @@ def _references(tree: ast.AST) -> Counter:
     return refs
 
 
+def _trees(package) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+
+
 def unreferenced(package=PACKAGE) -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    trees = _trees(package)
     counts = Counter()
     for module, tree in trees.items():
         if module != "__init__":
@@ -86,5 +94,55 @@ def unreferenced(package=PACKAGE) -> list[str]:
     return dead
 
 
+def _keyword_options(prefix: str, body: list[ast.stmt]):
+    """(qualified parameter, function name, parameter) for each keyword-only
+    parameter with a default, in the functions and methods of ``body``."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _keyword_options(f"{prefix}{node.name}.", node.body)
+        elif isinstance(node, ast.FunctionDef):
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}{node.name}.{arg.arg}", node.name, arg.arg
+
+
+def _keywords_passed(tree: ast.AST) -> set[tuple[str, str]]:
+    """(function name, keyword) for each keyword argument of a call."""
+    passed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return passed
+
+
+def unpassed_keywords(package=PACKAGE) -> list[str]:
+    trees = _trees(package)
+    passed = set().union(*map(_keywords_passed, trees.values()))
+    return [
+        f"{module}.{qualified}"
+        for module, tree in sorted(trees.items())
+        for qualified, name, arg in _keyword_options("", tree.body)
+        if (name, arg) not in passed
+    ]
+
+
 def test_every_definition_is_referenced():
     assert unreferenced() == []
+
+
+def test_every_keyword_option_is_passed():
+    assert unpassed_keywords() == []
+
+
+def test_unpassed_keyword_is_named(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(a, *, used=1, unused=2, required):\n"
+        "    return g(used=a) + f(a, used=a, required=a)\n"
+        "class C:\n"
+        "    def m(self, *, flag=False):\n"
+        "        return f(1, flag=True)\n",
+        encoding="utf-8",
+    )
+    assert unpassed_keywords(tmp_path) == ["mod.f.unused", "mod.C.m.flag"]

@@ -11,12 +11,7 @@ from oracles import plain_to_qasm, token_parse
 
 from cacore.bench import gen_random_circuit
 from cacore.cli import main
-from cacore.errors import (
-    DegenerateInputError,
-    QasmSyntaxError,
-    QubitIndexError,
-    UnsupportedGateError,
-)
+from cacore.errors import DegenerateInputError, QasmSyntaxError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from cacore.qasm import MAX_QUBITS, _Qubits, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
@@ -161,7 +156,7 @@ def test_angle_division_by_zero():
     ],
 )
 def test_unsupported_statements_rejected_with_line(source, line):
-    with pytest.raises(UnsupportedGateError) as err:
+    with pytest.raises(QasmSyntaxError, match="not supported|unsupported gate") as err:
         parse_qasm(source)
     assert err.value.line == line
 
@@ -224,7 +219,7 @@ def test_creg_declared_and_emitted_for_measured_circuits():
 
 
 def test_index_out_of_range_with_line():
-    with pytest.raises(QubitIndexError) as err:
+    with pytest.raises(QasmSyntaxError, match="out of range for register") as err:
         parse_qasm("qreg q[3];\nh q[0];\ncx q[0],q[7];")
     assert err.value.line == 3
 
@@ -376,7 +371,7 @@ def test_parser_total_on_fuzzed_inputs():
         program = "\n".join(rng.choice(fragments) for _ in range(rng.randint(1, 8)))
         try:
             circuit = parse_qasm(program)
-        except (QasmSyntaxError, UnsupportedGateError, QubitIndexError):
+        except QasmSyntaxError:
             continue
         circuit.check_qubits()
 
@@ -395,7 +390,7 @@ def _outcome(parse, source):
     """The circuit as (kinds, qubits, exact params), or the error's (type, message, line)."""
     try:
         circuit = parse(source)
-    except (QasmSyntaxError, UnsupportedGateError, QubitIndexError) as err:
+    except QasmSyntaxError as err:
         return type(err), str(err), err.line
     return circuit.num_qubits, [(g.kind, g.qubits, repr(g.param)) for g in circuit.gates]
 
@@ -597,7 +592,7 @@ def test_repeats_after_a_comment_holding_a_semicolon_and_crlf_are_shared():
     assert all(g is gates[0] for g in gates if g.kind is GateKind.CNOT)
     assert all(g is gates[3] for g in gates if g.kind is GateKind.H)
     # an error after the repeats keeps its line, counted through the skipped text
-    with pytest.raises(QubitIndexError) as err:
+    with pytest.raises(QasmSyntaxError, match="out of range for register") as err:
         parse_qasm(source + "h q[2];\r\n")
     assert err.value.line == 12
 
