@@ -137,8 +137,8 @@ def run_comparison(
     and reduction percentages against the synthesized topology.
     """
     report = BenchmarkReport(config=dict(config or {}))
-    report.config.setdefault("epsilons", [n.epsilon for n in noise])
-    report.config.setdefault("baselines", [t.name for t in baselines])
+    report.config["epsilons"] = [n.epsilon for n in noise]  # the CSV's fidelity columns
+    report.config["baselines"] = [t.name for t in baselines]
     if seeds is not None:
         report.config.setdefault("seeds", list(seeds))
 

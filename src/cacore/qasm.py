@@ -13,11 +13,12 @@ line or offset. A repeated piece gets the gate of its first reading, a
 canonical gate application (``cx q[3],q[7]``, ``rz(-0.25) q[1]``) after
 blanks and whole comment lines is read by string splits and a table of
 checked ``reg[i]`` texts, and any other piece is lexed with its ``;`` and read
-by recursive descent. A failing file is read a second time, whole, token by
-token: that read raises the error with its line (an unexpected character
-anywhere wins), or reads a ``;`` that sits in a string or in a comment within
-a statement. A parse keeps one gate object per param-less ``(kind,
-qubits)``, whichever way it was read; rotations are built fresh.
+by recursive descent. From the first piece that read fails or reads to
+nothing, the rest of the source is read whole, token by token: that read
+raises the error with its line (an unexpected character anywhere in it wins),
+or reads a ``;`` that sits in a string or in a comment within a statement. A
+parse keeps one gate object per param-less ``(kind, qubits)``, whichever way
+it was read; rotations are built fresh.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ class _Token(NamedTuple):
     line: int
 
 
-def _lex(text: str) -> list[_Token]:
-    """The tokens of ``text``, each with its line; blanks and comments are dropped."""
+def _lex(text: str, line: int) -> list[_Token]:
+    """The tokens of ``text``, which starts on ``line``, each with its line; blanks and
+    comments are dropped."""
     tokens = []
-    line = 1
     for match in _TOKEN_RE.finditer(text):  # every character is in some match
         kind = match.lastgroup
         if kind == "newline":
@@ -109,9 +110,9 @@ class _Parser:
             gate = self.shared[kind, qubits] = Gate(kind, qubits)
         return gate
 
-    def read(self, text: str) -> None:
-        """Lex ``text`` and read it statement by statement."""
-        self.tokens, self.pos = _lex(text), 0
+    def read(self, text: str, line: int = 1) -> None:
+        """Lex ``text``, which starts on ``line``, and read it statement by statement."""
+        self.tokens, self.pos = _lex(text, line), 0
         while self.pos < len(self.tokens):
             self.statement()
 
@@ -419,25 +420,11 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     stages only ever see one- and two-qubit gates.
     """
     parser = _Parser()
-    try:
-        _read_pieces(parser, source)
-        return Circuit(parser.num_qubits, tuple(parser.gates), name)
-    except QasmSyntaxError:
-        pass  # the whole source is read below, outside this handler, for the error's line
-    parser = _Parser()
-    parser.read(source)
-    return Circuit(parser.num_qubits, tuple(parser.gates), name)
-
-
-def _read_pieces(parser: _Parser, source: str) -> None:
-    """Read ``source`` one ``;``-piece at a time, with no line or offset."""
     gates, qubits, shared = parser.gates, _Qubits(parser.registers), parser.shared
     memo: dict[str, Gate] = {}  # piece -> the one param-less gate it reads to
     *pieces, tail = source.split(";")  # no ';' ends the tail
-    held = ""  # "//" while a comment that swallowed a ';' runs on into the next piece
-    for piece in pieces:
-        if held:
-            piece, held = held + piece, ""
+    rest = iter(pieces)
+    for piece in rest:
         gate = memo.get(piece)
         if gate is None:
             gate = _read_gate(piece[_PREFIX_RE.match(piece).end() :], qubits)
@@ -447,12 +434,18 @@ def _read_pieces(parser: _Parser, source: str) -> None:
             gates.append(gate)
             continue
         count = len(gates)
-        parser.read(piece + ";")
-        if not parser.tokens:  # a comment swallowed the ';'
-            held = "//"
-        elif len(gates) == count + 1 and gates[-1].param is None:
+        try:
+            parser.read(piece + ";")
+        except QasmSyntaxError:
+            parser.tokens = []
+        if not parser.tokens:  # it failed, or a comment swallowed its ';'
+            tail = ";".join((piece, *rest, tail))
+            break
+        if len(gates) == count + 1 and gates[-1].param is None:
             memo[piece] = gates[-1]
-    parser.read(held + tail)  # raises if it holds a statement, as no ';' ends it
+    # all from the first piece that failed, or else the text after the last ';'
+    parser.read(tail, source.count("\n") - tail.count("\n") + 1)
+    return Circuit(parser.num_qubits, tuple(gates), name)
 
 
 def parse_qasm_file(path: str | Path) -> Circuit:

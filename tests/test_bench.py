@@ -179,6 +179,25 @@ def test_close_error_rates_get_distinct_columns(tmp_path):
         assert all(line[keys[0]] != line[keys[1]] for line in reader)
 
 
+def test_config_names_the_rates_and_baselines_the_run_used(tmp_path):
+    # A caller's config may name other rates and devices; the report's must be the run's,
+    # or the CSV gets fidelity columns that no row fills. Other keys keep their place.
+    config = {"qubits": [4], "epsilons": [0.01], "baselines": ["grid(2,2)"], "seeds": [0]}
+    report = run_comparison(
+        [gen_random_circuit(4, 50, 0)], [builtin_topology("line(4)")], [NoiseParams(0.001)],
+        config=config,
+    )
+    assert report.config == {
+        "qubits": [4], "epsilons": [0.001], "baselines": ["line(4)"], "seeds": [0],
+    }
+    assert list(report.config) == list(config)
+    emit_report(report, "csv", tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as handle:
+        reader = csv.DictReader(handle)
+        assert reader.fieldnames[-1] == "fidelity@0.001"
+        assert all(line["fidelity@0.001"] for line in reader)
+
+
 def test_empty_report_is_header_only(tmp_path):
     report = BenchmarkReport(config={"epsilons": [0.001]})
     path = tmp_path / "empty.csv"

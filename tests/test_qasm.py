@@ -13,7 +13,7 @@ from cacore.bench import gen_random_circuit
 from cacore.cli import main
 from cacore.errors import DegenerateInputError, QasmSyntaxError
 from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
-from cacore.qasm import MAX_QUBITS, _Qubits, _read_gate, parse_qasm, to_qasm
+from cacore.qasm import MAX_QUBITS, _lex, _Qubits, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
 from cacore.topology import BUILTIN_NAMES, builtin_topology
@@ -658,3 +658,46 @@ def test_non_ascii_digits_are_unexpected_characters(source, line, char):
         parse_qasm(source)
     with pytest.raises(QasmSyntaxError, match=rf"^line {line}: unexpected character '{char}'$"):
         token_parse(source)
+
+
+def test_an_error_on_the_last_line_lexes_only_the_rest_from_its_piece(monkeypatch):
+    """A deterministic work count: the pieces before the first failing one are not
+    read again, so an error at the end of a long file lexes only its own statement."""
+    lexed = []
+
+    def counting_lex(text, *line):
+        lexed.append(len(text))
+        return _lex(text, *line)
+
+    monkeypatch.setattr("cacore.qasm._lex", counting_lex)
+    source = to_qasm(gen_random_circuit(20, 20000, 1)) + "h q[99];\n"
+    with pytest.raises(QasmSyntaxError, match="^line 20014: index 99 out of range"):
+        parse_qasm(source)
+    assert sum(lexed) < 200
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # a comment that swallows a ';', then an error some lines on
+        "qreg q[2];\nh q[0];\n// a;b\nh q[0];\ncx q[0],q[1];\n\nh q[2];\nh q[0];\n",
+        "qreg q[1];\n// a;b\nqreg r[2];\ncx q[0],r[1];\nh r[1];\nh r[2];\n",
+        "qreg q[2];\ncx q[0], // a;b\n q[1];\nh q[0];\nh q[0];\n\n$\n",
+        "qreg q[2];\nh q[0]; // a;b;c\nh q[1];\nh q[0];\ncx q[0],q[0];\n",
+        # an include path that holds a ';'
+        'qreg q[2];\ninclude "a;b.inc";\nh q[0];\ncx q[0],q[1];\n\nh q[5];\n',
+        'OPENQASM 2.0;\ninclude "a;;b";\nqreg q[2];\nh q[0];\nrz(0.5) q[1];\nx u[0];\n',
+        'qreg q[2];\nh q[0];\ninclude "a;b.inc";\nh q[0];\nh q[1];\nrz(pi/0) q[0];\n',
+        # a CRLF run
+        "qreg q[2];\r\nh q[0];\r\n\r\n\r\ncx q[0],q[1];\r\n\r\nh q[5];\r\n",
+        "qreg q[2];\r\ncx q[0],\r\n q[1];\r\n\r\nh q[0];\r\n\r\nh q[1];\r\nccx q[0],q[1];\r\n",
+        "qreg q[2];\r\n// a;b\r\nh q[0];\r\n\r\n\r\nh q[0];\r\nh r[0];\r\n",
+        # an error inside the tail
+        "qreg q[2];\nh q[0];\ncx q[0],q[1];\n\n\nh q[1]\n",
+        "qreg q[2];\nh q[0];\n// a;b\nh q[0];\ncx q[0],q[1];\n\n\n$ h q[1]",
+        "qreg q[2];\r\nh q[0];\r\ncx q[0],q[1];\r\n\r\n// c\r\ncx q[0],q[1]\r\n",
+        'qreg q[2];\ninclude "a;b.inc";\nh q[0];\nh q[1];\n\n\nbarrier q',
+    ],
+)
+def test_an_error_after_the_hand_over_reads_as_the_oracle_reads_it(source):
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
