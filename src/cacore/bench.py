@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CacoreError, DegenerateInputError
-from .ir import Circuit, Gate, GateKind
+from .ir import Circuit, Gate, GateKind, shared_gate
 from .routing import RouteMetrics, route_circuit, verify_routing
 from .synthesis import synthesize_topology
 from .topology import Topology
@@ -49,10 +49,10 @@ def gen_random_circuit(num_qubits: int, target_gates: int, seed: int) -> Circuit
         order = list(range(num_qubits))
         rng.shuffle(order)
         for k in range(pairs):
-            gates.append(Gate(GateKind.CNOT, (order[2 * k], order[2 * k + 1])))
+            gates.append(shared_gate(GateKind.CNOT, (order[2 * k], order[2 * k + 1])))
         for q in order[2 * pairs :]:
             if rng.random() < 0.7:
-                gates.append(Gate(rng.choice(_ONE_QUBIT_POOL), (q,)))
+                gates.append(shared_gate(rng.choice(_ONE_QUBIT_POOL), (q,)))
     return Circuit(num_qubits, tuple(gates), f"random_n{num_qubits}_s{seed}")
 
 
@@ -120,6 +120,14 @@ def _reduction_pct(baseline: float, ca: float) -> float:
     return (baseline - ca) / baseline * 100.0
 
 
+def check_baseline_names(baselines: list[Topology]) -> None:
+    """Refuse (ValueError) a baseline named ``ca_core`` or two of one name: rows would mix."""
+    labels = [CA_CORE] + [t.name for t in baselines]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"two topologies would share the report label {label!r}")
+
+
 def run_comparison(
     circuits: list[Circuit],
     baselines: list[Topology],
@@ -132,10 +140,11 @@ def run_comparison(
 
     Pairs where the circuit does not fit the topology are recorded as
     skips; a circuit's synthesis failure and per-pair routing failures are
-    recorded and the run continues.
+    recorded and the run continues; ``check_baseline_names`` runs first.
     Aggregates hold per (qubit count, baseline) mean depth/gate/SWAP totals
     and reduction percentages against the synthesized topology.
     """
+    check_baseline_names(baselines)
     report = BenchmarkReport(config=dict(config or {}))
     report.config["epsilons"] = [n.epsilon for n in noise]  # the CSV's fidelity columns
     report.config["baselines"] = [t.name for t in baselines]

@@ -14,12 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import (
-    NoiseParams,
-    emit_report,
-    gen_random_circuit,
-    run_comparison,
-)
+from .bench import NoiseParams, check_baseline_names, emit_report, gen_random_circuit, run_comparison
 from .errors import (
     CacoreError,
     QasmSyntaxError,
@@ -220,6 +215,11 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     seeds = list(range(args.seeds))
     baselines = [_resolve_topology(name) for name in _split_names(args.baselines)]
+    try:
+        check_baseline_names(baselines)
+    except ValueError as exc:  # checked before any circuit is generated
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     circuits = []
     circuit_seeds = []

@@ -1,4 +1,11 @@
-"""Gate and circuit types shared across the toolchain."""
+"""Gate and circuit types shared across the toolchain.
+
+``shared_gate`` keeps one process-wide table, ``(kind, qubits) -> Gate``, of
+param-less gates other than barriers (an angle key would merge 0.0 with -0.0;
+a barrier's qubit set is the input's choice): at most 7n + 2n(n-1) gates over
+n qubits, and it is emptied at ``_SHARED_LIMIT`` gates (about 1 MB). A race
+between threads only builds two equal gates; no code relies on gate identity.
+"""
 
 from __future__ import annotations
 
@@ -72,6 +79,20 @@ class Gate:
             raise ValueError(f"{self.kind.value} takes exactly 1 qubit, got {len(self.qubits)}")
         if (self.param is not None) != (self.kind in PARAMETRIC_KINDS):
             raise ValueError(f"{self.kind.value}: angle parameter mismatch")
+
+
+_SHARED: dict[tuple[GateKind, tuple[int, ...]], Gate] = {}
+_SHARED_LIMIT = 4096  # above the 2343 possible over 33 qubits, the widest benchmark
+
+
+def shared_gate(kind: GateKind, qubits: tuple[int, ...]) -> Gate:
+    """The one Gate of a param-less kind other than barrier on ``qubits``."""
+    gate = _SHARED.get((kind, qubits))
+    if gate is None:
+        if len(_SHARED) >= _SHARED_LIMIT:
+            _SHARED.clear()
+        gate = _SHARED[kind, qubits] = Gate(kind, qubits)
+    return gate
 
 
 @dataclass(frozen=True)

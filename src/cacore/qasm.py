@@ -16,9 +16,9 @@ checked ``reg[i]`` texts, and any other piece is lexed with its ``;`` and read
 by recursive descent. From the first piece that read fails or reads to
 nothing, the rest of the source is read whole, token by token: that read
 raises the error with its line (an unexpected character anywhere in it wins),
-or reads a ``;`` that sits in a string or in a comment within a statement. A
-parse keeps one gate object per param-less ``(kind, qubits)``, whichever way
-it was read; rotations are built fresh.
+or reads a ``;`` that sits in a string or in a comment within a statement.
+Every param-less gate but a barrier, however it was read, comes from the
+process-wide table of ``ir.shared_gate``; rotations and barriers never do.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import NamedTuple
 from .errors import QasmSyntaxError, undecodable_byte
 from .ir import MAX_QUBITS  # the limit on the declared registers' total
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from .ir import shared_gate
 
 _TOKEN_RE = re.compile(
     r"""
@@ -102,13 +103,6 @@ class _Parser:
         self.classical: set[str] = set()
         self.num_qubits = 0
         self.gates: list[Gate] = []
-        self.shared: dict[tuple[GateKind, tuple[int, ...]], Gate] = {}  # the param-less gates
-
-    def _shared(self, kind: GateKind, qubits: tuple[int, ...]) -> Gate:
-        gate = self.shared.get((kind, qubits))
-        if gate is None:
-            gate = self.shared[kind, qubits] = Gate(kind, qubits)
-        return gate
 
     def read(self, text: str, line: int = 1) -> None:
         """Lex ``text``, which starts on ``line``, and read it statement by statement."""
@@ -236,7 +230,7 @@ class _Parser:
                 self._expect_int()
                 self._expect_sym("]")
         self._expect_sym(";")
-        self.gates.extend(self._shared(GateKind.MEASURE, (q,)) for q in qubits)
+        self.gates.extend(shared_gate(GateKind.MEASURE, (q,)) for q in qubits)
 
     def _barrier(self) -> None:
         qubits: list[int] = []
@@ -248,7 +242,7 @@ class _Parser:
             if tok.text != ",":
                 raise QasmSyntaxError(f"expected ',' or ';', got {tok.text!r}", tok.line)
         if qubits:  # operands that are only empty registers fence nothing
-            self.gates.append(self._shared(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
+            self.gates.append(Gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
 
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:
@@ -283,9 +277,9 @@ class _Parser:
         elif param is not None:  # a rotation, on one qubit
             self.gates.extend(Gate(kind, (q,), param) for q in operands)
         elif n_operands > 1:
-            self.gates.append(self._shared(kind, tuple(operands)))
+            self.gates.append(shared_gate(kind, tuple(operands)))
         else:
-            self.gates.extend(self._shared(kind, (q,)) for q in operands)
+            self.gates.extend(shared_gate(kind, (q,)) for q in operands)
 
     # -- angle expressions ---------------------------------------------------
 
@@ -339,24 +333,23 @@ def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
     The dagger phases come out as rz(-pi/4), which keeps the gate
     vocabulary closed under this expansion.
     """
-    t = GateKind.T
-    tdg = -math.pi / 4
+    h, t, cx, rz, tdg = GateKind.H, GateKind.T, GateKind.CNOT, GateKind.RZ, -math.pi / 4
     return [
-        Gate(GateKind.H, (c,)),
-        Gate(GateKind.CNOT, (b, c)),
-        Gate(GateKind.RZ, (c,), tdg),
-        Gate(GateKind.CNOT, (a, c)),
-        Gate(t, (c,)),
-        Gate(GateKind.CNOT, (b, c)),
-        Gate(GateKind.RZ, (c,), tdg),
-        Gate(GateKind.CNOT, (a, c)),
-        Gate(t, (b,)),
-        Gate(t, (c,)),
-        Gate(GateKind.H, (c,)),
-        Gate(GateKind.CNOT, (a, b)),
-        Gate(t, (a,)),
-        Gate(GateKind.RZ, (b,), tdg),
-        Gate(GateKind.CNOT, (a, b)),
+        shared_gate(h, (c,)),
+        shared_gate(cx, (b, c)),
+        Gate(rz, (c,), tdg),
+        shared_gate(cx, (a, c)),
+        shared_gate(t, (c,)),
+        shared_gate(cx, (b, c)),
+        Gate(rz, (c,), tdg),
+        shared_gate(cx, (a, c)),
+        shared_gate(t, (b,)),
+        shared_gate(t, (c,)),
+        shared_gate(h, (c,)),
+        shared_gate(cx, (a, b)),
+        shared_gate(t, (a,)),
+        Gate(rz, (b,), tdg),
+        shared_gate(cx, (a, b)),
     ]
 
 
@@ -406,10 +399,10 @@ def _read_gate(text: str, qubits: _Qubits) -> Gate | None:
             return None
     if n_operands == 1:
         a = qubits[operands]
-        return None if a < 0 else Gate(kind, (a,), param)
-    first, _, second = operands.partition(",")
+        return None if a < 0 else Gate(kind, (a,), param) if paren else shared_gate(kind, (a,))
+    first, _, second = operands.partition(",")  # no two-qubit kind takes an angle
     a, b = qubits[first], qubits[second]
-    return None if a < 0 or b < 0 or a == b else Gate(kind, (a, b), param)
+    return None if a < 0 or b < 0 or a == b else shared_gate(kind, (a, b))
 
 
 def parse_qasm(source: str, name: str = "circuit") -> Circuit:
@@ -420,7 +413,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     stages only ever see one- and two-qubit gates.
     """
     parser = _Parser()
-    gates, qubits, shared = parser.gates, _Qubits(parser.registers), parser.shared
+    gates, qubits = parser.gates, _Qubits(parser.registers)
     memo: dict[str, Gate] = {}  # piece -> the one param-less gate it reads to
     *pieces, tail = source.split(";")  # no ';' ends the tail
     rest = iter(pieces)
@@ -429,7 +422,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
         if gate is None:
             gate = _read_gate(piece[_PREFIX_RE.match(piece).end() :], qubits)
             if gate is not None and gate.param is None:
-                gate = memo[piece] = shared.setdefault((gate.kind, gate.qubits), gate)
+                memo[piece] = gate
         if gate is not None:
             gates.append(gate)
             continue

@@ -11,12 +11,13 @@ by a BFS on first use: each entry is the smallest neighbour one hop closer
 to the target, so the walk takes that path one SWAP per step, updating the
 layout in place (the qubit moved is always the gate's first operand).
 Gates are immutable, so the routed circuit reuses a source gate whose
-physical qubits equal its logical ones, one inserted SWAP per coupler
-direction, and one gate per distinct (kind, physical qubits) among the
-rest; rotations are built fresh, since a cache keyed on the angle would
-merge 0.0 and -0.0. The same walk scores the route: it keeps each
-physical qubit's ASAP finish time and the gate counts, so the metrics equal
-those of ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
+physical qubits equal its logical ones, and takes every other param-less
+gate but a barrier from the process-wide table of ``ir.shared_gate``, the
+inserted SWAPs through a per-call dict keyed by coupler direction;
+rotations and barriers are built per gate. The same walk scores the route:
+it keeps each physical qubit's ASAP finish time and the gate counts, so the
+metrics equal those of ``asap_stats(result.routed)`` in tests/oracles.py
+without a second pass.
 
 The verifier streams the routed gates against the source, tracking the
 SWAP permutation and keeping nothing per gate while each non-inserted
@@ -32,7 +33,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 
 from .errors import DegenerateInputError, UnroutableGateError
-from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind, shared_gate
 from .topology import Topology
 
 
@@ -117,14 +118,13 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     # target qubit -> its next-hop table, built on first use
     tables: list[list[int | None] | None] = [None] * size
     swaps: dict[int, Gate] = {}  # pa * size + hop -> the inserted SWAP on that coupler
-    shared: dict[tuple, Gate] = {}  # (kind, physical qubits) -> one gate for the whole call
     routed: list[Gate] = []
     inserted: list[int] = []
     # The ASAP pass, run on the routed gates as they are emitted: each
     # physical qubit's finish time, and the counts that set the totals.
     busy = [0] * size
     exempt = two_qubit = source_swaps = 0
-    swap = GateKind.SWAP
+    swap, barrier = GateKind.SWAP, GateKind.BARRIER  # a member lookup is slow on an Enum class
 
     for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
@@ -143,7 +143,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             while hop != pb:
                 inserted.append(len(routed))
                 key = pa * size + hop
-                routed.append(swaps.get(key) or swaps.setdefault(key, Gate(swap, (pa, hop))))
+                routed.append(swaps.get(key) or swaps.setdefault(key, shared_gate(swap, (pa, hop))))
                 finish_a, finish_b = busy[pa], busy[hop]
                 busy[pa] = busy[hop] = (finish_a if finish_a > finish_b else finish_b) + 1
                 moved = phys_to_log[hop]
@@ -181,13 +181,10 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             if physical == qubits:
                 routed.append(gate)
                 continue
-        if gate.param is not None:
-            # Never shared: 0.0 == -0.0, so a cache keyed on the angle
-            # would turn rz(-0.0) into rz(0.0).
+        if gate.param is None and kind is not barrier:
+            routed.append(shared_gate(kind, physical))
+        else:  # a rotation or a barrier: the ir module says why the table holds neither
             routed.append(Gate(kind, physical, gate.param))
-        else:
-            key = (kind, physical)
-            routed.append(shared.get(key) or shared.setdefault(key, Gate(kind, physical)))
 
     routed_circuit = Circuit(size, tuple(routed), name=f"{circuit.name}@{topology.name}")
     total = len(routed) - exempt

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cacore.ir import Gate
 from cacore.qasm import parse_qasm_file
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -32,3 +33,19 @@ def benchmark_circuits():
         name: parse_qasm_file(benchmark_path(name))
         for name in ORDERING_BENCHMARKS + EXTRA_BENCHMARKS
     }
+
+
+@pytest.fixture
+def gate_builds(monkeypatch):
+    """Every Gate built from here on, by any module, in build order, from an
+    empty gate table."""
+    monkeypatch.setattr("cacore.ir._SHARED", {})
+    built = []
+    check = Gate.__post_init__
+
+    def counting(gate):
+        check(gate)
+        built.append(gate)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    return built

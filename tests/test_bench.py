@@ -111,11 +111,35 @@ def test_comparison_against_itself_is_zero_reduction():
     from cacore.synthesis import synthesize_topology
 
     ca = synthesize_topology(circuit)
-    report = run_comparison([circuit], [ca], [NoiseParams(0.001)])
+    itself = Topology("itself", ca.num_qubits, ca.edges, ca.synthetic, ca.positions)
+    report = run_comparison([circuit], [itself], [NoiseParams(0.001)])
     agg = report.aggregates[0]
     assert agg["swap_reduction_pct"] == 0.0
     assert agg["depth_reduction_pct"] == 0.0
     assert agg["gate_reduction_pct"] == 0.0
+
+
+@pytest.mark.parametrize("names", [["ca_core"], ["cairo27", "cairo27"], ["line(4)", "ca_core"]])
+def test_baselines_that_would_share_a_report_label_are_refused(monkeypatch, names):
+    def no_routing(*args):
+        raise AssertionError("routed before the labels were checked")
+
+    monkeypatch.setattr("cacore.bench.route_circuit", no_routing)
+    baselines = [builtin_topology("cairo27" if name == "ca_core" else name) for name in names]
+    baselines = [Topology(name, t.num_qubits, t.edges) for name, t in zip(names, baselines)]
+    with pytest.raises(ValueError, match="share the report label"):
+        run_comparison([gen_random_circuit(4, 50, 0)], baselines, [NoiseParams(0.001)])
+
+
+def test_a_second_comparison_builds_no_gate(monkeypatch, gate_builds):
+    circuits = [gen_random_circuit(10, 500, seed) for seed in (3, 4)]
+    baselines = [builtin_topology("cairo27"), builtin_topology("prague33")]
+    monkeypatch.setattr("cacore.ir._SHARED", {})
+    first = run_comparison(circuits, baselines, [NoiseParams(0.001)])
+    assert gate_builds  # from an empty gate table, the first routes build gates
+    gate_builds.clear()
+    again = run_comparison(circuits, baselines, [NoiseParams(0.001)])
+    assert again.to_dict() == first.to_dict() and gate_builds == []
 
 
 def test_oversized_circuits_are_skipped():

@@ -12,7 +12,7 @@ import pytest
 from cacore.cli import main
 from cacore.ir import MAX_QUBITS
 from cacore.qasm import parse_qasm_file
-from cacore.topology import load_topology
+from cacore.topology import Topology, builtin_topology, load_topology, save_topology
 
 from conftest import DATA_DIR, SRC_DIR
 
@@ -131,6 +131,25 @@ def test_bench_unknown_baseline_is_input_error(tmp_path):
     code = main(["bench", "--qubits", "5..5", "--seeds", "1",
                  "--baselines", "not_a_device", "-o", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("baselines", ["{ca},cairo27", "cairo27,cairo27"])
+def test_bench_baselines_sharing_a_report_label_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                                 baselines):
+    def no_circuits(*args):
+        raise AssertionError("generated circuits before the labels were checked")
+
+    monkeypatch.setattr("cacore.cli.gen_random_circuit", no_circuits)
+    ca = tmp_path / "ca.json"
+    cairo = builtin_topology("cairo27")
+    save_topology(Topology("ca_core", cairo.num_qubits, cairo.edges), ca)
+    out = tmp_path / "bench"
+    code = main(["bench", "--qubits", "6", "--seeds", "2", "--gates", "200",
+                 "--baselines", baselines.format(ca=ca), "-o", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bench_unknown_format_is_usage_error(tmp_path):

@@ -12,7 +12,7 @@ from oracles import plain_to_qasm, token_parse
 from cacore.bench import gen_random_circuit
 from cacore.cli import main
 from cacore.errors import DegenerateInputError, QasmSyntaxError
-from cacore.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from cacore.ir import _SHARED_LIMIT, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from cacore.qasm import MAX_QUBITS, _lex, _Qubits, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
@@ -521,18 +521,14 @@ _SPELLINGS = {  # a rewrite of ``to_qasm`` text that parses to the same circuit
     [pytest.param(spelling, n, id=str(n) if spelling == "canonical" else f"{spelling}-{n}")
      for spelling in _SPELLINGS for n in (8, 20, 33)],
 )
-def test_parse_builds_one_gate_per_distinct_param_less_gate(monkeypatch, spelling, n):
+def test_parse_builds_one_gate_per_distinct_param_less_gate(monkeypatch, gate_builds, spelling, n):
     """A deterministic work count: repeats of a param-less gate share one Gate,
-    however the file spells them."""
+    however the file spells them, counted from an empty gate table."""
     circuit = gen_random_circuit(n, 2000, 1)
     source = _SPELLINGS[spelling](to_qasm(circuit))
-    built = []
-
-    def counting_gate(*args, **kwargs):
-        built.append(Gate(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr("cacore.qasm.Gate", counting_gate)
+    monkeypatch.setattr("cacore.ir._SHARED", {})
+    gate_builds.clear()  # the circuit above was built before counting starts
+    built = gate_builds
     assert parse_qasm(source).gates == circuit.gates
     distinct = {(g.kind, g.qubits) for g in circuit.gates if g.param is None}
     rotations = sum(g.param is not None for g in circuit.gates)
@@ -577,6 +573,27 @@ def test_repeated_param_less_gates_are_shared_and_rotations_are_not():
     assert first[0] is again[0] and first[1] is again[1]
     assert first[2] == again[2] and first[2] is not again[2]
     assert [math.copysign(1.0, g.param) for g in (first[3], again[3])] == [-1.0, 1.0]
+
+
+def test_a_second_parse_builds_only_its_rotations(gate_builds):
+    source = to_qasm(gen_random_circuit(8, 300, 2)) + (
+        "ccx q[0],q[1],q[2];\nrz(0.5) q[3];\nrx(-0.0) q[3];\nmeasure q[4] -> c[4];\n"
+    )
+    first = parse_qasm(source)
+    gate_builds.clear()
+    again = parse_qasm(source)
+    rotations = [g for g in again.gates if g.param is not None]
+    assert len(rotations) == 5  # three from the ccx expansion
+    assert again.gates == first.gates and gate_builds == rotations
+
+
+def test_a_wide_file_leaves_the_gate_table_within_its_limit(monkeypatch):
+    table = {}
+    monkeypatch.setattr("cacore.ir._SHARED", table)
+    pairs = [(a, (a + k) % 300) for k in range(1, 20) for a in range(300)]
+    source = "qreg q[300];\n" + "".join(f"cx q[{a}],q[{b}];\n" for a, b in pairs) * 2
+    assert [g.qubits for g in parse_qasm(source).gates] == pairs * 2
+    assert 0 < len(table) <= _SHARED_LIMIT < len(set(pairs))
 
 
 def test_repeats_after_a_comment_holding_a_semicolon_and_crlf_are_shared():

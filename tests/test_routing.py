@@ -513,3 +513,26 @@ def test_circuit_stats_match_asap_oracle():
             stats.depth, stats.total_gates, stats.one_qubit_gates, stats.two_qubit_gates,
             swap_count=0, total_swap_gates=stats.swap_count,
         )
+
+
+def test_gate_table_after_the_acceptance_protocol(monkeypatch):
+    """30 circuits routed on ca_core, cairo27 and prague33, plus mixed circuits:
+    every routed param-less gate but a barrier is a source gate or the gate
+    table's own, and the table holds no rotation or barrier, within its bound."""
+    table = {}
+    monkeypatch.setattr("cacore.ir._SHARED", table)
+    baselines = (builtin_topology("cairo27"), builtin_topology("prague33"))
+    circuits = [gen_random_circuit(n, 2000, seed) for n in (10, 16, 20) for seed in range(10)]
+    circuits += [_mixed_circuit(n, seed=n) for n in (10, 16, 20)]
+    widest = 0
+    for circuit in circuits:
+        for topology in (synthesize_topology(circuit), *baselines):
+            result = route_circuit(circuit, topology)
+            assert verify_routing(circuit, result, topology)
+            widest = max(widest, topology.num_qubits)
+            source = set(map(id, circuit.gates))
+            for gate in result.routed.gates:
+                if gate.param is None and gate.kind is not GateKind.BARRIER:
+                    assert table.get((gate.kind, gate.qubits)) is gate or id(gate) in source
+    assert not any(kind in PARAMETRIC_KINDS or kind is GateKind.BARRIER for kind, _ in table)
+    assert len(table) <= 7 * widest + 2 * widest * (widest - 1)
