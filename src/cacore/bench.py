@@ -120,12 +120,21 @@ def _reduction_pct(baseline: float, ca: float) -> float:
     return (baseline - ca) / baseline * 100.0
 
 
-def check_baseline_names(baselines: list[Topology]) -> None:
-    """Refuse (ValueError) a baseline named ``ca_core`` or two of one name: rows would mix."""
-    labels = [CA_CORE] + [t.name for t in baselines]
+def _refuse_repeats(labels: list[str], what: str) -> None:
     for i, label in enumerate(labels):
         if label in labels[:i]:
-            raise ValueError(f"two topologies would share the report label {label!r}")
+            raise ValueError(f"two {what} would share the report label {label!r}")
+
+
+def check_baseline_names(baselines: list[Topology]) -> None:
+    """Refuse (ValueError) a baseline named ``ca_core`` or two of one name: rows would mix."""
+    _refuse_repeats([CA_CORE] + [t.name for t in baselines], "topologies")
+
+
+def check_error_rates(noise: list[NoiseParams]) -> None:
+    """Refuse (ValueError) two rates with one fidelity column, such as 0.001
+    and 1e-3: the report would hold one value under several names."""
+    _refuse_repeats([_fidelity_key(params.epsilon) for params in noise], "error rates")
 
 
 def run_comparison(
@@ -140,11 +149,13 @@ def run_comparison(
 
     Pairs where the circuit does not fit the topology are recorded as
     skips; a circuit's synthesis failure and per-pair routing failures are
-    recorded and the run continues; ``check_baseline_names`` runs first.
+    recorded and the run continues; ``check_baseline_names`` and
+    ``check_error_rates`` run first.
     Aggregates hold per (qubit count, baseline) mean depth/gate/SWAP totals
     and reduction percentages against the synthesized topology.
     """
     check_baseline_names(baselines)
+    check_error_rates(noise)
     report = BenchmarkReport(config=dict(config or {}))
     report.config["epsilons"] = [n.epsilon for n in noise]  # the CSV's fidelity columns
     report.config["baselines"] = [t.name for t in baselines]

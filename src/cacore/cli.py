@@ -14,7 +14,14 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import NoiseParams, check_baseline_names, emit_report, gen_random_circuit, run_comparison
+from .bench import (
+    NoiseParams,
+    check_baseline_names,
+    check_error_rates,
+    emit_report,
+    gen_random_circuit,
+    run_comparison,
+)
 from .errors import (
     CacoreError,
     QasmSyntaxError,
@@ -105,7 +112,8 @@ def _parse_formats(text: str) -> list[str]:
 def _parse_noise(text: str) -> list[NoiseParams]:
     try:
         noise = [NoiseParams(float(eps)) for eps in text.split(",") if eps.strip()]
-    except ValueError as exc:  # a bad number, or a rate NoiseParams rejects: keep why
+        check_error_rates(noise)
+    except ValueError as exc:  # a bad number, a rate NoiseParams rejects, or a repeat: keep why
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not noise:
         raise argparse.ArgumentTypeError(f"expected at least one error rate, got {text!r}")
@@ -220,6 +228,8 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:  # checked before any circuit is generated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an existing file fails here, before the run
 
     circuits = []
     circuit_seeds = []
@@ -236,9 +246,6 @@ def _cmd_bench(args) -> int:
         "epsilons": [n.epsilon for n in args.eps],
     }
     report = run_comparison(circuits, baselines, args.eps, seeds=circuit_seeds, config=config)
-
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for fmt in args.format:
         emit_report(report, fmt, out_dir / f"report.{fmt}")
     print(

@@ -6,25 +6,25 @@ along the BFS-shortest path (lexicographically smallest node sequence on
 ties) until it neighbors the second operand. This mirrors a
 minimal-optimization transpile so topology comparisons stay router-fixed.
 
-The router keeps one next-hop table per target qubit for the call, built
-by a BFS on first use: each entry is the smallest neighbour one hop closer
-to the target, so the walk takes that path one SWAP per step, updating the
-layout in place (the qubit moved is always the gate's first operand).
-Gates are immutable, so the routed circuit reuses a source gate whose
-physical qubits equal its logical ones, and takes every other param-less
-gate but a barrier from the process-wide table of ``ir.shared_gate``, the
-inserted SWAPs through a per-call dict keyed by coupler direction;
-rotations and barriers are built per gate. The same walk scores the route:
-it keeps each physical qubit's ASAP finish time and the gate counts, so the
-metrics equal those of ``asap_stats(result.routed)`` in tests/oracles.py
-without a second pass.
+The topology keeps one next-hop table per target qubit for its life,
+built by a BFS on the first route to that target: each entry is the
+smallest neighbour one hop closer to the target, so the walk takes that
+path one SWAP per step, updating the layout in place (the qubit moved is
+always the gate's first operand). Gates are immutable, so the routed
+circuit reuses a source gate whose physical qubits equal its logical ones,
+and takes every other param-less gate but a barrier from the process-wide
+table of ``ir.shared_gate``, the inserted SWAPs through the topology's dict
+keyed by coupler direction; rotations and barriers are built per gate.
+The same walk scores the route: it keeps each physical qubit's ASAP
+finish time and the gate counts, so the metrics equal those of
+``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
 
-The verifier streams the routed gates against the source, tracking the
-SWAP permutation and keeping nothing per gate while each non-inserted
-gate's kind, logical qubits and angle equal the next source gate's. From
-the first mismatch on it collects (kind, logical qubits, param) tuples and
-compares each qubit's lane with that of the unmatched source tail, so
-gates on disjoint qubits may commute.
+The verifier streams the routed gates against the source and the
+topology's cached couplers, tracking the SWAP permutation and keeping
+nothing per gate while each non-inserted gate's kind, logical qubits and
+angle equal the next source gate's. From the first mismatch on it collects
+(kind, logical qubits, param) tuples and compares each qubit's lane with
+that of the unmatched source tail, so gates on disjoint qubits may commute.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def _next_hops(adjacency: dict[int, tuple[int, ...]], dst: int) -> list[int | No
 
 
 def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
-    """Insert SWAPs so every two-qubit gate lands on a coupler edge.
+    """Insert SWAPs so every two-qubit gate lands on a coupler edge, reading
+    and filling the next-hop tables that ``topology`` keeps for every route.
 
     A logical qubit outside [0, num_qubits) raises DegenerateInputError.
     """
@@ -114,10 +115,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
     log_to_phys = list(range(circuit.num_qubits))
-    adjacency = topology.adjacency()
-    # target qubit -> its next-hop table, built on first use
-    tables: list[list[int | None] | None] = [None] * size
-    swaps: dict[int, Gate] = {}  # pa * size + hop -> the inserted SWAP on that coupler
+    adjacency, tables, swaps = topology._routing  # kept on the topology, filled on first use
     routed: list[Gate] = []
     inserted: list[int] = []
     # The ASAP pass, run on the routed gates as they are emitted: each
@@ -214,7 +212,7 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     duplicates and indices outside the routed circuit do not change the
     verdict.
     """
-    couplers = {pair for a, b in topology.edges for pair in ((a, b), (b, a))}
+    couplers = topology._couplers
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
     marks = iter([idx for idx in sorted(set(result.inserted)) if idx >= 0])

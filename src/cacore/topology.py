@@ -16,11 +16,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from .errors import TopologyFormatError, UnknownTopologyError, undecodable_byte
-from .ir import MAX_QUBITS
+from .ir import MAX_QUBITS, Gate
 
 _DEVICE_FILES = {
     "almaden20": "almaden20.json",
@@ -60,6 +61,17 @@ class Topology:
             message = f"coupler ({a}, {b}) has an endpoint that is not a qubit index in [0, {n})"
             raise TopologyFormatError(message, f"topology {self.name!r}") from None
         return {q: tuple(sorted(ns)) for q, ns in neighbors.items()}
+
+    @cached_property  # in the instance __dict__, so a dataclasses.replace copy starts empty
+    def _routing(self) -> tuple[dict[int, tuple[int, ...]], list, dict[int, Gate]]:
+        """Routing state, which depends only on num_qubits and edges: the adjacency,
+        per target qubit its next-hop table, per coupler direction ``a * num_qubits + b``
+        the inserted SWAP; ``route_circuit`` fills the last two on first use."""
+        return self.adjacency(), [None] * self.num_qubits, {}
+
+    @cached_property
+    def _couplers(self) -> frozenset[tuple[int, int]]:  # both directions, for verify_routing
+        return frozenset(pair for a, b in self.edges for pair in ((a, b), (b, a)))
 
 
 def validate_topology(topology: Topology) -> list[str]:

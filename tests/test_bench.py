@@ -13,6 +13,7 @@ from cacore.bench import (
     gen_random_circuit,
     run_comparison,
 )
+import cacore.routing
 from cacore.ir import Circuit, Gate, GateKind
 from cacore.routing import route_circuit
 from cacore.topology import Topology, builtin_topology
@@ -140,6 +141,46 @@ def test_a_second_comparison_builds_no_gate(monkeypatch, gate_builds):
     gate_builds.clear()
     again = run_comparison(circuits, baselines, [NoiseParams(0.001)])
     assert again.to_dict() == first.to_dict() and gate_builds == []
+
+
+@pytest.mark.parametrize("rates", [(0.001, 0.001), (0.002, 0.001, 1e-3), (5e-4, 0.0005)])
+def test_rates_that_would_share_a_fidelity_column_are_refused(monkeypatch, rates):
+    def no_work(*args):
+        raise AssertionError("synthesized or routed before the rates were checked")
+
+    monkeypatch.setattr("cacore.bench.synthesize_topology", no_work)
+    monkeypatch.setattr("cacore.bench.route_circuit", no_work)
+    circuits = [gen_random_circuit(4, 50, 0)]
+    noise = [NoiseParams(eps) for eps in rates]
+    with pytest.raises(ValueError, match="share the report label 'fidelity@"):
+        run_comparison(circuits, [builtin_topology("line(4)")], noise)
+
+
+def test_a_second_comparison_builds_only_the_synthesized_maps_tables(monkeypatch):
+    """The baselines keep their next-hop tables: run again on the same four
+    objects, a comparison builds only the tables of its new synthesized maps,
+    as many as a run with no baseline builds."""
+    built = []
+    next_hops = cacore.routing._next_hops
+
+    def counting(adjacency, dst):
+        built.append(dst)
+        return next_hops(adjacency, dst)
+
+    monkeypatch.setattr(cacore.routing, "_next_hops", counting)
+    circuits = [gen_random_circuit(n, 2000, seed) for n in range(10, 21) for seed in (0, 1)]
+    names = ("almaden20", "cairo27", "prague33", "sycamore53")
+    baselines = [builtin_topology(name) for name in names]
+    noise = [NoiseParams(0.001)]
+    counts = []
+    reports = []
+    for topologies in (baselines, baselines, []):
+        built.clear()
+        reports.append(run_comparison(circuits, topologies, noise).to_dict())
+        counts.append(len(built))
+    first, again, synthesized_only = counts
+    assert reports[0] == reports[1]
+    assert synthesized_only > 0 and again == synthesized_only < first
 
 
 def test_oversized_circuits_are_skipped():

@@ -152,6 +152,37 @@ def test_bench_baselines_sharing_a_report_label_are_usage_errors(tmp_path, capsy
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rates", ["0.001,0.001", "0.002,0.001,1e-3", "5e-4,0.0005"])
+def test_bench_rates_sharing_a_fidelity_column_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                                 rates):
+    def no_circuits(*args):
+        raise AssertionError("generated circuits before the rates were checked")
+
+    monkeypatch.setattr("cacore.cli.gen_random_circuit", no_circuits)
+    out = tmp_path / "bench"
+    code = main(["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", rates,
+                 "-o", str(out)])
+    assert code == 1
+    assert not out.exists()
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "fidelity@" in errors[0]
+
+
+def test_bench_output_naming_a_file_fails_before_any_circuit_is_generated(tmp_path, capsys,
+                                                                         monkeypatch):
+    def no_circuits(*args):
+        raise AssertionError("generated circuits before the output directory was made")
+
+    monkeypatch.setattr("cacore.cli.gen_random_circuit", no_circuits)
+    out = tmp_path / "report"
+    out.write_text("kept\n", encoding="utf-8")
+    code = main(["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_bench_unknown_format_is_usage_error(tmp_path):
     code = main(["bench", "--qubits", "5..5", "--seeds", "1", "--gates", "40",
                  "--baselines", "line(5)", "--format", "xml", "-o", str(tmp_path)])
@@ -176,6 +207,7 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "0"], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "-5"], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", ","], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", "0.001,0.001,1e-3"], 1),
         (["gen", "-n", "4", "--gates", "0"], 1),
         (["gen", "-n", "4", "--gates", "-3"], 1),
         (["bench", "--eps", "0.5"], 1),

@@ -1,7 +1,10 @@
 """Router tests: trivial layout, SWAP insertion, verification, metrics."""
 
+import dataclasses
 import math
 import random
+import sys
+import threading
 
 import pytest
 from conftest import DATA_DIR
@@ -536,3 +539,60 @@ def test_gate_table_after_the_acceptance_protocol(monkeypatch):
                     assert table.get((gate.kind, gate.qubits)) is gate or id(gate) in source
     assert not any(kind in PARAMETRIC_KINDS or kind is GateKind.BARRIER for kind, _ in table)
     assert len(table) <= 7 * widest + 2 * widest * (widest - 1)
+
+
+def test_routes_sharing_one_topology_match_a_fresh_copy_and_the_oracle():
+    """Routes of circuits of many sizes, interleaved on one topology object,
+    each equal the route on a fresh equal copy and the per-gate BFS oracle.
+    A copy without one used coupler keeps none of the original's routing
+    state: it refuses the original's route and routes around the gap."""
+    from oracles import bfs_route
+
+    topology = builtin_topology("cairo27")
+    circuits = [gen_random_circuit(n, 300, seed) for seed in range(2) for n in range(4, 21)]
+    circuits += [parse_qasm_file(path) for path in sorted(DATA_DIR.glob("*.qasm"))]
+    random.Random(0).shuffle(circuits)
+    for circuit in circuits:
+        expected = _routed(bfs_route, circuit, topology)
+        assert _routed(route_circuit, circuit, topology) == expected
+        assert _routed(route_circuit, circuit, dataclasses.replace(topology)) == expected
+        assert verify_routing(circuit, route_circuit(circuit, topology), topology)
+
+    circuit = gen_random_circuit(20, 300, 5)
+    result = route_circuit(circuit, topology)
+    assert verify_routing(circuit, result, topology)
+    used = next(tuple(sorted(g.qubits)) for g in result.routed.gates if len(g.qubits) == 2)
+    reduced = dataclasses.replace(topology, edges=tuple(e for e in topology.edges if e != used))
+    assert not verify_routing(circuit, result, reduced)
+    routed = _routed(route_circuit, circuit, reduced)
+    assert routed == _routed(bfs_route, circuit, reduced)
+    assert not isinstance(routed, str)
+    assert verify_routing(circuit, route_circuit(circuit, reduced), reduced)
+
+
+def test_threads_routing_on_one_topology_get_the_routes_of_fresh_copies():
+    """Six threads fill one topology's next-hop tables and SWAPs at once,
+    switching every microsecond: every route equals the route on a fresh copy."""
+    topology = builtin_topology("sycamore53")
+    circuits = [gen_random_circuit(n, 200, n) for n in range(4, 40, 3)]
+    expected = [_routed(route_circuit, c, dataclasses.replace(topology)) for c in circuits]
+    results = {}
+
+    def work(worker):
+        for index in range(worker, worker + len(circuits)):
+            index %= len(circuits)
+            results[worker, index] = _routed(route_circuit, circuits[index], topology)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 6 * len(circuits)
+    assert all(routed == expected[index] for (_, index), routed in results.items())
