@@ -64,6 +64,8 @@ class NoiseParams:
     epsilon: float
 
     def __post_init__(self):
+        if self.epsilon == 0 and math.copysign(1.0, self.epsilon) < 0:  # -0.0: one column with 0
+            object.__setattr__(self, "epsilon", 0.0)
         if not math.isfinite(self.epsilon):
             raise ValueError(f"noise parameters must be finite, got {self}")
         if self.epsilon < 0:

@@ -108,7 +108,8 @@ class Circuit:
 
     def check_qubits(self) -> None:
         """Raise DegenerateInputError if a gate names a logical qubit outside
-        [0, num_qubits): the lowest negative one, else the highest too large."""
+        [0, num_qubits): the lowest negative one, else the highest too large.
+        One scan per circuit, kept; none for ``parse_qasm``'s (``_in_range``)."""
         q = self._stray_qubit
         if q is not None:
             raise DegenerateInputError(
@@ -120,3 +121,8 @@ class Circuit:
         used = {q for gate in self.gates for q in gate.qubits}
         low, high = min(used, default=0), max(used, default=-1)
         return low if low < 0 else high if high >= self.num_qubits else None
+
+    def _in_range(self) -> Circuit:
+        """This circuit, stored as in range unscanned; a ``dataclasses.replace`` copy scans."""
+        self.__dict__["_stray_qubit"] = None
+        return self

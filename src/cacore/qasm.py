@@ -12,13 +12,15 @@ at most ``_MAX_NESTING`` deep.
 line or offset. A repeated piece gets the gate of its first reading, a
 canonical gate application (``cx q[3],q[7]``, ``rz(-0.25) q[1]``) after
 blanks and whole comment lines is read by string splits and a table of
-checked ``reg[i]`` texts, and any other piece is lexed with its ``;`` and read
-by recursive descent. From the first piece that read fails or reads to
-nothing, the rest of the source is read whole, token by token: that read
-raises the error with its line (an unexpected character anywhere in it wins),
-or reads a ``;`` that sits in a string or in a comment within a statement.
-Every param-less gate but a barrier, however it was read, comes from the
-process-wide table of ``ir.shared_gate``; rotations and barriers never do.
+checked ``reg[i]`` texts (``_PREFIX_RE`` runs only where a comment follows the
+blanks), and any other piece is lexed with its ``;`` and read by recursive
+descent. From the first piece that read fails or reads to nothing, the rest of
+the source is read whole, token by token: that read raises the error with its
+line (an unexpected character anywhere in it wins), or reads a ``;`` that sits
+in a string or in a comment within a statement. Every param-less gate but a
+barrier, however it was read, comes from the process-wide table of
+``ir.shared_gate``; rotations and barriers never do. Each operand is checked
+as it is read, so no later stage scans the circuit.
 """
 
 from __future__ import annotations
@@ -420,7 +422,9 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     for piece in rest:
         gate = memo.get(piece)
         if gate is None:
-            gate = _read_gate(piece[_PREFIX_RE.match(piece).end() :], qubits)
+            text = piece.lstrip(" \t\r\n")  # where _PREFIX_RE ends unless a comment follows
+            text = piece[_PREFIX_RE.match(piece).end() :] if text[:2] == "//" else text
+            gate = _read_gate(text, qubits)
             if gate is not None and gate.param is None:
                 memo[piece] = gate
         if gate is not None:
@@ -438,7 +442,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
             memo[piece] = gates[-1]
     # all from the first piece that failed, or else the text after the last ';'
     parser.read(tail, source.count("\n") - tail.count("\n") + 1)
-    return Circuit(parser.num_qubits, tuple(gates), name)
+    return Circuit(parser.num_qubits, tuple(gates), name)._in_range()  # every operand checked
 
 
 def parse_qasm_file(path: str | Path) -> Circuit:

@@ -61,6 +61,12 @@ def test_noise_params_validation():
     for epsilon in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="must be finite"):
             NoiseParams(epsilon)
+    # -0.0 is stored as 0.0, so it cannot name a second column of the values of
+    # ``fidelity@0``; no other rate changes type or repr
+    assert repr(NoiseParams(-0.0).epsilon) == "0.0"
+    for epsilon in (0, 0.0, 5e-324, 1e-3, 0.2):
+        stored = NoiseParams(epsilon).epsilon
+        assert type(stored) is type(epsilon) and repr(stored) == repr(epsilon)
 
 
 def test_fidelity_epsilon_zero_is_one():
@@ -143,7 +149,9 @@ def test_a_second_comparison_builds_no_gate(monkeypatch, gate_builds):
     assert again.to_dict() == first.to_dict() and gate_builds == []
 
 
-@pytest.mark.parametrize("rates", [(0.001, 0.001), (0.002, 0.001, 1e-3), (5e-4, 0.0005)])
+@pytest.mark.parametrize(
+    "rates", [(0.001, 0.001), (0.002, 0.001, 1e-3), (5e-4, 0.0005), (0.0, -0.0)]
+)
 def test_rates_that_would_share_a_fidelity_column_are_refused(monkeypatch, rates):
     def no_work(*args):
         raise AssertionError("synthesized or routed before the rates were checked")

@@ -214,6 +214,8 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["gen", "-n", "4", "--gates", "x"], 1),
         (["gen", "-n", str(MAX_QUBITS + 1)], 1),
         (["bench", "--qubits", f"2..{MAX_QUBITS + 1}"], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", "0,-0",
+          "--baselines", "line(4)"], 1),
     ],
 )
 def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):

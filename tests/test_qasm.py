@@ -1,9 +1,11 @@
 """Frontend tests: parsing, ccx expansion, errors, and round-trips."""
 
+import dataclasses
 import math
 import random
 import re
 import signal
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from cacore.bench import gen_random_circuit
 from cacore.cli import main
 from cacore.errors import DegenerateInputError, QasmSyntaxError
 from cacore.ir import _SHARED_LIMIT, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
-from cacore.qasm import MAX_QUBITS, _lex, _Qubits, _read_gate, parse_qasm, to_qasm
+from cacore.qasm import MAX_QUBITS, _PREFIX_RE, _lex, _Qubits, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
 from cacore.topology import BUILTIN_NAMES, builtin_topology
@@ -373,17 +375,40 @@ def test_parser_total_on_fuzzed_inputs():
             circuit = parse_qasm(program)
         except QasmSyntaxError:
             continue
-        circuit.check_qubits()
+        _rescanned(circuit).check_qubits()
+
+
+def _rescanned(circuit):
+    """A copy that scans its gates: ``parse_qasm`` returns its circuit marked in
+    range, so only a fresh one checks the parser's claim."""
+    return Circuit(circuit.num_qubits, circuit.gates, circuit.name)
 
 
 def test_circuit_rule_examples():
-    parse_qasm("qreg q[2]; cx q[0],q[1];").check_qubits()
+    _rescanned(parse_qasm("qreg q[2]; cx q[0],q[1];")).check_qubits()
     for kind, qubits in ((GateKind.CNOT, (0, 0)), (GateKind.SWAP, (1, 1))):
         with pytest.raises(ValueError, match=f"{kind.value}: identical endpoints {qubits[0]}"):
             Gate(kind, qubits)
     bad_range = Circuit(6, (Gate(GateKind.H, (7,)),))
     with pytest.raises(DegenerateInputError, match="out of range"):
         bad_range.check_qubits()
+
+
+_STAGES = {
+    "synthesize_topology": synthesize_topology,
+    "route_circuit": lambda circuit: route_circuit(circuit, builtin_topology("line(4)")),
+}
+
+
+@pytest.mark.parametrize("stage", list(_STAGES))
+def test_a_replaced_copy_of_a_parsed_circuit_is_scanned(stage):
+    """Only the parsed circuit itself is marked in range: a ``dataclasses.replace``
+    copy given an out-of-range gate is refused by each stage that reads it."""
+    parsed = parse_qasm("qreg q[4];\ncx q[0],q[1];\nh q[3];\n")
+    _STAGES[stage](parsed)
+    copy = dataclasses.replace(parsed, gates=(*parsed.gates, Gate(GateKind.CNOT, (2, 4))))
+    with pytest.raises(DegenerateInputError, match="logical qubit 4 out of range"):
+        _STAGES[stage](copy)
 
 
 def _outcome(parse, source):
@@ -502,7 +527,7 @@ def test_statement_tokens_match_token_by_token_oracle():
         if isinstance(expected[0], int):
             parsed += 1
             # a parsed circuit is always valid, so ``cacore synth`` need not check it
-            parse_qasm(source).check_qubits()
+            _rescanned(parse_qasm(source)).check_qubits()
         else:
             failed += 1
     assert parsed >= 300 and failed >= 300
@@ -718,3 +743,69 @@ def test_an_error_on_the_last_line_lexes_only_the_rest_from_its_piece(monkeypatc
 )
 def test_an_error_after_the_hand_over_reads_as_the_oracle_reads_it(source):
     assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
+
+
+# Blanks the regex skips, comment pieces, and characters that a bare
+# ``str.lstrip()`` strips but ``_PREFIX_RE`` does not.
+_PREFIX_ATOMS = [
+    " ", "\t", "\r", "\n", "\r\n", "  \n\t", "// c\n", "//\n", "// a;b\r\n", "/", "// c",
+    "\x0b", "\x0c", "\xa0", "\u2028",
+]
+_PREFIX_BODIES = ["h q[0]", "cx q[0],q[1]", "rz(-0.5) q[1]", "", "/ h q[0]", "q[0]"]
+
+
+def _fast_offset(piece):
+    """Where ``parse_qasm`` starts reading a new piece: the ``lstrip`` offset,
+    or ``_PREFIX_RE``'s end where the stripped text starts with a comment."""
+    text = piece.lstrip(" \t\r\n")
+    return _PREFIX_RE.match(piece).end() if text[:2] == "//" else len(piece) - len(text)
+
+
+def test_blank_strip_gives_the_prefix_regex_offset():
+    rng = random.Random(20261019)
+    corpus = [
+        "".join(rng.choice(_PREFIX_ATOMS) for _ in range(rng.randint(0, 5)))
+        + rng.choice(_PREFIX_BODIES)
+        for _ in range(3000)
+    ]
+    corpus += [f"{blank}{body}" for blank in _PREFIX_ATOMS for body in _PREFIX_BODIES]
+    corpus += ["\r\n\r\nh q[0]", "\n  // c\n\t// d\r\n h q[0]", " \t// no newline", "/", "\n/x"]
+    for char in "\x0b\x0c\xa0\u2028":  # a bare lstrip() would skip 1 where the regex skips 0
+        assert _PREFIX_RE.match(f"{char}h q[0]").end() == 0 and f"{char}h q[0]".lstrip() == "h q[0]"
+    for piece in corpus:
+        assert _fast_offset(piece) == _PREFIX_RE.match(piece).end(), repr(piece)
+    # and the parser, which reads each piece after a declaration, reads it as the oracle does
+    for piece in corpus[::10]:
+        source = f"qreg q[2];{piece};h q[1];"
+        assert _outcome(parse_qasm, source) == _outcome(token_parse, source), repr(piece)
+
+
+def test_a_file_synthesized_then_routed_is_never_scanned_or_prefix_matched(tmp_path, monkeypatch):
+    """A deterministic work count for ``cacore synth`` then ``cacore route`` on a
+    33-qubit, 2000-gate file: ``parse_qasm`` checked every operand, so no stage
+    rescans the circuit, and no piece of ``to_qasm`` text starts with a comment."""
+    counts = {"scans": 0, "prefix matches": 0}
+    scan = Circuit._stray_qubit.func
+
+    def counting_scan(circuit):
+        counts["scans"] += 1
+        return scan(circuit)
+
+    class CountingPrefix:
+        def match(self, text):
+            counts["prefix matches"] += 1
+            return _PREFIX_RE.match(text)
+
+    prop = cached_property(counting_scan)
+    prop.__set_name__(Circuit, "_stray_qubit")
+    monkeypatch.setattr(Circuit, "_stray_qubit", prop)
+    monkeypatch.setattr("cacore.qasm._PREFIX_RE", CountingPrefix())
+    source, topology = tmp_path / "c.qasm", tmp_path / "t.json"
+    assert main(["gen", "-n", "33", "--gates", "2000", "-o", str(source)]) == 0
+    assert main(["synth", str(source), "-o", str(topology)]) == 0
+    assert main(["route", str(source), "-t", str(topology)]) == 0
+    assert counts == {"scans": 0, "prefix matches": 0}
+    # the counters see a caller's circuit and a piece that starts with a comment
+    Circuit(2, (Gate(GateKind.H, (0,)),)).check_qubits()
+    parse_qasm("qreg q[1];\n// c\nh q[0];\n")
+    assert counts == {"scans": 1, "prefix matches": 1}

@@ -251,3 +251,40 @@ def test_topologies_of_the_bundled_circuits_pass_the_load_checks(tmp_path):
 )
 def test_builtins_pass_the_load_checks(tmp_path, name):
     assert _round_trips(builtin_topology(name), tmp_path / "t.json")
+
+
+def _encoder_bytes(topology: Topology) -> bytes:
+    """What the JSON encoder writes for the schema's fields, indented by two."""
+    data = {
+        "name": topology.name,
+        "num_qubits": topology.num_qubits,
+        "edges": [list(pair) for pair in topology.edges],
+    }
+    if topology.synthetic:
+        data["synthetic"] = [pair in topology.synthetic for pair in topology.edges]
+    if topology.positions is not None:
+        data["positions"] = [list(topology.positions[q]) for q in range(topology.num_qubits)]
+    return (json.dumps(data, indent=2) + "\n").encode()
+
+
+def _writer_cases():
+    builtins = ["almaden20", "cairo27", "prague33", "sycamore53", "half_sycamore24"]
+    for name in builtins + ["line(0)", "line(1)", "grid(3,4)"]:
+        yield name, builtin_topology(name)
+    for n in range(2, 34):
+        circuit = gen_random_circuit(n, 10 * n, n)
+        for keep in (True, False):
+            yield f"synth-{n}-{keep}", synthesize_topology(circuit, keep_synthetic=keep)
+    yield "no-positions", Topology("bare", 3, ((0, 1), (1, 2)), frozenset({(1, 2)}))
+    yield "flags-without-edges", Topology("flags", 2, (), frozenset({(0, 1)}))
+    for name in ['quote"d', "back\\slash", "bell\x07tab\tnewline\n", "量子 ça \U0001f600"]:
+        yield repr(name), Topology(name, 2, ((0, 1),), positions={0: (0, 0), 1: (-1, 2)})
+
+
+def test_the_topology_writer_gives_the_encoder_bytes(tmp_path):
+    path = tmp_path / "t.json"
+    cases = list(_writer_cases())
+    assert any(t.synthetic and t.positions for _, t in cases)  # every field is written somewhere
+    for label, topology in cases:
+        save_topology(topology, path)
+        assert path.read_bytes() == _encoder_bytes(topology), label
