@@ -20,12 +20,11 @@ from pathlib import Path
 from .errors import CacoreError, DegenerateInputError
 from .ir import Circuit, Gate, GateKind, shared_gate
 from .routing import RouteMetrics, route_circuit, verify_routing
-from .synthesis import synthesize_topology
+from .synthesis import CA_CORE, synthesize_topology
 from .topology import Topology
 
 _ONE_QUBIT_POOL = (GateKind.H, GateKind.X, GateKind.S, GateKind.T)
 
-CA_CORE = "ca_core"
 # A two-qubit gate fails five times as often as a one-qubit gate.
 TWO_QUBIT_FACTOR = 5.0
 
@@ -159,8 +158,8 @@ def run_comparison(
     check_baseline_names(baselines)
     check_error_rates(noise)
     report = BenchmarkReport(config=dict(config or {}))
-    report.config["epsilons"] = [n.epsilon for n in noise]  # the CSV's fidelity columns
     report.config["baselines"] = [t.name for t in baselines]
+    report.config["epsilons"] = [n.epsilon for n in noise]  # the CSV's fidelity columns
     if seeds is not None:
         report.config.setdefault("seeds", list(seeds))
 

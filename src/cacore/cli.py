@@ -238,13 +238,7 @@ def _cmd_bench(args) -> int:
             circuits.append(gen_random_circuit(n, args.gates, seed))
             circuit_seeds.append(seed)
 
-    config = {
-        "qubits": args.qubits,
-        "seeds": seeds,
-        "target_gates": args.gates,
-        "baselines": [t.name for t in baselines],
-        "epsilons": [n.epsilon for n in args.eps],
-    }
+    config = {"qubits": args.qubits, "seeds": seeds, "target_gates": args.gates}
     report = run_comparison(circuits, baselines, args.eps, seeds=circuit_seeds, config=config)
     for fmt in args.format:
         emit_report(report, fmt, out_dir / f"report.{fmt}")

@@ -1,10 +1,11 @@
 """Gate and circuit types shared across the toolchain.
 
-``shared_gate`` keeps one process-wide table, ``(kind, qubits) -> Gate``, of
-param-less gates other than barriers (an angle key would merge 0.0 with -0.0;
-a barrier's qubit set is the input's choice): at most 7n + 2n(n-1) gates over
-n qubits, and it is emptied at ``_SHARED_LIMIT`` gates (about 1 MB). A race
-between threads only builds two equal gates; no code relies on gate identity.
+``shared_gate`` builds every gate outside this module, and alone decides which
+go in its process-wide table ``(kind, qubits) -> Gate``: param-less ones other
+than barriers (an angle key would merge 0.0 with -0.0; a barrier's qubit set is
+the input's choice). The table holds at most 7n + 2n(n-1) gates over n qubits
+and is emptied at ``_SHARED_LIMIT`` gates (about 1 MB). A race between threads
+only builds two equal gates; no code relies on gate identity.
 """
 
 from __future__ import annotations
@@ -83,10 +84,14 @@ class Gate:
 
 _SHARED: dict[tuple[GateKind, tuple[int, ...]], Gate] = {}
 _SHARED_LIMIT = 4096  # above the 2343 possible over 33 qubits, the widest benchmark
+_BARRIER = GateKind.BARRIER  # a member lookup on an Enum class is slow, and this runs per gate
 
 
-def shared_gate(kind: GateKind, qubits: tuple[int, ...]) -> Gate:
-    """The one Gate of a param-less kind other than barrier on ``qubits``."""
+def shared_gate(kind: GateKind, qubits: tuple[int, ...], param: float | None = None) -> Gate:
+    """Gate ``kind`` on ``qubits`` at angle ``param``: the table's one Gate for a param-less
+    kind other than barrier, else a fresh one; ``Gate`` raises ValueError on a mismatch."""
+    if param is not None or kind is _BARRIER:
+        return Gate(kind, qubits, param)
     gate = _SHARED.get((kind, qubits))
     if gate is None:
         if len(_SHARED) >= _SHARED_LIMIT:

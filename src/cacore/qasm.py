@@ -17,10 +17,10 @@ blanks), and any other piece is lexed with its ``;`` and read by recursive
 descent. From the first piece that read fails or reads to nothing, the rest of
 the source is read whole, token by token: that read raises the error with its
 line (an unexpected character anywhere in it wins), or reads a ``;`` that sits
-in a string or in a comment within a statement. Every param-less gate but a
-barrier, however it was read, comes from the process-wide table of
-``ir.shared_gate``; rotations and barriers never do. Each operand is checked
-as it is read, so no later stage scans the circuit.
+in a string or in a comment within a statement. Every gate, however it was
+read, comes from ``ir.shared_gate``, which alone decides which of them its
+process-wide table holds. Each operand is checked as it is read, so no later
+stage scans the circuit.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ class _Parser:
             if tok.text != ",":
                 raise QasmSyntaxError(f"expected ',' or ';', got {tok.text!r}", tok.line)
         if qubits:  # operands that are only empty registers fence nothing
-            self.gates.append(Gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
+            self.gates.append(shared_gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
 
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:
@@ -276,12 +276,10 @@ class _Parser:
             raise QasmSyntaxError(f"{name}: duplicate qubit operand", line)
         if kind is None:
             self.gates.extend(_decompose_ccx(*operands))
-        elif param is not None:  # a rotation, on one qubit
-            self.gates.extend(Gate(kind, (q,), param) for q in operands)
         elif n_operands > 1:
             self.gates.append(shared_gate(kind, tuple(operands)))
         else:
-            self.gates.extend(shared_gate(kind, (q,)) for q in operands)
+            self.gates.extend(shared_gate(kind, (q,), param) for q in operands)
 
     # -- angle expressions ---------------------------------------------------
 
@@ -339,18 +337,18 @@ def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
     return [
         shared_gate(h, (c,)),
         shared_gate(cx, (b, c)),
-        Gate(rz, (c,), tdg),
+        shared_gate(rz, (c,), tdg),
         shared_gate(cx, (a, c)),
         shared_gate(t, (c,)),
         shared_gate(cx, (b, c)),
-        Gate(rz, (c,), tdg),
+        shared_gate(rz, (c,), tdg),
         shared_gate(cx, (a, c)),
         shared_gate(t, (b,)),
         shared_gate(t, (c,)),
         shared_gate(h, (c,)),
         shared_gate(cx, (a, b)),
         shared_gate(t, (a,)),
-        Gate(rz, (b,), tdg),
+        shared_gate(rz, (b,), tdg),
         shared_gate(cx, (a, b)),
     ]
 
@@ -401,7 +399,7 @@ def _read_gate(text: str, qubits: _Qubits) -> Gate | None:
             return None
     if n_operands == 1:
         a = qubits[operands]
-        return None if a < 0 else Gate(kind, (a,), param) if paren else shared_gate(kind, (a,))
+        return None if a < 0 else shared_gate(kind, (a,), param)
     first, _, second = operands.partition(",")  # no two-qubit kind takes an angle
     a, b = qubits[first], qubits[second]
     return None if a < 0 or b < 0 or a == b else shared_gate(kind, (a, b))

@@ -12,15 +12,14 @@ smallest neighbour one hop closer to the target, so the walk takes that
 path one SWAP per step, updating the layout in place (the qubit moved is
 always the gate's first operand). Gates are immutable, so the routed
 circuit reuses a source gate whose physical qubits equal its logical ones,
-and takes every other param-less gate but a barrier from the process-wide
-table of ``ir.shared_gate``, the inserted SWAPs through the topology's dict
-keyed by coupler direction; rotations and barriers are built per gate.
+and takes every other gate from ``ir.shared_gate``, the inserted SWAPs
+through the topology's dict keyed by coupler direction.
 The same walk scores the route: it keeps each physical qubit's ASAP
 finish time and the gate counts, so the metrics equal those of
 ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
 
-The verifier streams the routed gates against the source and the
-topology's cached couplers, tracking the SWAP permutation and keeping
+The verifier streams the routed gates against the source and the same
+cached adjacency the router reads, tracking the SWAP permutation and keeping
 nothing per gate while each non-inserted gate's kind, logical qubits and
 angle equal the next source gate's. From the first mismatch on it collects
 (kind, logical qubits, param) tuples and compares each qubit's lane with
@@ -122,7 +121,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     # physical qubit's finish time, and the counts that set the totals.
     busy = [0] * size
     exempt = two_qubit = source_swaps = 0
-    swap, barrier = GateKind.SWAP, GateKind.BARRIER  # a member lookup is slow on an Enum class
+    swap = GateKind.SWAP  # a member lookup is slow on an Enum class
 
     for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
@@ -179,10 +178,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             if physical == qubits:
                 routed.append(gate)
                 continue
-        if gate.param is None and kind is not barrier:
-            routed.append(shared_gate(kind, physical))
-        else:  # a rotation or a barrier: the ir module says why the table holds neither
-            routed.append(Gate(kind, physical, gate.param))
+        routed.append(shared_gate(kind, physical, gate.param))
 
     routed_circuit = Circuit(size, tuple(routed), name=f"{circuit.name}@{topology.name}")
     total = len(routed) - exempt
@@ -205,14 +201,15 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     inserted SWAPs must recover the original logical gate sequence: same
     kinds, same logical operands, same per-qubit order. Only a SWAP on a
     coupler may be marked inserted, and a routed gate on a physical qubit
-    outside the topology fails.
+    outside the topology fails. Couplers come from the adjacency the router
+    reads: an endpoint that is not a qubit raises TopologyFormatError here too.
 
     ``result.inserted`` is read as a set: the verifier steps through its
     distinct non-negative indices in ascending order, so their order,
     duplicates and indices outside the routed circuit do not change the
     verdict.
     """
-    couplers = topology._couplers
+    adjacency = topology._routing[0]
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
     marks = iter([idx for idx in sorted(set(result.inserted)) if idx >= 0])
@@ -225,16 +222,18 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     for idx, gate in enumerate(result.routed.gates):
         if idx == mark:
             mark = next(marks, -1)
-            if gate.kind is not swap or gate.qubits not in couplers:
+            if gate.kind is not swap:
                 return False
             a, b = gate.qubits
+            if b not in adjacency.get(a, ()):
+                return False
             phys_to_log[a], phys_to_log[b] = phys_to_log[b], phys_to_log[a]
             continue
         kind, qubits, param = gate.kind, gate.qubits, gate.param
         if kind in TWO_QUBIT_KINDS:
-            if qubits not in couplers:
-                return False
             a, b = qubits
+            if b not in adjacency.get(a, ()):
+                return False
             la, lb = phys_to_log[a], phys_to_log[b]
             if la is None or lb is None:
                 return False

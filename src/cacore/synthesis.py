@@ -28,6 +28,8 @@ from .errors import DegenerateInputError
 from .ir import Circuit
 from .topology import Topology
 
+CA_CORE = "ca_core"  # the name of every synthesized map, and its label in bench reports
+
 Edges = dict[tuple[int, int], int]
 Positions = dict[int, tuple[int, int]]
 
@@ -219,4 +221,4 @@ def synthesize_topology(circuit: Circuit, *, keep_synthetic: bool = True) -> Top
 
     pairs = sorted(pair for pair, weight in edges.items() if keep_synthetic or weight)
     synthetic = frozenset(pair for pair in pairs if not edges[pair])
-    return Topology("ca_core", n, tuple(pairs), synthetic, positions)
+    return Topology(CA_CORE, n, tuple(pairs), synthetic, positions)

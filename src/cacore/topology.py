@@ -23,17 +23,12 @@ from pathlib import Path
 from .errors import TopologyFormatError, UnknownTopologyError, undecodable_byte
 from .ir import MAX_QUBITS, Gate
 
-_DEVICE_FILES = {
-    "almaden20": "almaden20.json",
-    "cairo27": "cairo27.json",
-    "prague33": "prague33.json",
-    "sycamore53": "sycamore53.json",
-}
+_DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # each bundled as data/NAME.json
 # ASCII digits and spaces only, and nothing after the closing parenthesis
 _LINE_RE = re.compile(r"line\((\d+)\)", re.ASCII)
 _GRID_RE = re.compile(r"grid\((\d+),\s*(\d+)\)", re.ASCII)
 
-BUILTIN_NAMES = (*_DEVICE_FILES, "half_sycamore24", "line(n)", "grid(nrow,ncol)")
+BUILTIN_NAMES = (*_DEVICES, "half_sycamore24", "line(n)", "grid(nrow,ncol)")
 
 
 @dataclass(frozen=True)
@@ -65,13 +60,10 @@ class Topology:
     @cached_property  # in the instance __dict__, so a dataclasses.replace copy starts empty
     def _routing(self) -> tuple[dict[int, tuple[int, ...]], list, dict[int, Gate]]:
         """Routing state, which depends only on num_qubits and edges: the adjacency,
-        per target qubit its next-hop table, per coupler direction ``a * num_qubits + b``
-        the inserted SWAP; ``route_circuit`` fills the last two on first use."""
+        the one coupler map that ``route_circuit`` and ``verify_routing`` read; per
+        target qubit its next-hop table; per coupler direction ``a * num_qubits + b``
+        the inserted SWAP. ``route_circuit`` fills the last two on first use."""
         return self.adjacency(), [None] * self.num_qubits, {}
-
-    @cached_property
-    def _couplers(self) -> frozenset[tuple[int, int]]:  # both directions, for verify_routing
-        return frozenset(pair for a, b in self.edges for pair in ((a, b), (b, a)))
 
 
 def validate_topology(topology: Topology) -> list[str]:
@@ -258,8 +250,8 @@ def builtin_topology(name: str) -> Topology:
     come from bundled data files; ``half_sycamore24``, ``line(n)``, and
     ``grid(nrow,ncol)`` are generated, up to ``MAX_QUBITS`` qubits.
     """
-    if name in _DEVICE_FILES:
-        return _load_bundled(_DEVICE_FILES[name])
+    if name in _DEVICES:
+        return _load_bundled(f"{name}.json")
     if name == "half_sycamore24":  # six rows by four columns, all couplers enabled
         return Topology(name, 24, tuple(sycamore_pattern(6, 4)))
     if m := _LINE_RE.fullmatch(name) or _GRID_RE.fullmatch(name):

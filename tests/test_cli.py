@@ -113,6 +113,18 @@ def test_bench_small_run_and_idempotence(tmp_path):
     assert (out / "report.csv").read_text() == csv_text
 
 
+def test_bench_report_config_lists_the_run_in_order(tmp_path):
+    out = tmp_path / "bench"
+    args = ["bench", "--qubits", "4,5", "--seeds", "2", "--gates", "20",
+            "--baselines", "line(5)", "-o", str(out)]
+    assert main(args) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert list(config.items()) == [
+        ("qubits", [4, 5]), ("seeds", [0, 1]), ("target_gates", 20),
+        ("baselines", ["line(5)"]), ("epsilons", [0.0005, 0.001, 0.002, 0.005]),
+    ]
+
+
 def test_bench_partial_failure_exit_code(tmp_path):
     # a disconnected baseline makes some cells unroutable: exit 4, run continues
     topo = tmp_path / "split.json"

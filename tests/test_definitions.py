@@ -146,3 +146,33 @@ def test_unpassed_keyword_is_named(tmp_path):
         encoding="utf-8",
     )
     assert unpassed_keywords(tmp_path) == ["mod.f.unused", "mod.C.m.flag"]
+
+
+def gate_calls(package=PACKAGE) -> list[str]:
+    """``module:line`` of each call to ``Gate`` outside ``ir.py``, by name or attribute.
+    Annotations such as ``list[Gate]`` are not calls."""
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in sorted(_trees(package).items())
+        if module != "ir"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Gate"
+    ]
+
+
+def test_only_ir_builds_gates():
+    # ir.shared_gate alone decides which gates the process-wide table holds.
+    assert gate_calls() == []
+
+
+def test_gate_call_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .ir import Gate, ir\n"
+        "gates: list[Gate] = [Gate(k, (0,)), ir.Gate(k, (1,))]\n"
+        "def f(g: Gate) -> Gate:\n"
+        "    return shared_gate(g.kind, (0,))\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "ir.py").write_text("g = Gate(k, (0,))\n", encoding="utf-8")
+    assert gate_calls(tmp_path) == ["mod:2", "mod:2"]

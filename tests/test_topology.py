@@ -10,7 +10,7 @@ from cacore.bench import gen_random_circuit
 from cacore.errors import TopologyFormatError, UnknownTopologyError
 from cacore.ir import Circuit, Gate, GateKind
 from cacore.qasm import parse_qasm_file
-from cacore.routing import route_circuit
+from cacore.routing import route_circuit, verify_routing
 from cacore.synthesis import synthesize_topology
 from cacore.topology import (
     Topology,
@@ -37,6 +37,16 @@ def test_out_of_range_coupler_endpoint_raises_format_error(edge):
         bad.adjacency()
     with pytest.raises(TopologyFormatError, match="not a qubit index in \\[0, 3\\)"):
         route_circuit(Circuit(3, (Gate(GateKind.CNOT, (0, 2)),)), bad)
+
+
+def test_verify_routing_raises_on_a_coupler_that_names_a_non_qubit():
+    # verify_routing reads the router's adjacency, so it refuses what route_circuit refuses,
+    # even for a result routed on a valid map whose couplers all appear in ``bad``.
+    bad = Topology("bad", 3, ((0, 1), (1, 2), (0, 5)))
+    circuit = Circuit(3, (Gate(GateKind.CNOT, (0, 2)),))
+    result = route_circuit(circuit, line_topology(3))
+    with pytest.raises(TopologyFormatError, match=r"coupler \(0, 5\)"):
+        verify_routing(circuit, result, bad)
 
 
 def test_collision_warning_on_side_sharing_diagonals():
