@@ -1,11 +1,11 @@
 """Gate and circuit types shared across the toolchain.
 
 ``shared_gate`` builds every gate outside this module, and alone decides which
-go in its process-wide table ``(kind, qubits) -> Gate``: param-less ones other
-than barriers (an angle key would merge 0.0 with -0.0; a barrier's qubit set is
-the input's choice). The table holds at most 7n + 2n(n-1) gates over n qubits
-and is emptied at ``_SHARED_LIMIT`` gates (about 1 MB). A race between threads
-only builds two equal gates; no code relies on gate identity.
+go in its process-wide table ``(kind, qubits) -> Gate``: param-less gates of
+``SHARED_KINDS``, all but rotations and barrier (an angle key would merge 0.0
+with -0.0; a barrier's qubit set is the input's choice). It holds at most
+7n + 2n(n-1) gates over n qubits, emptied at ``_SHARED_LIMIT`` (about 1 MB). A
+thread race only builds two equal gates; no code relies on gate identity.
 """
 
 from __future__ import annotations
@@ -83,14 +83,14 @@ class Gate:
 
 
 _SHARED: dict[tuple[GateKind, tuple[int, ...]], Gate] = {}
+SHARED_KINDS = frozenset(GateKind) - PARAMETRIC_KINDS - {GateKind.BARRIER}  # all it holds
 _SHARED_LIMIT = 4096  # above the 2343 possible over 33 qubits, the widest benchmark
-_BARRIER = GateKind.BARRIER  # a member lookup on an Enum class is slow, and this runs per gate
 
 
 def shared_gate(kind: GateKind, qubits: tuple[int, ...], param: float | None = None) -> Gate:
     """Gate ``kind`` on ``qubits`` at angle ``param``: the table's one Gate for a param-less
-    kind other than barrier, else a fresh one; ``Gate`` raises ValueError on a mismatch."""
-    if param is not None or kind is _BARRIER:
+    gate of ``SHARED_KINDS``, else a fresh one; ``Gate`` raises ValueError on a mismatch."""
+    if param is not None or kind not in SHARED_KINDS:
         return Gate(kind, qubits, param)
     gate = _SHARED.get((kind, qubits))
     if gate is None:

@@ -9,18 +9,18 @@ need not be declared. Conditionals are rejected. Angle expressions cover
 at most ``_MAX_NESTING`` deep.
 
 ``parse_qasm`` reads the pieces of ``source.split(";")`` in order, with no
-line or offset. A repeated piece gets the gate of its first reading, a
-canonical gate application (``cx q[3],q[7]``, ``rz(-0.25) q[1]``) after
-blanks and whole comment lines is read by string splits and a table of
-checked ``reg[i]`` texts (``_PREFIX_RE`` runs only where a comment follows the
-blanks), and any other piece is lexed with its ``;`` and read by recursive
-descent. From the first piece that read fails or reads to nothing, the rest of
-the source is read whole, token by token: that read raises the error with its
-line (an unexpected character anywhere in it wins), or reads a ``;`` that sits
-in a string or in a comment within a statement. Every gate, however it was
-read, comes from ``ir.shared_gate``, which alone decides which of them its
-process-wide table holds. Each operand is checked as it is read, so no later
-stage scans the circuit.
+line or offset; a piece whose last line opens a ``//`` comment is joined with
+the pieces up to that comment's newline. A repeated piece gets the gate of
+its first reading, a canonical gate application (``cx q[3],q[7]``,
+``rz(-0.25) q[1]``) after blanks and whole comment lines is read by string
+splits and a table of checked ``reg[i]`` texts (``_PREFIX_RE`` runs only where
+a comment follows the blanks), and any other piece is lexed with its ``;`` and
+read by recursive descent. From the first piece that read fails or reads to
+nothing, the rest of the source is read whole, token by token: that read raises
+the error with its line (an unexpected character anywhere in it wins), or reads
+a ``;`` in a string. Every gate comes from
+``ir.shared_gate``, which alone decides which gates its process-wide table
+holds. Each operand is checked as it is read, so no later stage rescans.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ _APPLIED_GATES = {
 # The blanks and whole comments before a statement. A comment must end at its
 # newline, so a failed match backtracks in linear time.
 _PREFIX_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*")
+# A line up to the ``//`` that opens its comment, with strings read as the lexer
+# reads them: a ``//`` in a string, or after an unclosed ``"``, opens none.
+_COMMENT_RE = re.compile(r'(?:"[^"\n]*"|[^"\n/]|/(?!/))*//')
 
 _REAL_CHARS = "0123456789.eE+-"  # a signed literal: the only angle read without the lexer
 _MAX_NESTING = 64  # how deep unary signs and parentheses may nest in one angle
@@ -419,6 +422,16 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     rest = iter(pieces)
     for piece in rest:
         gate = memo.get(piece)
+        if gate is None and "//" in piece and _COMMENT_RE.match(piece, piece.rfind("\n") + 1):
+            joined = [piece]  # a comment holds the ';' after piece: join up to its newline
+            try:
+                while "\n" not in piece or _COMMENT_RE.match(piece, piece.rfind("\n") + 1):
+                    joined.append(piece := next(rest))
+            except StopIteration:  # the comment runs into the tail
+                tail = ";".join((*joined, tail))
+                break
+            piece = ";".join(joined)
+            gate = memo.get(piece)
         if gate is None:
             text = piece.lstrip(" \t\r\n")  # where _PREFIX_RE ends unless a comment follows
             text = piece[_PREFIX_RE.match(piece).end() :] if text[:2] == "//" else text

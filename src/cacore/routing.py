@@ -10,10 +10,10 @@ The topology keeps one next-hop table per target qubit for its life,
 built by a BFS on the first route to that target: each entry is the
 smallest neighbour one hop closer to the target, so the walk takes that
 path one SWAP per step, updating the layout in place (the qubit moved is
-always the gate's first operand). Gates are immutable, so the routed
-circuit reuses a source gate whose physical qubits equal its logical ones,
-and takes every other gate from ``ir.shared_gate``, the inserted SWAPs
-through the topology's dict keyed by coupler direction.
+always the gate's first operand). Gates are immutable, so the routed circuit
+reuses a source gate whose physical qubits equal its logical ones. A rotation or
+barrier comes from ``ir.shared_gate`` each time; any other gate, inserted SWAPs
+too, from the topology's table for its kind, keyed p or a*n+b and filled once.
 The same walk scores the route: it keeps each physical qubit's ASAP
 finish time and the gate counts, so the metrics equal those of
 ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
@@ -106,7 +106,7 @@ def _next_hops(adjacency: dict[int, tuple[int, ...]], dst: int) -> list[int | No
 
 def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     """Insert SWAPs so every two-qubit gate lands on a coupler edge, reading
-    and filling the next-hop tables that ``topology`` keeps for every route.
+    and filling the next-hop and gate tables ``topology`` keeps for every route.
 
     A logical qubit outside [0, num_qubits) raises DegenerateInputError.
     """
@@ -114,7 +114,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
     log_to_phys = list(range(circuit.num_qubits))
-    adjacency, tables, swaps = topology._routing  # kept on the topology, filled on first use
+    adjacency, tables, relabeled = topology._routing  # kept on the topology, filled on first use
     routed: list[Gate] = []
     inserted: list[int] = []
     # The ASAP pass, run on the routed gates as they are emitted: each
@@ -122,6 +122,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     busy = [0] * size
     exempt = two_qubit = source_swaps = 0
     swap = GateKind.SWAP  # a member lookup is slow on an Enum class
+    swaps = relabeled[swap]
 
     for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
@@ -157,7 +158,9 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             if pa == a and pb == b:
                 routed.append(gate)
                 continue
-            physical = (pa, pb)
+            table, key = relabeled[kind], pa * size + pb
+            routed.append(table.get(key) or table.setdefault(key, shared_gate(kind, (pa, pb))))
+            continue
         elif len(qubits) == 1:
             (q,) = qubits
             p = log_to_phys[q]
@@ -167,6 +170,10 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
                 busy[p] += 1
             if p == q:
                 routed.append(gate)
+                continue
+            table = relabeled.get(kind)  # None for a rotation or a barrier
+            if table is not None:
+                routed.append(table.get(p) or table.setdefault(p, shared_gate(kind, (p,))))
                 continue
             physical = (p,)
         else:  # a barrier on several qubits: it fences them at their latest finish

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import TopologyFormatError, UnknownTopologyError, undecodable_byte
-from .ir import MAX_QUBITS, Gate
+from .ir import MAX_QUBITS, SHARED_KINDS, Gate, GateKind
 
 _DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # each bundled as data/NAME.json
 # ASCII digits and spaces only, and nothing after the closing parenthesis
@@ -58,12 +58,13 @@ class Topology:
         return {q: tuple(sorted(ns)) for q, ns in neighbors.items()}
 
     @cached_property  # in the instance __dict__, so a dataclasses.replace copy starts empty
-    def _routing(self) -> tuple[dict[int, tuple[int, ...]], list, dict[int, Gate]]:
+    def _routing(self) -> tuple[dict[int, tuple[int, ...]], list, dict[GateKind, dict[int, Gate]]]:
         """Routing state, which depends only on num_qubits and edges: the adjacency,
         the one coupler map that ``route_circuit`` and ``verify_routing`` read; per
-        target qubit its next-hop table; per coupler direction ``a * num_qubits + b``
-        the inserted SWAP. ``route_circuit`` fills the last two on first use."""
-        return self.adjacency(), [None] * self.num_qubits, {}
+        target qubit its next-hop table; per kind of ``SHARED_KINDS``, the routed gates
+        keyed ``p`` or ``a * num_qubits + b``, at most 7n + 2n(n-1) over n qubits.
+        ``route_circuit`` fills the last two on first use."""
+        return self.adjacency(), [None] * self.num_qubits, {kind: {} for kind in SHARED_KINDS}
 
 
 def validate_topology(topology: Topology) -> list[str]:

@@ -809,3 +809,54 @@ def test_a_file_synthesized_then_routed_is_never_scanned_or_prefix_matched(tmp_p
     Circuit(2, (Gate(GateKind.H, (0,)),)).check_qubits()
     parse_qasm("qreg q[1];\n// c\nh q[0];\n")
     assert counts == {"scans": 1, "prefix matches": 1}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "qreg q[1];\n// a;b\ninclude \"//\"; // c;d\nh q[0]",  # the comment runs into the tail
+        "qreg q[1];\n// a;b\ninclude \"//\"; // c;d\nh q[0];",
+        "qreg q[1];\nh q[0]; // a;b;c",
+        "qreg q[2];\ncx q[0], // a;b\n q[1]; // c;\nh q[0];",
+        "qreg q[1];\ninclude \"a//b\"; // c;d\nh q[0];",  # a '//' in a string, then a comment
+        "qreg q[1];\ninclude \"ab //c;d\";\nh q[0];",  # a string that holds '//' and ';'
+        "qreg q[1];\n// \"x;y\nh q[0];",  # a comment that holds a quote
+        "qreg q[1];\nh q[0]; // \"x\" y;z \"\nh q[0]; // \"x\" y;z \"\nh q[0];",
+        'qreg q[1];\ninclude "a" // "b;c\n;h q[0];',  # a comment after a closed string
+        "qreg q[1];\n// a;b\n// c;d\nh q[0];\n// a;b\n// c;d\nh q[0];",
+        "qreg q[2];\n// a;b\r\ncx q[0],q[1];\r\n// a;b\r\ncx q[0],q[1];\r\n",
+        "qreg q[1];\n// a;b\nh q[1];",
+        "qreg q[1];\nh q[0]; // a;\n$",
+        "qreg q[1];\n// a;b",
+        "qreg q[1];\n// a;b\n",
+        # a joined piece that also declares is read again, not replayed as its one gate
+        'qreg q[1];\ninclude "a //b;c"; qreg r[1];\nh r[0];\ninclude "a //b;c"; qreg r[1];\nh r[0];\n',
+        'qreg q[1];\n// a;b\ninclude "//"; qreg r[1];\nh r[0];\n// a;b\ninclude "//"; qreg r[1];\nh r[0];\n',
+        'qreg q[1];\ninclude "a //b;c"; qreg r[1]; eg q[0];\nh q[0];',  # fails after declaring
+    ],
+)
+def test_a_comment_holding_a_semicolon_reads_as_the_oracle_reads_it(source):
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
+
+
+@pytest.mark.parametrize("comment", ["once", "every-line"])
+def test_a_comment_holding_a_semicolon_lexes_only_its_own_statement(monkeypatch, comment):
+    """A deterministic work count: a comment that holds a ';' is joined with the
+    pieces up to its newline, so the rest of a valid file is still read piece by
+    piece instead of lexed whole."""
+    plain = to_qasm(gen_random_circuit(20, 2000, 1))
+    head, body = plain.split("\n", 1)
+    if comment == "once":
+        source = f"{head}\n// generated; by hand\n{body}"
+    else:
+        source = plain.replace(";\n", "; // x;y\n")
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
+    lexed = []
+
+    def counting_lex(text, *line):
+        lexed.append(len(text))
+        return _lex(text, *line)
+
+    monkeypatch.setattr("cacore.qasm._lex", counting_lex)
+    assert parse_qasm(source).gates == parse_qasm(plain).gates
+    assert sum(lexed) < 200

@@ -12,7 +12,15 @@ from oracles import asap_stats, complete
 
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError, UnroutableGateError
-from cacore.ir import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from cacore.ir import (
+    PARAMETRIC_KINDS,
+    SHARED_KINDS,
+    TWO_QUBIT_KINDS,
+    Circuit,
+    Gate,
+    GateKind,
+    shared_gate,
+)
 from cacore.qasm import parse_qasm, parse_qasm_file, to_qasm
 from cacore.routing import (
     RouteMetrics,
@@ -528,8 +536,10 @@ def test_gate_table_after_the_acceptance_protocol(monkeypatch):
     circuits = [gen_random_circuit(n, 2000, seed) for n in (10, 16, 20) for seed in range(10)]
     circuits += [_mixed_circuit(n, seed=n) for n in (10, 16, 20)]
     widest = 0
+    topologies = list(baselines)
     for circuit in circuits:
-        for topology in (synthesize_topology(circuit), *baselines):
+        topologies.append(synthesize_topology(circuit))
+        for topology in (topologies[-1], *baselines):
             result = route_circuit(circuit, topology)
             assert verify_routing(circuit, result, topology)
             widest = max(widest, topology.num_qubits)
@@ -539,6 +549,18 @@ def test_gate_table_after_the_acceptance_protocol(monkeypatch):
                     assert table.get((gate.kind, gate.qubits)) is gate or id(gate) in source
     assert not any(kind in PARAMETRIC_KINDS or kind is GateKind.BARRIER for kind, _ in table)
     assert len(table) <= 7 * widest + 2 * widest * (widest - 1)
+    # each topology's per-kind tables: no rotation or barrier, only the gate table's own
+    for topology in topologies:
+        n, relabeled = topology.num_qubits, topology._routing[2]
+        assert not any(kind in PARAMETRIC_KINDS or kind is GateKind.BARRIER for kind in relabeled)
+        assert set(relabeled) == SHARED_KINDS
+        for kind, gates in relabeled.items():
+            for key, gate in gates.items():
+                assert gate.kind is kind and gate.param is None
+                first, *second = gate.qubits
+                assert key == (first * n + second[0] if second else first) and len(second) < 2
+                assert table[kind, gate.qubits] is gate
+        assert sum(map(len, relabeled.values())) <= 7 * n + 2 * n * (n - 1)
 
 
 def test_routes_sharing_one_topology_match_a_fresh_copy_and_the_oracle():
@@ -596,3 +618,51 @@ def test_threads_routing_on_one_topology_get_the_routes_of_fresh_copies():
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 6 * len(circuits)
     assert all(routed == expected[index] for (_, index), routed in results.items())
+
+
+def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
+    """A deterministic work count: routes on one topology object ask ``shared_gate``
+    for each (kind, physical qubits) at most once, however many gates the layout
+    relabels onto it, and a second route of the same circuit asks for nothing."""
+    calls = []
+    build = shared_gate
+
+    def counting(kind, qubits, param=None):
+        calls.append((kind, qubits))
+        return build(kind, qubits, param)
+
+    monkeypatch.setattr("cacore.routing.shared_gate", counting)
+    topology = builtin_topology("cairo27")
+    circuits = [gen_random_circuit(n, 2000, n) for n in (10, 20)]
+    for mixed in (_mixed_circuit(n, seed=n) for n in (12, 18)):
+        # source SWAPs and a measure, no rotation and no barrier
+        kept = (g for g in mixed.gates if g.param is None and g.kind is not GateKind.BARRIER)
+        circuits.append(Circuit(mixed.num_qubits, tuple(kept)))
+    for circuit in circuits:
+        start = len(calls)
+        routed = route_circuit(circuit, topology).routed.gates
+        assert set(calls[start:]) <= {(g.kind, g.qubits) for g in routed}
+        start = len(calls)
+        assert route_circuit(circuit, topology).routed.gates == routed
+        assert calls[start:] == []
+    assert len(calls) == len(set(calls)) > 0
+    # the tables hold the kinds whose gates ``shared_gate`` shares, and no other
+    for kind in GateKind:
+        qubits = (0, 1) if kind in TWO_QUBIT_KINDS else (0,)
+        param = 0.5 if kind in PARAMETRIC_KINDS else None
+        assert (build(kind, qubits, param) is build(kind, qubits, param)) == (kind in SHARED_KINDS)
+
+
+def test_signed_zero_rotations_on_a_shared_topology_keep_their_signs():
+    """Rotations are never taken from a topology's tables: rz(-0) and rz(0) on one
+    physical qubit, routed in both orders on one object, keep their signs."""
+    topology = builtin_topology("line(3)")
+    head = "OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[2];\n"
+    for first, second in (("-0", "0"), ("0", "-0")) * 2:
+        circuit = parse_qasm(f"{head}rz({first}) q[0];\nrz({second}) q[0];\n")
+        # the SWAP moves logical 0 to physical 1, so neither rotation is the source gate
+        emitted = to_qasm(route_circuit(circuit, topology).routed)
+        assert emitted.endswith(f"rz({float(first)!r}) q[1];\nrz({float(second)!r}) q[1];\n")
+    assert any(topology._routing[2].values())
+    _, tables, relabeled = dataclasses.replace(topology)._routing
+    assert tables == [None] * 3 and not any(relabeled.values())  # a copy starts empty
