@@ -210,6 +210,8 @@ def _cmd_route(args) -> int:
     if args.routed_qasm:
         Path(args.routed_qasm).write_text(to_qasm(result.routed), encoding="utf-8")
     print(json.dumps(payload))
+    if not verified:  # the payload and files above still show the route
+        print("error: routing verification failed", file=sys.stderr)
     return EXIT_OK if verified else EXIT_PIPELINE
 
 

@@ -18,11 +18,11 @@ The same walk scores the route: it keeps each physical qubit's ASAP
 finish time and the gate counts, so the metrics equal those of
 ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
 
-The verifier streams the routed gates against the source and the same
-cached adjacency the router reads, tracking the SWAP permutation and keeping
-nothing per gate while each non-inserted gate's kind, logical qubits and
-angle equal the next source gate's. From the first mismatch on it collects
-(kind, logical qubits, param) tuples and compares each qubit's lane with
+The verifier walks the routed gates once beside a byte mask of the inserted
+SWAPs, reading the router's adjacency but never its next-hop or gate tables.
+It tracks the SWAP permutation and keeps nothing per gate while each other
+gate's (kind, logical qubits, angle) equals the next source gate's. From the
+first mismatch on it collects those tuples and compares each qubit's lane with
 that of the unmatched source tail, so gates on disjoint qubits may commute.
 """
 
@@ -211,68 +211,65 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     outside the topology fails. Couplers come from the adjacency the router
     reads: an endpoint that is not a qubit raises TopologyFormatError here too.
 
-    ``result.inserted`` is read as a set: the verifier steps through its
-    distinct non-negative indices in ascending order, so their order,
-    duplicates and indices outside the routed circuit do not change the
-    verdict.
+    ``result.inserted`` holds ints and is read as a set: the verifier marks
+    each index inside the routed circuit in a byte mask, so their order,
+    duplicates and indices outside the routed circuit (negative or past the
+    end, however far) do not change the verdict. A non-int index inside it,
+    such as ``2.0``, raises TypeError.
     """
     adjacency = topology._routing[0]
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
-    marks = iter([idx for idx in sorted(set(result.inserted)) if idx >= 0])
-    mark = next(marks, -1)  # the next inserted index, -1 after the last
+    routed = result.routed.gates
+    marks = bytearray(len(routed))  # 1 at each inserted index inside the routed circuit
+    for idx in result.inserted:
+        if 0 <= idx < len(routed):
+            marks[idx] = 1
     source = circuit.gates
+    total = len(source)
     matched = 0  # source gates replayed in order so far
-    rest: list[tuple] | None = None  # (kind, logical qubits, param) from the first mismatch on
+    rest: list[tuple] = []  # (kind, logical qubits, param) from the first mismatch on
     swap = GateKind.SWAP
 
-    for idx, gate in enumerate(result.routed.gates):
-        if idx == mark:
-            mark = next(marks, -1)
-            if gate.kind is not swap:
+    for gate, mark in zip(routed, marks):
+        kind, qubits = gate.kind, gate.qubits
+        if mark:
+            if kind is not swap:
                 return False
-            a, b = gate.qubits
+            a, b = qubits
             if b not in adjacency.get(a, ()):
                 return False
             phys_to_log[a], phys_to_log[b] = phys_to_log[b], phys_to_log[a]
             continue
-        kind, qubits, param = gate.kind, gate.qubits, gate.param
         if kind in TWO_QUBIT_KINDS:
             a, b = qubits
             if b not in adjacency.get(a, ()):
                 return False
-            la, lb = phys_to_log[a], phys_to_log[b]
-            if la is None or lb is None:
-                return False
-            logical = (la, lb)
+            logical = (phys_to_log[a], phys_to_log[b])
         elif len(qubits) == 1:
             (q,) = qubits
             if not 0 <= q < size:
                 return False
-            la = phys_to_log[q]
-            if la is None:
-                return False
-            logical = (la,)
+            logical = (phys_to_log[q],)
         else:
             if not all(0 <= p < size for p in qubits):
                 return False
             logical = tuple(map(phys_to_log.__getitem__, qubits))
-            if None in logical:
-                return False
-        if rest is None:
-            if matched < len(source):
-                want = source[matched]
-                # exactly tuple equality of (kind, qubits, param)
-                if want.kind is kind and want.qubits == logical and (
-                    want.param is param or want.param == param
-                ):
-                    matched += 1
-                    continue
-            rest = []
+        param = gate.param
+        if not rest and matched < total:
+            want = source[matched]
+            # exactly tuple equality of (kind, qubits, param); a source qubit is never None
+            if want.kind is kind and want.qubits == logical and (
+                want.param is param or want.param == param
+            ):
+                matched += 1
+                continue
+        if None in logical:
+            return False
         rest.append((kind, logical, param))
 
-    if rest is None:
-        return matched == len(source)
+    if not rest:
+        return matched == total
     tail = [(gate.kind, gate.qubits, gate.param) for gate in source[matched:]]
     n = circuit.num_qubits
     return len(rest) == len(tail) and _lanes(rest, n) == _lanes(tail, n)

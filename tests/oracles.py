@@ -12,14 +12,17 @@ and an explicit path list per non-adjacent gate, built ``Gate`` by ``Gate``
 qubit (``rescan_verify``), QASM parsing from a lexer that emits every token
 on its own and a parser that reads each statement token by token
 (``token_parse``), and QASM output from a renderer that formats every gate
-on its own (``plain_to_qasm``), and synthesis from its stages as they were
-before their sorts and weight lookups were inlined (``reference_synthesize``).
+on its own (``plain_to_qasm``), synthesis from its stages as they were
+before their sorts and weight lookups were inlined (``reference_synthesize``),
+and what a circuit computes from a plain-Python state vector of at most 8
+qubits, one amplitude pair per gate (``statevector``).
 ``complete`` builds the complete-graph topology, on which a route inserts no
 SWAP, so its metrics are the router's own score of the circuit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from collections import Counter, deque
@@ -750,3 +753,62 @@ def plain_to_qasm(circuit: Circuit) -> str:
         else:
             lines.append(f"{gate.kind.value} q[{gate.qubits[0]}];")
     return "\n".join(lines) + "\n"
+
+
+_HALF = math.sqrt(0.5)
+# (m00, m01, m10, m11) of each fixed one-qubit gate
+_FIXED_MATRICES = {
+    GateKind.H: (_HALF, _HALF, _HALF, -_HALF),
+    GateKind.X: (0, 1, 1, 0),
+    GateKind.Y: (0, -1j, 1j, 0),
+    GateKind.Z: (1, 0, 0, -1),
+    GateKind.S: (1, 0, 0, 1j),
+    GateKind.T: (1, 0, 0, cmath.exp(1j * math.pi / 4)),
+}
+SIMULATED_QUBITS = 8
+
+
+def _rotation_matrix(kind: GateKind, theta: float) -> tuple:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    if kind is GateKind.RX:
+        return (c, -1j * s, -1j * s, c)
+    if kind is GateKind.RY:
+        return (c, -s, s, c)
+    return (cmath.exp(-0.5j * theta), 0, 0, cmath.exp(0.5j * theta))
+
+
+def statevector(gates, num_qubits: int, state: list[complex] | None = None) -> list[complex]:
+    """The state after ``gates`` act in order on ``state`` (|0...0> when None):
+    2**num_qubits amplitudes, where bit q of an index is qubit q. Measures and
+    barriers are skipped; ``cx a,b`` flips b where a is 1."""
+    if num_qubits > SIMULATED_QUBITS:
+        raise ValueError(f"{num_qubits} qubits exceed the simulator's {SIMULATED_QUBITS}")
+    size = 1 << num_qubits
+    state = [1 + 0j] + [0j] * (size - 1) if state is None else list(state)
+    for gate in gates:
+        kind = gate.kind
+        if kind in METRIC_EXEMPT_KINDS:
+            continue
+        if kind in TWO_QUBIT_KINDS:
+            a, b = (1 << q for q in gate.qubits)
+            partner = b if kind is GateKind.CNOT else a | b  # XOR-ed into the index
+            for i in range(size):
+                if i & a and not i & b:
+                    j = i ^ partner
+                    state[i], state[j] = state[j], state[i]
+            continue
+        if kind in PARAMETRIC_KINDS:
+            m00, m01, m10, m11 = _rotation_matrix(kind, gate.param)
+        else:
+            m00, m01, m10, m11 = _FIXED_MATRICES[kind]
+        bit = 1 << gate.qubits[0]
+        for i in range(size):
+            if not i & bit:
+                x, y = state[i], state[i | bit]
+                state[i], state[i | bit] = m00 * x + m01 * y, m10 * x + m11 * y
+    return state
+
+
+def same_up_to_phase(u: list[complex], v: list[complex], tol: float = 1e-9) -> bool:
+    """Whether two unit vectors differ by a global phase alone: |<u|v>| = 1."""
+    return abs(abs(sum(x.conjugate() * y for x, y in zip(u, v))) - 1) < tol

@@ -73,6 +73,21 @@ def test_route_disconnected_topology_fails(tmp_path, capsys):
     assert "different components" in capsys.readouterr().err
 
 
+def test_route_that_fails_verification_says_so_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("cacore.cli.verify_routing", lambda circuit, result, topology: False)
+    qasm = tmp_path / "c.qasm"
+    qasm.write_text("qreg q[3];\ncx q[0],q[2];\n")
+    metrics, routed = tmp_path / "metrics.json", tmp_path / "routed.qasm"
+    argv = ["route", str(qasm), "-t", "line(3)", "--metrics", str(metrics), "--routed-qasm", str(routed)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: routing verification failed\n"
+    payload = json.loads(out)
+    assert payload["verified"] is False and payload["swap_count"] == 1
+    assert json.loads(metrics.read_text()) == payload
+    assert parse_qasm_file(routed).num_qubits == 3
+
+
 def test_route_emits_qasm(tmp_path):
     qasm = tmp_path / "c.qasm"
     qasm.write_text("qreg q[3];\ncx q[0],q[2];\n")

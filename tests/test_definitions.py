@@ -176,3 +176,53 @@ def test_gate_call_is_found(tmp_path):
     )
     (tmp_path / "ir.py").write_text("g = Gate(k, (0,))\n", encoding="utf-8")
     assert gate_calls(tmp_path) == ["mod:2", "mod:2"]
+
+
+# What built the routed gates: a verifier that read any of it would check the
+# router against itself.
+ROUTER = {"route_circuit", "_next_hops", "shared_gate"}
+
+
+def verifier_reads_of_router(package=PACKAGE) -> list[str]:
+    """``name:line`` of each thing ``verify_routing``, or a function of its
+    module that it calls, reads of the router: any ``_routing`` but
+    ``_routing[0]``, the adjacency, and any reference to a name in ROUTER."""
+    tree = _trees(package)["routing"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, seen, todo = [], set(), ["verify_routing"]
+    while todo:
+        function = functions.get(todo.pop())
+        if function is None or function.name in seen:
+            continue
+        seen.add(function.name)
+        adjacency_reads = {
+            id(node.value)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Subscript) and getattr(node.slice, "value", None) == 0
+        }
+        for node in ast.walk(function):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "_routing" and id(node) not in adjacency_reads or name in ROUTER:
+                found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                todo.append(name)
+    return sorted(found)
+
+
+def test_verifier_reads_only_the_adjacency_of_the_router():
+    assert verifier_reads_of_router() == []
+
+
+def test_verifier_reading_router_tables_is_found(tmp_path):
+    (tmp_path / "routing.py").write_text(
+        "def verify_routing(circuit, result, topology):\n"
+        "    adjacency = topology._routing[0]\n"
+        "    relabeled = topology._routing[2]\n"
+        "    return _check(adjacency, relabeled)\n"
+        "def _check(adjacency, relabeled):\n"
+        "    return _next_hops(adjacency, 0)\n"
+        "def route_circuit(circuit, topology):\n"
+        "    return shared_gate(topology._routing)\n",
+        encoding="utf-8",
+    )
+    assert verifier_reads_of_router(tmp_path) == ["_next_hops:6", "_routing:3"]

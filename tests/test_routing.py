@@ -5,10 +5,11 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from conftest import DATA_DIR
-from oracles import asap_stats, complete
+from oracles import asap_stats, complete, same_up_to_phase, statevector
 
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError, UnroutableGateError
@@ -484,6 +485,106 @@ def test_verify_hands_off_from_in_order_matching_like_the_oracle(edit, expected)
     mutant = RoutingResult(routed, result.inserted, result.metrics)
     assert rescan_verify(_HAND_OFF_CIRCUIT, mutant, topology) is expected
     assert verify_routing(_HAND_OFF_CIRCUIT, mutant, topology) is expected
+
+
+# One verify_routing call on the route below (4,096 routed gates) holds its
+# byte mask, the layout and a few tuples at a time: about 5 KB, whatever the
+# inserted indices. A mask sized by the largest index would take 1 MB or more.
+_VERIFY_PEAK_BYTES = 64 * 1024
+
+
+def test_inserted_indices_far_outside_the_route_cost_nothing():
+    from oracles import rescan_verify
+
+    circuit = gen_random_circuit(12, 2000, 5)
+    topology = builtin_topology("cairo27")
+    result = route_circuit(circuit, topology)
+    far = (10**18, -(10**18), len(result.routed.gates) + 10**6)
+    rng = random.Random(18)
+    verdicts = set()
+    for base in (result, *(_mutate(result, rng) for _ in range(3))):
+        for extra in (*((idx,) for idx in far), far):
+            mutant = dataclasses.replace(base, inserted=extra + base.inserted + extra)
+            verdict = verify_routing(circuit, mutant, topology)
+            assert verdict == rescan_verify(circuit, mutant, topology)
+            assert verdict == verify_routing(circuit, base, topology)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+    for extra in ((), *((idx,) for idx in far)):
+        mutant = dataclasses.replace(result, inserted=result.inserted + extra)
+        tracemalloc.start()
+        try:
+            assert verify_routing(circuit, mutant, topology)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _VERIFY_PEAK_BYTES, (extra, peak)
+
+
+def _random_state(num_logical, num_physical, rng):
+    """A random unit state of the logical qubits, every other physical qubit at |0>."""
+    amplitudes = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << num_logical)]
+    norm = math.sqrt(sum(abs(x) ** 2 for x in amplitudes))
+    return [x / norm for x in amplitudes] + [0j] * ((1 << num_physical) - (1 << num_logical))
+
+
+def _undone(result, state):
+    """The state the routed gates leave, with the inserted SWAPs then undone in reverse."""
+    gates = result.routed.gates
+    undo = sorted({idx for idx in result.inserted if 0 <= idx < len(gates)}, reverse=True)
+    return statevector(gates + tuple(gates[idx] for idx in undo), result.routed.num_qubits, state)
+
+
+def test_statevector_oracle_knows_its_gates():
+    def run(*gates):
+        return statevector(gates, 1, [0.6, 0.8])
+
+    h, x, y, z, s, t = (Gate(kind, (0,)) for kind in (
+        GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.T
+    ))
+    assert same_up_to_phase(run(h, x, h), run(z))
+    assert same_up_to_phase(run(t, t), run(s))
+    assert same_up_to_phase(run(Gate(GateKind.RX, (0,), math.pi)), run(x))
+    assert same_up_to_phase(run(Gate(GateKind.RY, (0,), math.pi)), run(y))
+    assert same_up_to_phase(run(Gate(GateKind.RZ, (0,), math.pi / 2)), run(s))
+    assert not same_up_to_phase(run(x), run(z))
+    assert statevector([x, cnot(0, 1)], 2) == [0, 0, 0, 1]  # cx flips its second operand
+    state = _random_state(3, 3, random.Random(0))
+    assert same_up_to_phase(
+        statevector([Gate(GateKind.SWAP, (0, 2))], 3, state),
+        statevector([cnot(0, 2), cnot(2, 0), cnot(0, 2)], 3, state),
+    )
+
+
+def test_every_route_the_verifier_accepts_computes_its_source():
+    # A second kind of evidence beside the lane oracle: whenever verify_routing
+    # accepts a route or a mutant of it, the routed gates with the inserted
+    # SWAPs undone act on a random state as the source does, up to global phase.
+    rng = random.Random(24)
+    accepted = refuted = 0
+    for n in range(3, 9):
+        for seed in (n, n + 100):
+            circuit = _mixed_circuit(n, seed)
+            topologies = (
+                builtin_topology(f"line({n})"),
+                synthesize_topology(circuit),
+                builtin_topology("grid(2,4)"),
+            )
+            for topology in topologies:
+                size = topology.num_qubits
+                state = _random_state(n, size, rng)
+                expected = statevector(circuit.gates, size, state)
+                result = route_circuit(circuit, topology)
+                for mutant in (result, *(_mutate(result, rng) for _ in range(6))):
+                    same = same_up_to_phase(_undone(mutant, state), expected)
+                    if verify_routing(circuit, mutant, topology):
+                        assert same, (circuit.name, topology.name, mutant.inserted)
+                        accepted += 1
+                    else:
+                        refuted += not same
+    assert accepted > 36  # more than the unmutated routes: some mutants commute
+    assert refuted > 0
 
 
 def test_rotations_by_signed_zero_keep_their_sign():
