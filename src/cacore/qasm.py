@@ -8,17 +8,14 @@ need not be declared. Conditionals are rejected. Angle expressions cover
 ``pi``, numeric literals, ``+ - * /``, unary minus, and parentheses, nested
 at most ``_MAX_NESTING`` deep.
 
-``parse_qasm`` reads the pieces of ``source.split(";")`` in order, with no
-line or offset; a piece whose last line opens a ``//`` comment is joined with
-the pieces up to that comment's newline. A repeated piece gets the gate of
-its first reading, a canonical gate application (``cx q[3],q[7]``,
-``rz(-0.25) q[1]``) after blanks and whole comment lines is read by string
-splits and a table of checked ``reg[i]`` texts (``_PREFIX_RE`` runs only where
-a comment follows the blanks), and any other piece is lexed with its ``;`` and
-read by recursive descent. From the first piece that read fails or reads to
-nothing, the rest of the source is read whole, token by token: that read raises
-the error with its line (an unexpected character anywhere in it wins), or reads
-a ``;`` in a string. Every gate comes from
+``parse_qasm`` reads the source one line at a time, as no token crosses a
+newline. A line that holds one statement and then blanks or a ``//`` comment
+gets the gate of its first reading when it repeats, and is otherwise read, if
+it is a canonical gate application (``cx q[3],q[7]``, ``rz(-0.25) q[1]``), by
+string splits and a table of checked ``reg[i]`` texts. Any other line is lexed
+and read by recursive descent, and the tokens after its last ``;`` wait for the
+next line. After an error, each distinct later line is lexed once, so an
+unexpected character anywhere in the file wins. Every gate comes from
 ``ir.shared_gate``, which alone decides which gates its process-wide table
 holds. Each operand is checked as it is read, so no later stage rescans.
 """
@@ -57,13 +54,6 @@ _APPLIED_GATES = {
     for kind in GateKind
     if kind not in METRIC_EXEMPT_KINDS
 } | {"ccx": (None, 3, 0)}
-
-# The blanks and whole comments before a statement. A comment must end at its
-# newline, so a failed match backtracks in linear time.
-_PREFIX_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*")
-# A line up to the ``//`` that opens its comment, with strings read as the lexer
-# reads them: a ``//`` in a string, or after an unclosed ``"``, opens none.
-_COMMENT_RE = re.compile(r'(?:"[^"\n]*"|[^"\n/]|/(?!/))*//')
 
 _REAL_CHARS = "0123456789.eE+-"  # a signed literal: the only angle read without the lexer
 _MAX_NESTING = 64  # how deep unary signs and parentheses may nest in one angle
@@ -109,11 +99,20 @@ class _Parser:
         self.num_qubits = 0
         self.gates: list[Gate] = []
 
-    def read(self, text: str, line: int = 1) -> None:
-        """Lex ``text``, which starts on ``line``, and read it statement by statement."""
-        self.tokens, self.pos = _lex(text, line), 0
-        while self.pos < len(self.tokens):
-            self.statement()
+    def read(self, tokens: list[_Token], final: bool = False) -> None:
+        """Read the pending tokens, then ``tokens`` through their last ``;`` (to the
+        end when ``final``), and keep the rest pending. A statement never reads past
+        its ``;``, so it needs no token after it."""
+        end = len(tokens)
+        while not final and end and tokens[end - 1].text != ";":
+            end -= 1
+        self.tokens += tokens
+        if end or final:
+            end += len(self.tokens) - len(tokens)
+            self.pos = 0
+            while self.pos < end:
+                self.statement()
+            del self.tokens[:end]
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -417,42 +416,41 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     """
     parser = _Parser()
     gates, qubits = parser.gates, _Qubits(parser.registers)
-    memo: dict[str, Gate] = {}  # piece -> the one param-less gate it reads to
-    *pieces, tail = source.split(";")  # no ';' ends the tail
-    rest = iter(pieces)
-    for piece in rest:
-        gate = memo.get(piece)
-        if gate is None and "//" in piece and _COMMENT_RE.match(piece, piece.rfind("\n") + 1):
-            joined = [piece]  # a comment holds the ';' after piece: join up to its newline
-            try:
-                while "\n" not in piece or _COMMENT_RE.match(piece, piece.rfind("\n") + 1):
-                    joined.append(piece := next(rest))
-            except StopIteration:  # the comment runs into the tail
-                tail = ";".join((*joined, tail))
-                break
-            piece = ";".join(joined)
-            gate = memo.get(piece)
-        if gate is None:
-            text = piece.lstrip(" \t\r\n")  # where _PREFIX_RE ends unless a comment follows
-            text = piece[_PREFIX_RE.match(piece).end() :] if text[:2] == "//" else text
-            gate = _read_gate(text, qubits)
-            if gate is not None and gate.param is None:
-                memo[piece] = gate
-        if gate is not None:
+    memo: dict[str, Gate] = {}  # line -> the one param-less gate its one statement reads to
+    lines = source.split("\n")  # no token crosses a newline
+    pending = parser.tokens  # a statement a line left open; read() changes it in place
+    for number, line in enumerate(lines, 1):
+        if (gate := memo.get(line)) is not None and not pending:
             gates.append(gate)
             continue
-        count = len(gates)
-        try:
-            parser.read(piece + ";")
-        except QasmSyntaxError:
-            parser.tokens = []
-        if not parser.tokens:  # it failed, or a comment swallowed its ';'
-            tail = ";".join((piece, *rest, tail))
-            break
-        if len(gates) == count + 1 and gates[-1].param is None:
-            memo[piece] = gates[-1]
-    # all from the first piece that failed, or else the text after the last ';'
-    parser.read(tail, source.count("\n") - tail.count("\n") + 1)
+        head, semi, after = line.partition(";")
+        text = head.strip(" \t\r")
+        # one whole statement, then blanks or a comment: with no string to hold its
+        # ';', the line's only ';' token is that one, or a comment holds the ';'
+        alone = semi and not pending and '"' not in head and after.lstrip(" \t\r")[:2] in ("", "//")
+        gate = _read_gate(text, qubits) if alone else None
+        if gate is None:
+            if text[:2] == "//" or not (text or semi):
+                continue  # blank, or only a comment
+            count = len(gates)
+            tokens = _lex(head + semi if alone else line, number)
+            try:
+                parser.read(tokens)
+            except QasmSyntaxError:  # an unexpected character on a later line wins
+                first = {}  # each distinct later line -> the number of its first line
+                for later_number, later in enumerate(lines[number:], number + 1):
+                    first.setdefault(later, later_number)
+                for later, later_number in first.items():
+                    _lex(later, later_number)
+                raise
+            if not alone or len(gates) != count + 1:
+                continue
+            gate = gates[-1]  # the one gate of a line's one statement
+        else:
+            gates.append(gate)
+        if gate.param is None:
+            memo[line] = gate
+    parser.read([], final=True)  # the tokens after the last ';'
     return Circuit(parser.num_qubits, tuple(gates), name)._in_range()  # every operand checked
 
 

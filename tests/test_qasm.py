@@ -15,7 +15,7 @@ from cacore.bench import gen_random_circuit
 from cacore.cli import main
 from cacore.errors import DegenerateInputError, QasmSyntaxError
 from cacore.ir import _SHARED_LIMIT, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
-from cacore.qasm import MAX_QUBITS, _PREFIX_RE, _lex, _Qubits, _read_gate, parse_qasm, to_qasm
+from cacore.qasm import MAX_QUBITS, _lex, _Qubits, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
 from cacore.topology import BUILTIN_NAMES, builtin_topology
@@ -236,7 +236,7 @@ _HUGE = "1" * 5000  # more digits than int() converts by default
         (f"qreg q[2];\ncx q[0],q[{_HUGE}];", 2),
         (f"qreg q[{_HUGE}];", 1),
         (f"qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[{_HUGE}];", 3),
-        (f"qreg q[2];\nh q[{_HUGE}];\n$", 3),  # the rest is lexed first
+        (f"qreg q[2];\nh q[{_HUGE}];\n$", 3),  # the later lines are lexed first
     ],
 )
 def test_oversized_integers_raise_syntax_errors_with_line(source, line):
@@ -499,7 +499,7 @@ def _mutate(rng, source):
 
 
 def _canonical_statements(source):
-    """The statements between ';'s that the split reader reads without the lexer,
+    """The statements between ';'s that ``_read_gate`` reads without the lexer,
     against the registers the source declares."""
     registers, total = {}, 0
     for reg, size in re.findall(r"qreg (\w+)\[(\d+)\];", source):
@@ -702,20 +702,26 @@ def test_non_ascii_digits_are_unexpected_characters(source, line, char):
         token_parse(source)
 
 
-def test_an_error_on_the_last_line_lexes_only_the_rest_from_its_piece(monkeypatch):
-    """A deterministic work count: the pieces before the first failing one are not
-    read again, so an error at the end of a long file lexes only its own statement."""
+def _counting_lex(monkeypatch):
+    """The texts ``parse_qasm`` lexes from here on, in order."""
     lexed = []
 
-    def counting_lex(text, *line):
-        lexed.append(len(text))
-        return _lex(text, *line)
+    def counting_lex(text, line):
+        lexed.append(text)
+        return _lex(text, line)
 
     monkeypatch.setattr("cacore.qasm._lex", counting_lex)
+    return lexed
+
+
+def test_an_error_on_the_last_line_lexes_only_the_rest_from_its_piece(monkeypatch):
+    """A deterministic work count: the lines before the failing one are not read
+    again, so an error at the end of a long file lexes only its own line."""
+    lexed = _counting_lex(monkeypatch)
     source = to_qasm(gen_random_circuit(20, 20000, 1)) + "h q[99];\n"
     with pytest.raises(QasmSyntaxError, match="^line 20014: index 99 out of range"):
         parse_qasm(source)
-    assert sum(lexed) < 200
+    assert sum(map(len, lexed)) < 200
 
 
 @pytest.mark.parametrize(
@@ -745,8 +751,8 @@ def test_an_error_after_the_hand_over_reads_as_the_oracle_reads_it(source):
     assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
 
 
-# Blanks the regex skips, comment pieces, and characters that a bare
-# ``str.lstrip()`` strips but ``_PREFIX_RE`` does not.
+# Blanks the lexer skips, comment pieces, and characters that a bare
+# ``str.lstrip()`` strips but the lexer does not.
 _PREFIX_ATOMS = [
     " ", "\t", "\r", "\n", "\r\n", "  \n\t", "// c\n", "//\n", "// a;b\r\n", "/", "// c",
     "\x0b", "\x0c", "\xa0", "\u2028",
@@ -754,14 +760,7 @@ _PREFIX_ATOMS = [
 _PREFIX_BODIES = ["h q[0]", "cx q[0],q[1]", "rz(-0.5) q[1]", "", "/ h q[0]", "q[0]"]
 
 
-def _fast_offset(piece):
-    """Where ``parse_qasm`` starts reading a new piece: the ``lstrip`` offset,
-    or ``_PREFIX_RE``'s end where the stripped text starts with a comment."""
-    text = piece.lstrip(" \t\r\n")
-    return _PREFIX_RE.match(piece).end() if text[:2] == "//" else len(piece) - len(text)
-
-
-def test_blank_strip_gives_the_prefix_regex_offset():
+def test_blanks_and_comments_before_a_statement_read_as_the_oracle_reads_them():
     rng = random.Random(20261019)
     corpus = [
         "".join(rng.choice(_PREFIX_ATOMS) for _ in range(rng.randint(0, 5)))
@@ -770,45 +769,44 @@ def test_blank_strip_gives_the_prefix_regex_offset():
     ]
     corpus += [f"{blank}{body}" for blank in _PREFIX_ATOMS for body in _PREFIX_BODIES]
     corpus += ["\r\n\r\nh q[0]", "\n  // c\n\t// d\r\n h q[0]", " \t// no newline", "/", "\n/x"]
-    for char in "\x0b\x0c\xa0\u2028":  # a bare lstrip() would skip 1 where the regex skips 0
-        assert _PREFIX_RE.match(f"{char}h q[0]").end() == 0 and f"{char}h q[0]".lstrip() == "h q[0]"
+    for char in "\x0b\x0c\xa0\u2028":  # a bare lstrip() would skip it; the lexer refuses it
+        message = re.escape(f"line 1: unexpected character {char!r}")
+        with pytest.raises(QasmSyntaxError, match=f"^{message}$"):
+            parse_qasm(f"qreg q[1];{char}h q[0];")
+    # the parser, which reads each piece after a declaration, reads it as the oracle does
     for piece in corpus:
-        assert _fast_offset(piece) == _PREFIX_RE.match(piece).end(), repr(piece)
-    # and the parser, which reads each piece after a declaration, reads it as the oracle does
-    for piece in corpus[::10]:
         source = f"qreg q[2];{piece};h q[1];"
         assert _outcome(parse_qasm, source) == _outcome(token_parse, source), repr(piece)
 
 
-def test_a_file_synthesized_then_routed_is_never_scanned_or_prefix_matched(tmp_path, monkeypatch):
+def test_a_file_synthesized_then_routed_is_never_scanned_and_lexes_only_its_header(
+    tmp_path, monkeypatch
+):
     """A deterministic work count for ``cacore synth`` then ``cacore route`` on a
     33-qubit, 2000-gate file: ``parse_qasm`` checked every operand, so no stage
-    rescans the circuit, and no piece of ``to_qasm`` text starts with a comment."""
-    counts = {"scans": 0, "prefix matches": 0}
+    rescans the circuit, and every gate line of ``to_qasm`` text is read without
+    the lexer."""
+    scans = []
     scan = Circuit._stray_qubit.func
 
     def counting_scan(circuit):
-        counts["scans"] += 1
+        scans.append(circuit)
         return scan(circuit)
-
-    class CountingPrefix:
-        def match(self, text):
-            counts["prefix matches"] += 1
-            return _PREFIX_RE.match(text)
 
     prop = cached_property(counting_scan)
     prop.__set_name__(Circuit, "_stray_qubit")
     monkeypatch.setattr(Circuit, "_stray_qubit", prop)
-    monkeypatch.setattr("cacore.qasm._PREFIX_RE", CountingPrefix())
     source, topology = tmp_path / "c.qasm", tmp_path / "t.json"
     assert main(["gen", "-n", "33", "--gates", "2000", "-o", str(source)]) == 0
+    lexed = _counting_lex(monkeypatch)
     assert main(["synth", str(source), "-o", str(topology)]) == 0
     assert main(["route", str(source), "-t", str(topology)]) == 0
-    assert counts == {"scans": 0, "prefix matches": 0}
-    # the counters see a caller's circuit and a piece that starts with a comment
+    header = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[33];"]
+    assert not scans and lexed == header * 2
+    # the counters see a caller's circuit and a line that is not a canonical gate
     Circuit(2, (Gate(GateKind.H, (0,)),)).check_qubits()
-    parse_qasm("qreg q[1];\n// c\nh q[0];\n")
-    assert counts == {"scans": 1, "prefix matches": 1}
+    parse_qasm("qreg q[1];\n// c\nh\tq[0];\n")
+    assert len(scans) == 1 and lexed[6:] == ["qreg q[1];", "h\tq[0];"]
 
 
 @pytest.mark.parametrize(
@@ -829,10 +827,24 @@ def test_a_file_synthesized_then_routed_is_never_scanned_or_prefix_matched(tmp_p
         "qreg q[1];\nh q[0]; // a;\n$",
         "qreg q[1];\n// a;b",
         "qreg q[1];\n// a;b\n",
-        # a joined piece that also declares is read again, not replayed as its one gate
+        # a line that also declares is read again, not replayed as its one gate
         'qreg q[1];\ninclude "a //b;c"; qreg r[1];\nh r[0];\ninclude "a //b;c"; qreg r[1];\nh r[0];\n',
         'qreg q[1];\n// a;b\ninclude "//"; qreg r[1];\nh r[0];\n// a;b\ninclude "//"; qreg r[1];\nh r[0];\n',
         'qreg q[1];\ninclude "a //b;c"; qreg r[1]; eg q[0];\nh q[0];',  # fails after declaring
+        # a repeated line is replayed only when it holds one whole statement:
+        # not a line that ends inside a statement, nor the line that ends it
+        "qreg q[2];\nh q[0] ; cx q[0],\n q[1];\nh q[0] ; cx q[0],\n q[1];\n",
+        "qreg q[2];\nh q[0] ; cx q[0],\n q[1];\n q[1];\n",
+        "qreg q[2];\ncx q[0],\nq[1];\ncx q[0],\nq[1];\nq[1];\n",
+        "qreg q[2];\nh q[0];\ncx q[0],\nh q[0];\n",  # a repeat while a statement is open
+        # a line that declares and applies, or applies twice
+        "qreg q[1];\nqreg r[1]; h r[0];\nqreg r[1]; h r[0];\n",
+        "qreg q[2];\nh q[0]; h q[1];\nh q[0]; h q[1];\n",
+        # a comment that holds the line's only ';'
+        "qreg q[1];\nh q[0] // c;\n;\nh q[0] // c;\n;\n",
+        # one whole statement read by the lexer, then repeated
+        "qreg q[2];\nmeasure q[0] -> c[0]; // m\nbarrier q;\n"
+        "measure q[0] -> c[0]; // m\nbarrier q;\n",
     ],
 )
 def test_a_comment_holding_a_semicolon_reads_as_the_oracle_reads_it(source):
@@ -841,9 +853,8 @@ def test_a_comment_holding_a_semicolon_reads_as_the_oracle_reads_it(source):
 
 @pytest.mark.parametrize("comment", ["once", "every-line"])
 def test_a_comment_holding_a_semicolon_lexes_only_its_own_statement(monkeypatch, comment):
-    """A deterministic work count: a comment that holds a ';' is joined with the
-    pieces up to its newline, so the rest of a valid file is still read piece by
-    piece instead of lexed whole."""
+    """A deterministic work count: a comment that holds a ';' ends at its newline,
+    so the rest of a valid file is still read line by line instead of lexed whole."""
     plain = to_qasm(gen_random_circuit(20, 2000, 1))
     head, body = plain.split("\n", 1)
     if comment == "once":
@@ -851,12 +862,67 @@ def test_a_comment_holding_a_semicolon_lexes_only_its_own_statement(monkeypatch,
     else:
         source = plain.replace(";\n", "; // x;y\n")
     assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
-    lexed = []
-
-    def counting_lex(text, *line):
-        lexed.append(len(text))
-        return _lex(text, *line)
-
-    monkeypatch.setattr("cacore.qasm._lex", counting_lex)
+    lexed = _counting_lex(monkeypatch)
     assert parse_qasm(source).gates == parse_qasm(plain).gates
-    assert sum(lexed) < 200
+    assert sum(map(len, lexed)) < 200
+
+
+def _with_line(index, line):
+    """``to_qasm`` text of a 20-qubit, 20 000-gate circuit with ``line`` as line ``index + 1``."""
+    lines = to_qasm(gen_random_circuit(20, 20000, 1)).split("\n")
+    lines[index:index] = [line]
+    return "\n".join(lines)
+
+
+def test_an_early_error_lexes_each_later_line_at_most_once(monkeypatch):
+    """A deterministic work count: after an error on line 4, each distinct later
+    line is lexed once to find an unexpected character, and no token list of the
+    rest of the file is built."""
+    source = _with_line(3, "h q[99];")
+    expected = _outcome(token_parse, source)
+    assert expected[1:] == ("line 4: index 99 out of range for register 'q' of size 20", 4)
+    lexed = _counting_lex(monkeypatch)
+    assert _outcome(parse_qasm, source) == expected
+    assert len(lexed) == len(set(lexed)) and set(lexed) <= set(source.split("\n"))
+    assert len(lexed) < 1000  # of 20 013 lines
+    # and an unexpected character near the end still wins
+    late = source[:-30] + "$" + source[-30:]
+    assert _outcome(parse_qasm, late) == _outcome(token_parse, late)
+    assert _outcome(parse_qasm, late)[1].endswith("unexpected character '$'")
+
+
+@pytest.mark.parametrize("case", ["include-path", "long-comment"])
+def test_a_semicolon_in_a_string_or_a_long_comment_lexes_only_its_line(monkeypatch, case):
+    """A deterministic work count: a line whose ';' sits in a string is lexed
+    alone, and a comment after a statement's ';' is not lexed at all."""
+    if case == "include-path":
+        source, limit = _with_line(1, 'include "a;b";'), 200
+    else:
+        source, limit = "qreg q[1];// " + "a;" * 200_000, 100
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
+    lexed = _counting_lex(monkeypatch)
+    parse_qasm(source)
+    assert sum(map(len, lexed)) < limit
+
+
+def test_a_repeated_measure_or_barrier_line_is_lexed_once(monkeypatch):
+    lexed = _counting_lex(monkeypatch)
+    gates = parse_qasm("qreg q[2];\n" + "measure q[0] -> c[0]; // m\nbarrier q;\n" * 3).gates
+    assert lexed == ["qreg q[2];", "measure q[0] -> c[0];", "barrier q;"]
+    assert gates[0] is gates[2] is gates[4] and gates[1] is gates[3] is gates[5]
+
+
+def test_a_file_joined_onto_one_line_parses_as_its_lines_do():
+    rng = random.Random(20261020)
+    for circuit in (gen_random_circuit(8, 300, 3), _mixed_circuit(rng, 8)):
+        text = to_qasm(circuit)
+        one_line = text.replace("\n", " ")
+        assert parse_qasm(one_line).gates == parse_qasm(text).gates == circuit.gates
+        assert _outcome(parse_qasm, one_line) == _outcome(token_parse, one_line)
+    lines = _HAND_WRITTEN_SEED.split("\n")
+    for k in range(1, len(lines) + 1):
+        text, one_line = "\n".join(lines[:k]), " ".join(lines[:k])
+        assert _outcome(parse_qasm, one_line) == _outcome(token_parse, one_line), one_line
+        multi = _outcome(parse_qasm, text)
+        if isinstance(multi[0], int) and "//" not in text:
+            assert _outcome(parse_qasm, one_line) == multi, one_line
