@@ -12,11 +12,12 @@ at most ``_MAX_NESTING`` deep.
 newline. A line that holds one statement and then blanks or a ``//`` comment
 gets the gate of its first reading when it repeats, and is otherwise read, if
 it is a canonical gate application (``cx q[3],q[7]``, ``rz(-0.25) q[1]``), by
-string splits and a table of checked ``reg[i]`` texts. Any other line is lexed
-and read by recursive descent, and the tokens after its last ``;`` wait for the
-next line. After an error, each distinct later line is lexed once, so an
-unexpected character anywhere in the file wins. Every gate comes from
-``ir.shared_gate``, which alone decides which gates its process-wide table
+string splits and a table from each ``reg[i]`` text to its qubit, which a
+``qreg`` fills as it is declared. Any other line, and any other spelling of an
+operand, is lexed and read by recursive descent; the tokens after a line's last
+``;`` wait for the next line. After an error, each distinct later line is lexed
+once, so an unexpected character anywhere in the file wins. Every gate comes
+from ``ir.shared_gate``, which alone decides which gates its process-wide table
 holds. Each operand is checked as it is read, so no later stage rescans.
 """
 
@@ -35,7 +36,6 @@ from .ir import shared_gate
 _TOKEN_RE = re.compile(
     r"""
       (?P<comment>//[^\n]*)
-    | (?P<newline>\n)
     | (?P<ws>[\ \t\r]+)
     | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
@@ -73,14 +73,12 @@ class _Token(NamedTuple):
 
 
 def _lex(text: str, line: int) -> list[_Token]:
-    """The tokens of ``text``, which starts on ``line``, each with its line; blanks and
+    """The tokens of ``text``, which is line ``line`` without its newline; blanks and
     comments are dropped."""
     tokens = []
     for match in _TOKEN_RE.finditer(text):  # every character is in some match
         kind = match.lastgroup
-        if kind == "newline":
-            line += 1
-        elif kind == "unexpected":
+        if kind == "unexpected":
             raise QasmSyntaxError(f"unexpected character {match.group()!r}", line)
         elif kind != "ws" and kind != "comment":
             tokens.append(_Token(kind, match.group(), line))
@@ -95,6 +93,7 @@ class _Parser:
         self.pos = 0
         # register name -> (offset, size); declaration order fixes offsets
         self.registers: dict[str, tuple[int, int]] = {}
+        self.qubits: dict[str, int] = {}  # "reg[i]" -> its qubit, for every declared i
         self.classical: set[str] = set()
         self.num_qubits = 0
         self.gates: list[Gate] = []
@@ -194,7 +193,9 @@ class _Parser:
             )
             raise QasmSyntaxError(message, reg.line)
         else:
-            self.registers[reg.text] = (self.num_qubits, size)
+            name, offset = reg.text, self.num_qubits
+            self.registers[name] = (offset, size)
+            self.qubits.update((f"{name}[{i}]", offset + i) for i in range(size))
             self.num_qubits += size
 
     def _operand(self, *, allow_broadcast: bool) -> list[int]:
@@ -236,33 +237,31 @@ class _Parser:
         self._expect_sym(";")
         self.gates.extend(shared_gate(GateKind.MEASURE, (q,)) for q in qubits)
 
-    def _barrier(self) -> None:
-        qubits: list[int] = []
+    def _items(self, read, close: str) -> list:
+        """What ``read`` returns for each item of a ``,``-separated list, through ``close``."""
+        items = []
         while True:
-            qubits.extend(self._operand(allow_broadcast=True))
-            tok = self._next("',' or ';'")
-            if tok.text == ";":
-                break
+            items.append(read())
+            tok = self._next(f"',' or {close!r}")
+            if tok.text == close:
+                return items
             if tok.text != ",":
-                raise QasmSyntaxError(f"expected ',' or ';', got {tok.text!r}", tok.line)
+                raise QasmSyntaxError(f"expected ',' or {close!r}, got {tok.text!r}", tok.line)
+
+    def _barrier(self) -> None:
+        operands = self._items(lambda: self._operand(allow_broadcast=True), ";")
+        qubits = tuple(dict.fromkeys(q for operand in operands for q in operand))
         if qubits:  # operands that are only empty registers fence nothing
-            self.gates.append(shared_gate(GateKind.BARRIER, tuple(dict.fromkeys(qubits))))
+            self.gates.append(shared_gate(GateKind.BARRIER, qubits))
 
     def _gate_application(self, name: str, line: int) -> None:
         if name not in _APPLIED_GATES:
             raise QasmSyntaxError(f"unsupported gate {name!r}", line)
         kind, n_operands, n_params = _APPLIED_GATES[name]
         params: list[float] = []
-        nxt = self._peek()
-        if nxt is not None and nxt.text == "(":
+        if (nxt := self._peek()) is not None and nxt.text == "(":
             self._expect_sym("(")
-            while True:
-                params.append(self._expression())
-                tok = self._next("',' or ')'")
-                if tok.text == ")":
-                    break
-                if tok.text != ",":
-                    raise QasmSyntaxError(f"expected ',' or ')', got {tok.text!r}", tok.line)
+            params = self._items(self._expression, ")")
         if len(params) != n_params:
             raise QasmSyntaxError(f"{name} takes {n_params} parameter(s), got {len(params)}", line)
         if not all(map(math.isfinite, params)):
@@ -355,31 +354,7 @@ def _decompose_ccx(a: int, b: int, c: int) -> list[Gate]:
     ]
 
 
-class _Qubits(dict):
-    """Operand text ``reg[i]`` -> flat qubit index, stored once it passed its checks
-    against ``registers``; -1 for one spelled otherwise (non-ASCII digits too) or failing one."""
-
-    def __init__(self, registers: dict[str, tuple[int, int]]):
-        super().__init__()
-        self.registers = registers
-
-    def __missing__(self, operand: str) -> int:
-        reg, _, index = operand.partition("[")
-        digits = index[:-1] if index[-1:] == "]" else ""
-        if reg not in self.registers or not (digits.isascii() and digits.isdigit()):
-            return -1
-        offset, size = self.registers[reg]
-        try:
-            i = int(digits)
-        except ValueError:  # more digits than int() converts
-            return -1
-        if i >= size:
-            return -1
-        self[operand] = offset + i
-        return offset + i
-
-
-def _read_gate(text: str, qubits: _Qubits) -> Gate | None:
+def _read_gate(text: str, qubits: dict[str, int]) -> Gate | None:
     """The gate a canonical application ``name[(number)] reg[i][,reg[j]]`` spells,
     or None when the text is anything else or fails a check."""
     head, space, operands = text.partition(" ")
@@ -400,10 +375,10 @@ def _read_gate(text: str, qubits: _Qubits) -> Gate | None:
         if not math.isfinite(param):
             return None
     if n_operands == 1:
-        a = qubits[operands]
+        a = qubits.get(operands, -1)
         return None if a < 0 else shared_gate(kind, (a,), param)
     first, _, second = operands.partition(",")  # no two-qubit kind takes an angle
-    a, b = qubits[first], qubits[second]
+    a, b = qubits.get(first, -1), qubits.get(second, -1)
     return None if a < 0 or b < 0 or a == b else shared_gate(kind, (a, b))
 
 
@@ -415,7 +390,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     stages only ever see one- and two-qubit gates.
     """
     parser = _Parser()
-    gates, qubits = parser.gates, _Qubits(parser.registers)
+    gates, qubits = parser.gates, parser.qubits
     memo: dict[str, Gate] = {}  # line -> the one param-less gate its one statement reads to
     lines = source.split("\n")  # no token crosses a newline
     pending = parser.tokens  # a statement a line left open; read() changes it in place

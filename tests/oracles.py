@@ -433,11 +433,14 @@ def bfs_route(circuit: Circuit, topology: Topology) -> RoutingResult:
 
 
 def rescan_verify(circuit: Circuit, result: RoutingResult, topology: Topology) -> bool:
-    """Replay the routed gates, then compare each qubit's gate list by a full rescan."""
+    """Replay the routed gates, then compare each qubit's gate list by a full rescan.
+    Gates compare as ``(kind, qubits, param)`` tuples, as ``verify_routing`` compares
+    them: a tuple matches one NaN angle object with itself on every interpreter, where
+    a dataclass's ``==`` does not from Python 3.13 on."""
     adjacency = topology.adjacency()
     inserted = set(result.inserted)
     layout = _identity_layout(circuit, topology)
-    replayed: list[Gate] = []
+    replayed: list[tuple] = []
     for idx, gate in enumerate(result.routed.gates):
         if gate.kind in TWO_QUBIT_KINDS and gate.qubits[1] not in adjacency.get(gate.qubits[0], ()):
             return False
@@ -451,12 +454,13 @@ def rescan_verify(circuit: Circuit, result: RoutingResult, topology: Topology) -
         logical = tuple(layout.phys_to_log[p] for p in gate.qubits)
         if any(q is None for q in logical):
             return False
-        replayed.append(Gate(gate.kind, logical, gate.param))
-    if len(replayed) != len(circuit.gates):
+        replayed.append((gate.kind, logical, gate.param))
+    source = [(g.kind, g.qubits, g.param) for g in circuit.gates]
+    if len(replayed) != len(source):
         return False
     for q in range(circuit.num_qubits):
-        original = [g for g in circuit.gates if q in g.qubits]
-        recovered = [g for g in replayed if q in g.qubits]
+        original = [g for g in source if q in g[1]]
+        recovered = [g for g in replayed if q in g[1]]
         if original != recovered:
             return False
     return True

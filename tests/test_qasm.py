@@ -1,6 +1,7 @@
 """Frontend tests: parsing, ccx expansion, errors, and round-trips."""
 
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -9,13 +10,13 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
-from oracles import plain_to_qasm, token_parse
+from oracles import plain_to_qasm, same_up_to_phase, statevector, token_parse
 
 from cacore.bench import gen_random_circuit
 from cacore.cli import main
 from cacore.errors import DegenerateInputError, QasmSyntaxError
 from cacore.ir import _SHARED_LIMIT, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
-from cacore.qasm import MAX_QUBITS, _lex, _Qubits, _read_gate, parse_qasm, to_qasm
+from cacore.qasm import MAX_QUBITS, _lex, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
 from cacore.topology import BUILTIN_NAMES, builtin_topology
@@ -57,6 +58,22 @@ def test_ccx_expands_to_six_cnots_and_nine_singles():
     assert all(g.param == -math.pi / 4 for g in rz)
     assert sum(1 for g in singles if g.kind is GateKind.T) == 4
     assert sum(1 for g in singles if g.kind is GateKind.H) == 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ccx_computes_a_toffoli_for_every_operand_order(n):
+    """On a normalized random state, the expansion of ``ccx a,b,c`` flips qubit c
+    where a and b are 1, up to a global phase, for every order of 3 of n qubits."""
+    rng = random.Random(20261019 + n)
+    state = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << n)]
+    norm = math.sqrt(sum(abs(x) ** 2 for x in state))
+    state = [x / norm for x in state]
+    for a, b, c in itertools.permutations(range(n), 3):
+        gates = parse_qasm(f"qreg q[{n}];\nccx q[{a}],q[{b}],q[{c}];\n").gates
+        both = 1 << a | 1 << b
+        toffoli = [state[i ^ 1 << c] if (i & both) == both else state[i] for i in range(1 << n)]
+        assert not same_up_to_phase(toffoli, state)
+        assert same_up_to_phase(statevector(gates, n, state), toffoli), (a, b, c)
 
 
 def test_figure_circuit_transcription(figure_circuit):
@@ -500,13 +517,15 @@ def _mutate(rng, source):
 
 def _canonical_statements(source):
     """The statements between ';'s that ``_read_gate`` reads without the lexer,
-    against the registers the source declares."""
-    registers, total = {}, 0
-    for reg, size in re.findall(r"qreg (\w+)\[(\d+)\];", source):
-        registers[reg] = (total, int(size))
+    against the operand table of the registers the source declares."""
+    qubits, total = {}, 0
+    for reg, size in re.findall(r"qreg (\w+)\[([0-9]+)\];", source):
+        if total + int(size) > MAX_QUBITS:
+            break  # the parser refuses this declaration, so the table stays small
+        qubits.update((f"{reg}[{i}]", total + i) for i in range(int(size)))
         total += int(size)
     texts = (piece.lstrip(" \t\r\n") for piece in source.split(";")[:-1])
-    return [text for text in texts if _read_gate(text, _Qubits(registers)) is not None]
+    return [text for text in texts if _read_gate(text, qubits) is not None]
 
 
 def test_statement_tokens_match_token_by_token_oracle():
@@ -910,6 +929,26 @@ def test_a_repeated_measure_or_barrier_line_is_lexed_once(monkeypatch):
     gates = parse_qasm("qreg q[2];\n" + "measure q[0] -> c[0]; // m\nbarrier q;\n" * 3).gates
     assert lexed == ["qreg q[2];", "measure q[0] -> c[0];", "barrier q;"]
     assert gates[0] is gates[2] is gates[4] and gates[1] is gates[3] is gates[5]
+
+
+def test_two_registers_are_read_through_one_operand_table(monkeypatch):
+    """Each ``qreg`` enters its qubits at its offset, so canonical gates on either
+    register are read without the lexer, and a register used before its
+    declaration misses the table and fails as the oracle fails."""
+    header = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg a[2];", "qreg bb[3];"]
+    body = ["h a[0];", "x bb[2];", "cx a[1],bb[0];", "cx bb[1],a[0];", "rz(0.5) bb[2];",
+            "swap bb[0],bb[2];", "cx a[0],a[1];", "h a[0];"]
+    source = "\n".join(header + body) + "\n"
+    lexed = _counting_lex(monkeypatch)
+    circuit = parse_qasm(source)
+    assert lexed == header
+    qubits = [(0,), (4,), (1, 2), (3, 0), (4,), (2, 4), (0, 1), (0,)]  # bb[i] is qubit 2 + i
+    assert [g.qubits for g in circuit.gates] == qubits
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
+    early = source.replace("qreg bb[3];", "h bb[0];\nqreg bb[3];")
+    expected = _outcome(token_parse, early)
+    assert expected == (QasmSyntaxError, "line 4: unknown register 'bb'", 4)
+    assert _outcome(parse_qasm, early) == expected
 
 
 def test_a_file_joined_onto_one_line_parses_as_its_lines_do():
