@@ -33,6 +33,7 @@ from .qasm import parse_qasm_file, to_qasm
 from .routing import route_circuit, verify_routing
 from .synthesis import synthesize_topology
 from .topology import (
+    DEVICES,
     builtin_topology,
     load_topology,
     save_topology,
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--baselines",
-        default="almaden20,cairo27,prague33,sycamore53",
+        default=",".join(DEVICES),
         help="comma-separated builtin names or topology file paths",
     )
     p_bench.add_argument(

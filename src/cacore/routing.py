@@ -6,20 +6,21 @@ along the BFS-shortest path (lexicographically smallest node sequence on
 ties) until it neighbors the second operand. This mirrors a
 minimal-optimization transpile so topology comparisons stay router-fixed.
 
-The topology keeps one next-hop table per target qubit for its life,
-built by a BFS on the first route to that target: each entry is the
-smallest neighbour one hop closer to the target, so the walk takes that
-path one SWAP per step, updating the layout in place (the qubit moved is
-always the gate's first operand). Gates are immutable, so the routed circuit
-reuses a source gate whose physical qubits equal its logical ones. A rotation or
-barrier comes from ``ir.shared_gate`` each time; any other gate, inserted SWAPs
-too, from the topology's table for its kind, keyed p or a*n+b and filled once.
+The topology keeps three tables per target qubit for its life, built on the
+first route to that target: the next hop, by a BFS the smallest neighbour one
+hop closer, so the walk takes that path one SWAP per step, updating the layout
+in place (the qubit moved is always the gate's first operand); the SWAP of each
+hop, filled when the walk first takes it; and per two-qubit kind the gate from
+each neighbour of the target. Gates are immutable, so the routed circuit reuses
+a source gate whose physical qubits equal its logical ones. A rotation or barrier
+comes from ``ir.shared_gate`` each time; any other one-qubit gate from the
+topology's n-slot list for its kind, filled once.
 The same walk scores the route: it keeps each physical qubit's ASAP
 finish time and the gate counts, so the metrics equal those of
 ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
 
 The verifier walks the routed gates once beside a byte mask of the inserted
-SWAPs, reading the router's adjacency but never its next-hop or gate tables.
+SWAPs, reading the router's adjacency but never its per-target or gate tables.
 It tracks the SWAP permutation and keeps nothing per gate while each other
 gate's (kind, logical qubits, angle) equals the next source gate's. From the
 first mismatch on it collects those tuples and compares each qubit's lane with
@@ -79,17 +80,20 @@ class RoutingResult:
     metrics: RouteMetrics
 
 
-def _next_hops(adjacency: dict[int, tuple[int, ...]], dst: int) -> list[int | None]:
-    """Next qubit toward dst, indexed by physical qubit; None where dst is
-    unreachable.
-
-    Each entry is the smallest neighbour one BFS hop closer to dst, so a
-    walk along the table takes the lexicographically smallest shortest
-    path; dst maps to itself.
-    """
-    hops: list[int | None] = [None] * len(adjacency)
-    next_hop: list[int | None] = [None] * len(adjacency)
+def _toward(adjacency: dict[int, tuple[int, ...]], dst: int) -> tuple[list, list, dict]:
+    """next_hop, steps and arrivals toward dst. next_hop holds, per physical qubit,
+    the smallest neighbour one BFS hop closer to dst (so a walk along it takes the
+    lexicographically smallest shortest path), dst itself at dst and None where
+    dst is unreachable; steps is None per qubit, for the walk to fill with its
+    SWAP ``(p, next_hop[p])``; arrivals maps each two-qubit kind to the gate
+    ``(nb, dst)`` from each neighbour nb of dst."""
+    size = len(adjacency)
+    hops: list[int | None] = [None] * size
+    next_hop: list[int | None] = [None] * size
     hops[dst], next_hop[dst] = 0, dst
+    arrivals = {
+        kind: {nb: shared_gate(kind, (nb, dst)) for nb in adjacency[dst]} for kind in TWO_QUBIT_KINDS
+    }
     frontier = deque([dst])
     while frontier:
         node = frontier.popleft()
@@ -101,12 +105,12 @@ def _next_hops(adjacency: dict[int, tuple[int, ...]], dst: int) -> list[int | No
                 frontier.append(nb)
             elif hops[nb] == closer and node < next_hop[nb]:
                 next_hop[nb] = node
-    return next_hop
+    return next_hop, [None] * size, arrivals
 
 
 def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     """Insert SWAPs so every two-qubit gate lands on a coupler edge, reading
-    and filling the next-hop and gate tables ``topology`` keeps for every route.
+    and filling the per-target and one-qubit tables that ``topology`` keeps.
 
     A logical qubit outside [0, num_qubits) raises DegenerateInputError.
     """
@@ -114,7 +118,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
     log_to_phys = list(range(circuit.num_qubits))
-    adjacency, tables, relabeled = topology._routing  # kept on the topology, filled on first use
+    adjacency, targets, relabeled = topology._routing  # kept on the topology, filled on first use
     routed: list[Gate] = []
     inserted: list[int] = []
     # The ASAP pass, run on the routed gates as they are emitted: each
@@ -122,16 +126,16 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     busy = [0] * size
     exempt = two_qubit = source_swaps = 0
     swap = GateKind.SWAP  # a member lookup is slow on an Enum class
-    swaps = relabeled[swap]
 
     for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
         if kind in TWO_QUBIT_KINDS:
             a, b = qubits
             pa, pb = log_to_phys[a], log_to_phys[b]
-            next_hop = tables[pb]
-            if next_hop is None:
-                next_hop = tables[pb] = _next_hops(adjacency, pb)
+            target = targets[pb]
+            if target is None:
+                target = targets[pb] = _toward(adjacency, pb)
+            next_hop, steps, arrivals = target
             hop = next_hop[pa]
             if hop is None:
                 raise UnroutableGateError(
@@ -140,8 +144,10 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
                 )
             while hop != pb:
                 inserted.append(len(routed))
-                key = pa * size + hop
-                routed.append(swaps.get(key) or swaps.setdefault(key, shared_gate(swap, (pa, hop))))
+                step = steps[pa]
+                if step is None:
+                    step = steps[pa] = shared_gate(swap, (pa, hop))
+                routed.append(step)
                 finish_a, finish_b = busy[pa], busy[hop]
                 busy[pa] = busy[hop] = (finish_a if finish_a > finish_b else finish_b) + 1
                 moved = phys_to_log[hop]
@@ -158,8 +164,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             if pa == a and pb == b:
                 routed.append(gate)
                 continue
-            table, key = relabeled[kind], pa * size + pb
-            routed.append(table.get(key) or table.setdefault(key, shared_gate(kind, (pa, pb))))
+            routed.append(arrivals[kind][pa])
             continue
         elif len(qubits) == 1:
             (q,) = qubits
@@ -173,7 +178,10 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
                 continue
             table = relabeled.get(kind)  # None for a rotation or a barrier
             if table is not None:
-                routed.append(table.get(p) or table.setdefault(p, shared_gate(kind, (p,))))
+                single = table[p]
+                if single is None:
+                    single = table[p] = shared_gate(kind, (p,))
+                routed.append(single)
                 continue
             physical = (p,)
         else:  # a barrier on several qubits: it fences them at their latest finish

@@ -21,14 +21,14 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import TopologyFormatError, UnknownTopologyError, undecodable_byte
-from .ir import MAX_QUBITS, SHARED_KINDS, Gate, GateKind
+from .ir import MAX_QUBITS, SHARED_KINDS, TWO_QUBIT_KINDS, GateKind
 
-_DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # each bundled as data/NAME.json
+DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # each bundled as data/NAME.json
 # ASCII digits and spaces only, and nothing after the closing parenthesis
 _LINE_RE = re.compile(r"line\((\d+)\)", re.ASCII)
 _GRID_RE = re.compile(r"grid\((\d+),\s*(\d+)\)", re.ASCII)
 
-BUILTIN_NAMES = (*_DEVICES, "half_sycamore24", "line(n)", "grid(nrow,ncol)")
+BUILTIN_NAMES = (*DEVICES, "half_sycamore24", "line(n)", "grid(nrow,ncol)")
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,15 @@ class Topology:
         return {q: tuple(sorted(ns)) for q, ns in neighbors.items()}
 
     @cached_property  # in the instance __dict__, so a dataclasses.replace copy starts empty
-    def _routing(self) -> tuple[dict[int, tuple[int, ...]], list, dict[GateKind, dict[int, Gate]]]:
+    def _routing(self) -> tuple[dict[int, tuple[int, ...]], list, dict[GateKind, list]]:
         """Routing state, which depends only on num_qubits and edges: the adjacency,
         the one coupler map that ``route_circuit`` and ``verify_routing`` read; per
-        target qubit its next-hop table; per kind of ``SHARED_KINDS``, the routed gates
-        keyed ``p`` or ``a * num_qubits + b``, at most 7n + 2n(n-1) over n qubits.
-        ``route_circuit`` fills the last two on first use."""
-        return self.adjacency(), [None] * self.num_qubits, {kind: {} for kind in SHARED_KINDS}
+        target qubit its tables (``routing._toward``: next hops, the SWAP of each hop
+        and the two-qubit gates arriving from its neighbours); per one-qubit kind of
+        ``SHARED_KINDS``, the routed gates indexed by physical qubit. ``route_circuit``
+        builds a target's tables and fills every gate slot on first use."""
+        n = self.num_qubits
+        return self.adjacency(), [None] * n, {kind: [None] * n for kind in SHARED_KINDS - TWO_QUBIT_KINDS}
 
 
 def validate_topology(topology: Topology) -> list[str]:
@@ -251,7 +253,7 @@ def builtin_topology(name: str) -> Topology:
     come from bundled data files; ``half_sycamore24``, ``line(n)``, and
     ``grid(nrow,ncol)`` are generated, up to ``MAX_QUBITS`` qubits.
     """
-    if name in _DEVICES:
+    if name in DEVICES:
         return _load_bundled(f"{name}.json")
     if name == "half_sycamore24":  # six rows by four columns, all couplers enabled
         return Topology(name, 24, tuple(sycamore_pattern(6, 4)))

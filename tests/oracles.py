@@ -36,6 +36,7 @@ from cacore.errors import (
     UnroutableGateError,
 )
 from cacore.ir import (
+    MAX_QUBITS,
     METRIC_EXEMPT_KINDS,
     PARAMETRIC_KINDS,
     TWO_QUBIT_KINDS,
@@ -602,6 +603,12 @@ class _TokenParser:
         self._expect_sym(";")
         if keyword == "creg":
             self.classical.add(reg.text)
+        elif self.num_qubits + size > MAX_QUBITS:
+            raise QasmSyntaxError(
+                f"qreg {reg.text}[{size}] brings the qubit count to "
+                f"{self.num_qubits + size}, above the limit of {MAX_QUBITS}",
+                reg.line,
+            )
         else:
             self.registers[reg.text] = (self.num_qubits, size)
             self.num_qubits += size
@@ -769,7 +776,7 @@ _FIXED_MATRICES = {
     GateKind.S: (1, 0, 0, 1j),
     GateKind.T: (1, 0, 0, cmath.exp(1j * math.pi / 4)),
 }
-SIMULATED_QUBITS = 8
+SIMULATED_QUBITS = 9  # grid(3,3), the widest map a routed-QASM round trip simulates
 
 
 def _rotation_matrix(kind: GateKind, theta: float) -> tuple:

@@ -165,17 +165,17 @@ def test_rates_that_would_share_a_fidelity_column_are_refused(monkeypatch, rates
 
 
 def test_a_second_comparison_builds_only_the_synthesized_maps_tables(monkeypatch):
-    """The baselines keep their next-hop tables: run again on the same four
+    """The baselines keep their per-target tables: run again on the same four
     objects, a comparison builds only the tables of its new synthesized maps,
     as many as a run with no baseline builds."""
     built = []
-    next_hops = cacore.routing._next_hops
+    toward = cacore.routing._toward
 
     def counting(adjacency, dst):
         built.append(dst)
-        return next_hops(adjacency, dst)
+        return toward(adjacency, dst)
 
-    monkeypatch.setattr(cacore.routing, "_next_hops", counting)
+    monkeypatch.setattr(cacore.routing, "_toward", counting)
     circuits = [gen_random_circuit(n, 2000, seed) for n in range(10, 21) for seed in (0, 1)]
     names = ("almaden20", "cairo27", "prague33", "sycamore53")
     baselines = [builtin_topology(name) for name in names]

@@ -180,7 +180,7 @@ def test_gate_call_is_found(tmp_path):
 
 # What built the routed gates: a verifier that read any of it would check the
 # router against itself.
-ROUTER = {"route_circuit", "_next_hops", "shared_gate"}
+ROUTER = {"route_circuit", "_toward", "shared_gate"}
 
 
 def verifier_reads_of_router(package=PACKAGE) -> list[str]:
@@ -220,9 +220,9 @@ def test_verifier_reading_router_tables_is_found(tmp_path):
         "    relabeled = topology._routing[2]\n"
         "    return _check(adjacency, relabeled)\n"
         "def _check(adjacency, relabeled):\n"
-        "    return _next_hops(adjacency, 0)\n"
+        "    return _toward(adjacency, 0)\n"
         "def route_circuit(circuit, topology):\n"
         "    return shared_gate(topology._routing)\n",
         encoding="utf-8",
     )
-    assert verifier_reads_of_router(tmp_path) == ["_next_hops:6", "_routing:3"]
+    assert verifier_reads_of_router(tmp_path) == ["_routing:3", "_toward:6"]

@@ -266,6 +266,7 @@ def test_oversized_integers_raise_syntax_errors_with_line(source, line):
     "source, line",
     [
         ("qreg q[99999999999];\nh q[0];", 1),
+        ("qreg q[99999999];", 1),
         (f"qreg a[{MAX_QUBITS}];\nqreg b[1];", 2),  # the declared total counts
         (f"creg c[2];\nqreg q[{MAX_QUBITS + 1}];\nh q[0];", 2),
     ],
@@ -274,6 +275,8 @@ def test_declared_qubit_count_is_bounded(source, line):
     with pytest.raises(QasmSyntaxError, match=f"above the limit of {MAX_QUBITS}") as err:
         parse_qasm(source)
     assert err.value.line == line
+    # the token-by-token oracle refuses it with the same message and line
+    assert _outcome(token_parse, source) == _outcome(parse_qasm, source)
 
 
 def test_declared_qubit_count_may_reach_the_bound():

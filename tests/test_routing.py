@@ -587,6 +587,27 @@ def test_every_route_the_verifier_accepts_computes_its_source():
     assert refuted > 0
 
 
+def test_routed_qasm_read_back_computes_its_source():
+    # The routed circuit as written to QASM and read back, with the inserted
+    # SWAPs undone, acts on a random state as the source does, up to global phase.
+    rng = random.Random(7)
+    routes = 0
+    for n in range(4, 9):
+        for seed in range(2):
+            circuit = gen_random_circuit(n, 60, seed)
+            for topology in (synthesize_topology(circuit), builtin_topology("grid(3,3)")):
+                result = route_circuit(circuit, topology)
+                read = parse_qasm(to_qasm(result.routed))
+                assert read.gates == result.routed.gates
+                size = topology.num_qubits
+                state = _random_state(n, size, rng)
+                expected = statevector(circuit.gates, size, state)
+                undone = _undone(dataclasses.replace(result, routed=read), state)
+                assert same_up_to_phase(undone, expected), (circuit.name, topology.name)
+                routes += bool(result.inserted)
+    assert routes > 10  # most routes insert SWAPs
+
+
 def test_rotations_by_signed_zero_keep_their_sign():
     circuit = parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[2];\nrz(0) q[0];\nrz(-0) q[0];\n")
     result = route_circuit(circuit, builtin_topology("line(3)"))
@@ -650,18 +671,27 @@ def test_gate_table_after_the_acceptance_protocol(monkeypatch):
                     assert table.get((gate.kind, gate.qubits)) is gate or id(gate) in source
     assert not any(kind in PARAMETRIC_KINDS or kind is GateKind.BARRIER for kind, _ in table)
     assert len(table) <= 7 * widest + 2 * widest * (widest - 1)
-    # each topology's per-kind tables: no rotation or barrier, only the gate table's own
+    # each topology's tables: no rotation or barrier, only the gate table's own
     for topology in topologies:
-        n, relabeled = topology.num_qubits, topology._routing[2]
-        assert not any(kind in PARAMETRIC_KINDS or kind is GateKind.BARRIER for kind in relabeled)
-        assert set(relabeled) == SHARED_KINDS
-        for kind, gates in relabeled.items():
-            for key, gate in gates.items():
-                assert gate.kind is kind and gate.param is None
-                first, *second = gate.qubits
-                assert key == (first * n + second[0] if second else first) and len(second) < 2
-                assert table[kind, gate.qubits] is gate
-        assert sum(map(len, relabeled.values())) <= 7 * n + 2 * n * (n - 1)
+        n, (adjacency, targets, relabeled) = topology.num_qubits, topology._routing
+        assert set(relabeled) == SHARED_KINDS - TWO_QUBIT_KINDS  # no rotation or barrier
+        held = [(kind, (p,), gate) for kind, gates in relabeled.items()
+                for p, gate in enumerate(gates) if gate is not None]
+        assert all(len(gates) == n for gates in relabeled.values())
+        for pb, target in enumerate(targets):
+            if target is None:
+                continue
+            next_hop, steps, arrivals = target
+            held += [(GateKind.SWAP, (p, next_hop[p]), gate)
+                     for p, gate in enumerate(steps) if gate is not None]
+            assert set(arrivals) == TWO_QUBIT_KINDS
+            for kind, gates in arrivals.items():
+                assert set(gates) == set(adjacency[pb])
+                held += [(kind, (nb, pb), gate) for nb, gate in gates.items()]
+        for kind, qubits, gate in held:
+            assert gate.kind is kind and gate.qubits == qubits and gate.param is None
+            assert table[kind, qubits] is gate
+        assert len({(kind, qubits) for kind, qubits, _ in held}) <= 7 * n + 2 * n * (n - 1)
 
 
 def test_routes_sharing_one_topology_match_a_fresh_copy_and_the_oracle():
@@ -694,7 +724,7 @@ def test_routes_sharing_one_topology_match_a_fresh_copy_and_the_oracle():
 
 
 def test_threads_routing_on_one_topology_get_the_routes_of_fresh_copies():
-    """Six threads fill one topology's next-hop tables and SWAPs at once,
+    """Six threads fill one topology's per-target tables and gates at once,
     switching every microsecond: every route equals the route on a fresh copy."""
     topology = builtin_topology("sycamore53")
     circuits = [gen_random_circuit(n, 200, n) for n in range(4, 40, 3)]
@@ -722,9 +752,10 @@ def test_threads_routing_on_one_topology_get_the_routes_of_fresh_copies():
 
 
 def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
-    """A deterministic work count: routes on one topology object ask ``shared_gate``
-    for each (kind, physical qubits) at most once, however many gates the layout
-    relabels onto it, and a second route of the same circuit asks for nothing."""
+    """A deterministic work count: a route asks ``shared_gate`` only for gates it
+    emits, plus the 2 * deg(pb) arrival gates of each target pb it builds tables
+    for; every call fills one table slot, and a second route of the same circuit
+    asks for nothing."""
     calls = []
     build = shared_gate
 
@@ -734,24 +765,68 @@ def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
 
     monkeypatch.setattr("cacore.routing.shared_gate", counting)
     topology = builtin_topology("cairo27")
+    adjacency, targets, relabeled = topology._routing
     circuits = [gen_random_circuit(n, 2000, n) for n in (10, 20)]
     for mixed in (_mixed_circuit(n, seed=n) for n in (12, 18)):
         # source SWAPs and a measure, no rotation and no barrier
         kept = (g for g in mixed.gates if g.param is None and g.kind is not GateKind.BARRIER)
         circuits.append(Circuit(mixed.num_qubits, tuple(kept)))
     for circuit in circuits:
+        old = {pb for pb, target in enumerate(targets) if target is not None}
         start = len(calls)
         routed = route_circuit(circuit, topology).routed.gates
-        assert set(calls[start:]) <= {(g.kind, g.qubits) for g in routed}
+        built = [pb for pb, target in enumerate(targets) if target is not None and pb not in old]
+        emitted = {(g.kind, g.qubits) for g in routed}
+        arrivals = {(kind, (nb, pb)) for pb in built for nb in adjacency[pb] for kind in TWO_QUBIT_KINDS}
+        assert set(calls[start:]) <= emitted | arrivals
+        unemitted = [call for call in calls[start:] if call not in emitted]
+        assert len(unemitted) <= sum(2 * len(adjacency[pb]) for pb in built)
         start = len(calls)
         assert route_circuit(circuit, topology).routed.gates == routed
         assert calls[start:] == []
-    assert len(calls) == len(set(calls)) > 0
+    filled = sum(gate is not None for gates in relabeled.values() for gate in gates)
+    for target in filter(None, targets):
+        _, steps, arrivals = target
+        filled += sum(gate is not None for gate in steps) + sum(map(len, arrivals.values()))
+    assert len(calls) == filled > 0
     # the tables hold the kinds whose gates ``shared_gate`` shares, and no other
     for kind in GateKind:
         qubits = (0, 1) if kind in TWO_QUBIT_KINDS else (0,)
         param = 0.5 if kind in PARAMETRIC_KINDS else None
         assert (build(kind, qubits, param) is build(kind, qubits, param)) == (kind in SHARED_KINDS)
+
+
+def test_a_route_builds_the_tables_of_its_targets_alone(monkeypatch):
+    """On line(2000), a route whose two-qubit gates land on k distinct physical
+    targets builds exactly those k per-target entries, once each; every other
+    entry stays None."""
+    import cacore.routing
+
+    built = []
+    toward = cacore.routing._toward
+
+    def counting(adjacency, dst):
+        built.append(dst)
+        return toward(adjacency, dst)
+
+    monkeypatch.setattr(cacore.routing, "_toward", counting)
+    topology = builtin_topology("line(2000)")
+    gates = [cnot(0, 1999), cnot(1500, 10), cnot(7, 8), Gate(GateKind.H, (3,)), cnot(1999, 0)]
+    gates += [cnot(0, 1999), cnot(42, 1000), Gate(GateKind.SWAP, (1000, 42)), cnot(8, 7)]
+    circuit = Circuit(2000, tuple(gates))
+    result = route_circuit(circuit, topology)
+    assert verify_routing(circuit, result, topology)
+    inserted = set(result.inserted)
+    targets = {
+        gate.qubits[1]
+        for index, gate in enumerate(result.routed.gates)
+        if len(gate.qubits) == 2 and index not in inserted
+    }
+    assert 1 < len(targets) < len(gates)  # some targets repeat
+    assert sorted(built) == sorted(targets)
+    entries = topology._routing[1]
+    assert {pb for pb, target in enumerate(entries) if target is not None} == targets
+    assert entries.count(None) == 2000 - len(targets)
 
 
 def test_signed_zero_rotations_on_a_shared_topology_keep_their_signs():
@@ -764,6 +839,8 @@ def test_signed_zero_rotations_on_a_shared_topology_keep_their_signs():
         # the SWAP moves logical 0 to physical 1, so neither rotation is the source gate
         emitted = to_qasm(route_circuit(circuit, topology).routed)
         assert emitted.endswith(f"rz({float(first)!r}) q[1];\nrz({float(second)!r}) q[1];\n")
-    assert any(topology._routing[2].values())
-    _, tables, relabeled = dataclasses.replace(topology)._routing
-    assert tables == [None] * 3 and not any(relabeled.values())  # a copy starts empty
+    _, targets, relabeled = topology._routing
+    assert targets[2] is not None  # the route took the SWAP from physical 2's tables
+    assert not any(map(any, relabeled.values()))  # and no rotation went into a table
+    _, targets, relabeled = dataclasses.replace(topology)._routing
+    assert targets == [None] * 3 and not any(map(any, relabeled.values()))  # a copy starts empty
