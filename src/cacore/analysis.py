@@ -9,13 +9,12 @@ source circuit counts as a single interaction, the same as a CNOT.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import TWO_QUBIT_KINDS, Circuit
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     """Symmetric qubit-pair interaction counts, stored once per pair (i < j)."""
 
     num_qubits: int

@@ -14,11 +14,10 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CacoreError, DegenerateInputError
-from .ir import Circuit, Gate, GateKind, shared_gate
+from .ir import Circuit, Frozen, Gate, GateKind, shared_gate
 from .routing import RouteMetrics, route_circuit, verify_routing
 from .synthesis import CA_CORE, synthesize_topology
 from .topology import Topology
@@ -55,24 +54,22 @@ def gen_random_circuit(num_qubits: int, target_gates: int, seed: int) -> Circuit
     return Circuit(num_qubits, tuple(gates), f"random_n{num_qubits}_s{seed}")
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(Frozen):
     """Depolarizing error rates: epsilon per one-qubit gate, epsilon times
     ``TWO_QUBIT_FACTOR`` per two-qubit gate."""
 
-    epsilon: float
+    _fields = ("epsilon",)
 
-    def __post_init__(self):
-        if self.epsilon == 0 and math.copysign(1.0, self.epsilon) < 0:  # -0.0: one column with 0
-            object.__setattr__(self, "epsilon", 0.0)
-        if not math.isfinite(self.epsilon):
+    def __init__(self, epsilon: float):
+        if epsilon == 0 and math.copysign(1.0, epsilon) < 0:  # -0.0: one column with 0
+            epsilon = 0.0
+        object.__setattr__(self, "epsilon", epsilon)
+        if not math.isfinite(epsilon):
             raise ValueError(f"noise parameters must be finite, got {self}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if self.epsilon * TWO_QUBIT_FACTOR > 1:
-            raise ValueError(
-                f"epsilon * factor = {self.epsilon * TWO_QUBIT_FACTOR} exceeds 1"
-            )
+        if epsilon < 0:
+            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+        if epsilon * TWO_QUBIT_FACTOR > 1:
+            raise ValueError(f"epsilon * factor = {epsilon * TWO_QUBIT_FACTOR} exceeds 1")
 
 
 def estimate_fidelity(metrics: RouteMetrics, noise: NoiseParams) -> float:
@@ -95,24 +92,26 @@ def _fidelity_key(epsilon: float) -> str:
     return f"fidelity@{text if float(text) == epsilon else repr(epsilon)}"
 
 
-@dataclass
 class BenchmarkReport:
-    """Comparison results plus the configuration needed to reproduce them."""
+    """Comparison results plus the configuration needed to reproduce them;
+    mutable and unhashable, equal to a report with equal fields."""
 
-    config: dict
-    rows: list[dict] = field(default_factory=list)
-    skips: list[dict] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
-    aggregates: list[dict] = field(default_factory=list)
+    def __init__(self, config: dict, rows=None, skips=None, failures=None, aggregates=None):
+        self.config = config
+        self.rows: list[dict] = [] if rows is None else rows
+        self.skips: list[dict] = [] if skips is None else skips
+        self.failures: list[dict] = [] if failures is None else failures
+        self.aggregates: list[dict] = [] if aggregates is None else aggregates
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "rows": self.rows,
-            "skips": self.skips,
-            "failures": self.failures,
-            "aggregates": self.aggregates,
-        }
+        return dict(vars(self))
 
 
 def _reduction_pct(baseline: float, ca: float) -> float:

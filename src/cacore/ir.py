@@ -10,7 +10,7 @@ thread race only builds two equal gates; no code relies on gate identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum, unique
 from functools import cached_property
 
@@ -52,22 +52,55 @@ METRIC_EXEMPT_KINDS = frozenset({GateKind.MEASURE, GateKind.BARRIER})
 # allocate per-qubit lists of any size it names.
 MAX_QUBITS = 2**16
 
+_set = object.__setattr__  # stores a field of a Frozen record
 
-@dataclass(frozen=True)
-class Gate:
+
+class Frozen:
+    """Fields ``_fields``, each stored once by ``__init__`` through ``object.__setattr__``,
+    with a frozen dataclass's ``repr``, ``hash`` and immutability, but no decorator run at
+    import. ``==`` compares field tuples, the dataclass rule up to Python 3.12."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Gate(Frozen):
     """A single operation on one or more qubits.
 
     Two-qubit kinds (CNOT, SWAP) take exactly two distinct operands, barrier
     takes any non-empty subset, everything else takes one. Rotation kinds carry
-    an angle in radians; all other kinds carry none.
+    an angle in radians; all other kinds carry none. ``__init__`` checks this in
+    ``__post_init__``.
     """
 
-    kind: GateKind
-    qubits: tuple[int, ...]
-    param: float | None = None
+    _fields = ("kind", "qubits", "param")
+
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...], param: float | None = None):
+        _set(self, "kind", kind)
+        _set(self, "qubits", tuple(qubits))
+        _set(self, "param", param)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
         if self.kind in TWO_QUBIT_KINDS:
             if len(self.qubits) != 2:
                 raise ValueError(f"{self.kind.value} takes exactly 2 qubits, got {len(self.qubits)}")

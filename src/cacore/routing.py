@@ -30,7 +30,8 @@ that of the unmatched source tail, so gates on disjoint qubits may commute.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateInputError, UnroutableGateError
 from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind, shared_gate
@@ -50,8 +51,7 @@ def trivial_layout(num_logical: int, num_physical: int) -> list[int | None]:
     return phys_to_log
 
 
-@dataclass(frozen=True)
-class RouteMetrics:
+class RouteMetrics(NamedTuple):
     """Routed-circuit totals. ``swap_count`` counts inserted SWAPs only;
     ``total_swap_gates`` additionally includes SWAPs already present in the
     source circuit.
@@ -70,7 +70,7 @@ class RouteMetrics:
     total_swap_gates: int
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return self._asdict()
 
 
 @dataclass

@@ -17,7 +17,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 
 from .errors import TopologyFormatError, UnknownTopologyError, undecodable_byte
@@ -242,7 +241,8 @@ def sycamore_pattern(nrow: int, ncol: int) -> list[tuple[int, int]]:
 
 
 def _load_bundled(fname: str) -> Topology:
-    text = resources.files("cacore").joinpath("data", fname).read_text(encoding="utf-8")
+    # Read beside this file: importing importlib.resources loads tempfile and shutil.
+    text = (Path(__file__).parent / "data" / fname).read_text(encoding="utf-8")
     return topology_from_dict(json.loads(text), source=fname)
 
 

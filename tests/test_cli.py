@@ -252,6 +252,8 @@ def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     if argv[:3] == ["bench", "--eps", "0.5"]:
         assert "exceeds 1" in err  # the reason, not just the rejected value
+    if argv[:3] == ["bench", "--eps", "nan"]:  # the record's repr names the value
+        assert "noise parameters must be finite, got NoiseParams(epsilon=nan)" in err
     assert not re.search(r"\b_[a-z]", err)  # the reason, not the name of a private parser
     assert not (tmp_path / "out").exists()
 
