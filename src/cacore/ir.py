@@ -1,11 +1,12 @@
 """Gate and circuit types shared across the toolchain.
 
 ``shared_gate`` builds every gate outside this module, and alone decides which
-go in its process-wide table ``(kind, qubits) -> Gate``: param-less gates of
-``SHARED_KINDS``, all but rotations and barrier (an angle key would merge 0.0
-with -0.0; a barrier's qubit set is the input's choice). It holds at most
-7n + 2n(n-1) gates over n qubits, emptied at ``_SHARED_LIMIT`` (about 1 MB). A
-thread race only builds two equal gates; no code relies on gate identity.
+go in its process-wide tables, one ``qubits -> Gate`` per kind: param-less gates
+of ``SHARED_KINDS``, all but rotations and barrier (an angle key would merge 0.0
+with -0.0; a barrier's qubit set is the input's choice). Together they hold at
+most 7n + 2n(n-1) gates over n qubits, all emptied once the total reaches
+``_SHARED_LIMIT`` (about 1 MB). A thread race only builds two equal gates; no
+code relies on gate identity.
 """
 
 from __future__ import annotations
@@ -115,21 +116,23 @@ class Gate(Frozen):
             raise ValueError(f"{self.kind.value}: angle parameter mismatch")
 
 
-_SHARED: dict[tuple[GateKind, tuple[int, ...]], Gate] = {}
 SHARED_KINDS = frozenset(GateKind) - PARAMETRIC_KINDS - {GateKind.BARRIER}  # all it holds
+_SHARED: dict[GateKind, dict[tuple[int, ...], Gate]] = {kind: {} for kind in SHARED_KINDS}
 _SHARED_LIMIT = 4096  # above the 2343 possible over 33 qubits, the widest benchmark
 
 
 def shared_gate(kind: GateKind, qubits: tuple[int, ...], param: float | None = None) -> Gate:
-    """Gate ``kind`` on ``qubits`` at angle ``param``: the table's one Gate for a param-less
+    """Gate ``kind`` on ``qubits`` at angle ``param``: its table's one Gate for a param-less
     gate of ``SHARED_KINDS``, else a fresh one; ``Gate`` raises ValueError on a mismatch."""
-    if param is not None or kind not in SHARED_KINDS:
+    table = _SHARED.get(kind)
+    if param is not None or table is None:
         return Gate(kind, qubits, param)
-    gate = _SHARED.get((kind, qubits))
+    gate = table.get(qubits)
     if gate is None:
-        if len(_SHARED) >= _SHARED_LIMIT:
-            _SHARED.clear()
-        gate = _SHARED[kind, qubits] = Gate(kind, qubits)
+        if sum(map(len, _SHARED.values())) >= _SHARED_LIMIT:
+            for full in _SHARED.values():
+                full.clear()
+        gate = table[qubits] = Gate(kind, qubits)
     return gate
 
 

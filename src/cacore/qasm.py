@@ -17,8 +17,8 @@ string splits and a table from each ``reg[i]`` text to its qubit, which a
 operand, is lexed and read by recursive descent; the tokens after a line's last
 ``;`` wait for the next line. After an error, each distinct later line is lexed
 once, so an unexpected character anywhere in the file wins. Every gate comes
-from ``ir.shared_gate``, which alone decides which gates its process-wide table
-holds. Each operand is checked as it is read, so no later stage rescans.
+from ``ir.shared_gate``, which alone decides which gates its process-wide
+tables hold. Each operand is checked as it is read, so no later stage rescans.
 """
 
 from __future__ import annotations
@@ -452,27 +452,28 @@ def to_qasm(circuit: Circuit) -> str:
     Float parameters are printed via ``repr``, with ``.0`` added to an
     exponent form's mantissa, so parse -> print -> parse reproduces the
     exact gate list; a non-finite angle or a qubit outside [0, num_qubits)
-    raises ``ValueError``. Every other line is rendered once per ``(kind,
-    qubits)``, in the canonical form the parser reads without its lexer
-    unless it is a barrier or measure. A measure ``q[i]`` writes to ``c[i]``,
-    and ``creg c[num_qubits];`` is declared right after the ``qreg`` line
-    only when the circuit measures.
+    raises ``ValueError``. Every other line is rendered once per gate object,
+    in the canonical form the parser reads without its lexer unless it is a
+    barrier or measure. A measure ``q[i]`` writes to ``c[i]``, and ``creg
+    c[num_qubits];`` is declared right after the ``qreg`` line only when the
+    circuit measures.
     """
     n = circuit.num_qubits
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
-    rendered: dict[tuple, str] = {}  # (kind, qubits) -> the line of a param-less gate
+    rendered: dict[int, str] = {}  # id(gate) -> its line; the circuit keeps every gate alive
     measured = False
     for gate in circuit.gates:
-        kind, qubits, param = gate.kind, gate.qubits, gate.param
-        line = rendered.get((kind, qubits)) if param is None else None
+        param = gate.param
+        line = rendered.get(id(gate)) if param is None else None
         if line is None:  # a line rendered for the first time: check what it names
+            kind, qubits = gate.kind, gate.qubits
             for q in qubits:
                 if not 0 <= q < n:
                     raise ValueError(f"gate {len(lines) - 3}: qubit {q} is outside qreg q[{n}]")
             if param is not None:
                 if not math.isfinite(param):
                     raise ValueError(f"gate {len(lines) - 3}: angle {param!r} is not finite")
-                lines.append(f"{kind.value}({_real(param)}) q[{qubits[0]}];")
+                lines.append(f"{kind._value_}({_real(param)}) q[{qubits[0]}];")
                 continue
             if kind is GateKind.BARRIER:
                 line = "barrier " + ",".join(f"q[{q}]" for q in qubits) + ";"
@@ -480,10 +481,10 @@ def to_qasm(circuit: Circuit) -> str:
                 measured = True
                 line = f"measure q[{qubits[0]}] -> c[{qubits[0]}];"
             elif kind in TWO_QUBIT_KINDS:
-                line = f"{kind.value} q[{qubits[0]}],q[{qubits[1]}];"
+                line = f"{kind._value_} q[{qubits[0]}],q[{qubits[1]}];"
             else:
-                line = f"{kind.value} q[{qubits[0]}];"
-            rendered[kind, qubits] = line
+                line = f"{kind._value_} q[{qubits[0]}];"
+            rendered[id(gate)] = line
         lines.append(line)
     if measured:
         lines.insert(3, f"creg c[{n}];")

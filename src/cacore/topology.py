@@ -134,23 +134,21 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
     raw_edges = data.get("edges")
     _require(isinstance(raw_edges, list), "missing or non-array 'edges'", "edges")
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    # plain checks, so a valid file builds no message
+    edges: dict[tuple[int, int], None] = {}  # in file order
     for idx, item in enumerate(raw_edges):
-        where = f"edges[{idx}]"
-        _require(
-            isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item),
-            "edge must be a pair of integers",
-            where,
-        )
-        a, b = item
-        _require(a != b, f"self-edge ({a},{b})", where)
-        _require(a < b, f"edge ({a},{b}) must satisfy i < j", where)
-        _require(0 <= a and b < num_qubits, f"edge ({a},{b}) out of range", where)
-        pair = (a, b)
-        _require(pair not in seen, f"duplicate edge ({a},{b})", where)
-        seen.add(pair)
-        edges.append(pair)
+        if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is type(item[1]) is int):
+            raise TopologyFormatError("edge must be a pair of integers", f"edges[{idx}]")
+        a, b = pair = (item[0], item[1])
+        if not 0 <= a < b < num_qubits or pair in edges:
+            message = (
+                f"self-edge ({a},{b})" if a == b
+                else f"edge ({a},{b}) must satisfy i < j" if a > b
+                else f"edge ({a},{b}) out of range" if a < 0 or b >= num_qubits
+                else f"duplicate edge ({a},{b})"
+            )
+            raise TopologyFormatError(message, f"edges[{idx}]")
+        edges[pair] = None
 
     synthetic: frozenset[tuple[int, int]] = frozenset()
     if "synthetic" in data:
@@ -174,14 +172,14 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
         positions = {}
         owners: dict[tuple[int, int], int] = {}
         for q, item in enumerate(raw_pos):
-            _require(
-                isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item),
-                "position must be an [row, col] integer pair",
-                f"positions[{q}]",
-            )
+            if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is type(item[1]) is int):
+                message = "position must be an [row, col] integer pair"
+                raise TopologyFormatError(message, f"positions[{q}]")
             cell = positions[q] = (item[0], item[1])
             first = owners.setdefault(cell, q)
-            _require(first == q, f"qubits {first} and {q} share cell {list(cell)}", f"positions[{q}]")
+            if first != q:
+                message = f"qubits {first} and {q} share cell {list(cell)}"
+                raise TopologyFormatError(message, f"positions[{q}]")
 
     return Topology(data["name"], num_qubits, tuple(edges), synthetic, positions)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cacore.ir import Gate
+from cacore.ir import SHARED_KINDS, Gate
 from cacore.qasm import parse_qasm_file
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -35,11 +35,24 @@ def benchmark_circuits():
     }
 
 
+def empty_gate_table(monkeypatch) -> dict:
+    """Put empty per-kind gate tables in place of ``ir.shared_gate``'s for
+    the rest of the test, and return them."""
+    table = {kind: {} for kind in SHARED_KINDS}
+    monkeypatch.setattr("cacore.ir._SHARED", table)
+    return table
+
+
+def gates_held(table: dict) -> int:
+    """How many gates the per-kind tables hold in all."""
+    return sum(map(len, table.values()))
+
+
 @pytest.fixture
 def gate_builds(monkeypatch):
     """Every Gate built from here on, by any module, in build order, from an
     empty gate table."""
-    monkeypatch.setattr("cacore.ir._SHARED", {})
+    empty_gate_table(monkeypatch)
     built = []
     check = Gate.__post_init__
 

@@ -18,6 +18,7 @@ from cacore.ir import Circuit, Gate, GateKind
 from cacore.routing import route_circuit
 from cacore.topology import Topology, builtin_topology
 
+from conftest import empty_gate_table
 from oracles import complete
 
 
@@ -141,7 +142,7 @@ def test_baselines_that_would_share_a_report_label_are_refused(monkeypatch, name
 def test_a_second_comparison_builds_no_gate(monkeypatch, gate_builds):
     circuits = [gen_random_circuit(10, 500, seed) for seed in (3, 4)]
     baselines = [builtin_topology("cairo27"), builtin_topology("prague33")]
-    monkeypatch.setattr("cacore.ir._SHARED", {})
+    empty_gate_table(monkeypatch)
     first = run_comparison(circuits, baselines, [NoiseParams(0.001)])
     assert gate_builds  # from an empty gate table, the first routes build gates
     gate_builds.clear()

@@ -148,21 +148,29 @@ def test_unpassed_keyword_is_named(tmp_path):
     assert unpassed_keywords(tmp_path) == ["mod.f.unused", "mod.C.m.flag"]
 
 
-def gate_calls(package=PACKAGE) -> list[str]:
-    """``module:line`` of each call to ``Gate`` outside ``ir.py``, by name or attribute.
-    Annotations such as ``list[Gate]`` are not calls."""
+def _outside_ir(package, found) -> list[str]:
+    """``module:line`` of each node outside ``ir.py`` for which ``found(node)`` holds."""
     return [
         f"{module}:{node.lineno}"
         for module, tree in sorted(_trees(package).items())
         if module != "ir"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Gate"
+        if found(node)
     ]
 
 
+def _named(node, name: str) -> bool:
+    return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+
+def gate_calls(package=PACKAGE) -> list[str]:
+    """``module:line`` of each call to ``Gate`` outside ``ir.py``, by name or attribute.
+    Annotations such as ``list[Gate]`` are not calls."""
+    return _outside_ir(package, lambda node: isinstance(node, ast.Call) and _named(node.func, "Gate"))
+
+
 def test_only_ir_builds_gates():
-    # ir.shared_gate alone decides which gates the process-wide table holds.
+    # ir.shared_gate alone decides which gates the process-wide tables hold.
     assert gate_calls() == []
 
 
@@ -176,6 +184,32 @@ def test_gate_call_is_found(tmp_path):
     )
     (tmp_path / "ir.py").write_text("g = Gate(k, (0,))\n", encoding="utf-8")
     assert gate_calls(tmp_path) == ["mod:2", "mod:2"]
+
+
+def gate_table_names(package=PACKAGE) -> list[str]:
+    """``module:line`` of each name, attribute or import ``_SHARED`` outside ``ir.py``."""
+    def found(node) -> bool:
+        imported = isinstance(node, ast.ImportFrom) and any(a.name == "_SHARED" for a in node.names)
+        return imported or _named(node, "_SHARED")
+
+    return _outside_ir(package, found)
+
+
+def test_only_ir_reads_the_gate_table():
+    # a module that read ir._SHARED itself would bypass shared_gate's limit
+    assert gate_table_names() == []
+
+
+def test_gate_table_name_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .ir import _SHARED, shared_gate\n"
+        "from . import ir\n"
+        "def f(kind, qubits):\n"
+        "    return ir._SHARED[kind].get(qubits) or shared_gate(kind, qubits)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "ir.py").write_text("_SHARED = {}\n", encoding="utf-8")
+    assert gate_table_names(tmp_path) == ["mod:1", "mod:4"]
 
 
 # What built the routed gates: a verifier that read any of it would check the

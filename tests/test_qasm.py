@@ -10,12 +10,13 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
+from conftest import empty_gate_table, gates_held
 from oracles import plain_to_qasm, same_up_to_phase, statevector, token_parse
 
 from cacore.bench import gen_random_circuit
 from cacore.cli import main
 from cacore.errors import DegenerateInputError, QasmSyntaxError
-from cacore.ir import _SHARED_LIMIT, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from cacore.ir import _SHARED_LIMIT, TWO_QUBIT_KINDS, Circuit, Gate, GateKind, shared_gate
 from cacore.qasm import MAX_QUBITS, _lex, _read_gate, parse_qasm, to_qasm
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
@@ -340,6 +341,14 @@ def test_out_of_range_qubit_is_not_emitted(gate, qubit):
         to_qasm(circuit)
 
 
+def test_out_of_range_error_names_the_first_offending_gate():
+    # the offending object repeats, after an equal twin of a valid shared gate
+    h, bad = shared_gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (1, 4))
+    circuit = Circuit(2, (h, Gate(GateKind.H, (0,)), h, bad, h, bad, Gate(GateKind.H, (3,))))
+    with pytest.raises(ValueError, match=r"^gate 3: qubit 4 is outside qreg q\[2\]$"):
+        to_qasm(circuit)
+
+
 def _with_special_angles(rng, circuit):
     """The circuit with rotations by angles whose text is easy to get wrong."""
     gates = list(circuit.gates)
@@ -365,12 +374,15 @@ def test_emit_matches_per_gate_renderer():
     rng = random.Random(20261019)
     circuits += [_with_special_angles(rng, _mixed_circuit(rng, rng.randint(2, 12)))
                  for _ in range(40)]
-    # equal gates that are distinct objects, and one shared object repeated
-    twin = Gate(GateKind.CNOT, (0, 1))
+    # equal gates that are distinct objects, one object repeated, and the gate table's own
+    twin, shared = Gate(GateKind.CNOT, (0, 1)), shared_gate(GateKind.CNOT, (0, 1))
     circuits.append(Circuit(3, (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (0, 1)), twin,
-                                Gate(GateKind.MEASURE, (2,)), twin, Gate(GateKind.MEASURE, (2,)),
+                                shared, Gate(GateKind.MEASURE, (2,)), twin, shared,
+                                shared_gate(GateKind.MEASURE, (2,)), Gate(GateKind.MEASURE, (2,)),
                                 Gate(GateKind.BARRIER, (0, 2)), Gate(GateKind.BARRIER, (0, 2)),
-                                Gate(GateKind.RZ, (2,), -0.0), Gate(GateKind.RZ, (2,), 0.0))))
+                                Gate(GateKind.BARRIER, (2, 0, 1)), shared_gate(GateKind.H, (1,)),
+                                Gate(GateKind.RZ, (2,), -0.0), Gate(GateKind.RZ, (2,), 0.0),
+                                Gate(GateKind.RX, (1,), 1e-05), shared_gate(GateKind.H, (1,)))))
     assert len(circuits) > 80
     for circuit in circuits:
         assert to_qasm(circuit) == plain_to_qasm(circuit)
@@ -573,7 +585,7 @@ def test_parse_builds_one_gate_per_distinct_param_less_gate(monkeypatch, gate_bu
     however the file spells them, counted from an empty gate table."""
     circuit = gen_random_circuit(n, 2000, 1)
     source = _SPELLINGS[spelling](to_qasm(circuit))
-    monkeypatch.setattr("cacore.ir._SHARED", {})
+    empty_gate_table(monkeypatch)
     gate_builds.clear()  # the circuit above was built before counting starts
     built = gate_builds
     assert parse_qasm(source).gates == circuit.gates
@@ -635,12 +647,25 @@ def test_a_second_parse_builds_only_its_rotations(gate_builds):
 
 
 def test_a_wide_file_leaves_the_gate_table_within_its_limit(monkeypatch):
-    table = {}
-    monkeypatch.setattr("cacore.ir._SHARED", table)
+    table = empty_gate_table(monkeypatch)
     pairs = [(a, (a + k) % 300) for k in range(1, 20) for a in range(300)]
     source = "qreg q[300];\n" + "".join(f"cx q[{a}],q[{b}];\n" for a, b in pairs) * 2
     assert [g.qubits for g in parse_qasm(source).gates] == pairs * 2
-    assert 0 < len(table) <= _SHARED_LIMIT < len(set(pairs))
+    assert 0 < gates_held(table) <= _SHARED_LIMIT < len(set(pairs))
+
+
+def test_every_kind_table_is_emptied_together_at_the_limit(monkeypatch):
+    table = empty_gate_table(monkeypatch)
+    x, cx = shared_gate(GateKind.X, (0,)), shared_gate(GateKind.CNOT, (0, 1))
+    for q in range(_SHARED_LIMIT - 2):
+        shared_gate(GateKind.H, (q,))
+    assert gates_held(table) == _SHARED_LIMIT
+    assert shared_gate(GateKind.X, (0,)) is x and gates_held(table) == _SHARED_LIMIT  # a hit
+    measure = shared_gate(GateKind.MEASURE, (0,))  # the first miss at the limit empties all
+    assert {kind: dict(gates) for kind, gates in table.items() if gates} == {
+        GateKind.MEASURE: {(0,): measure}
+    }
+    assert shared_gate(GateKind.CNOT, (0, 1)) is not cx
 
 
 def test_repeats_after_a_comment_holding_a_semicolon_and_crlf_are_shared():

@@ -8,7 +8,7 @@ import threading
 import tracemalloc
 
 import pytest
-from conftest import DATA_DIR
+from conftest import DATA_DIR, empty_gate_table, gates_held
 from oracles import asap_stats, complete, same_up_to_phase, statevector
 
 from cacore.bench import gen_random_circuit
@@ -652,8 +652,7 @@ def test_gate_table_after_the_acceptance_protocol(monkeypatch):
     """30 circuits routed on ca_core, cairo27 and prague33, plus mixed circuits:
     every routed param-less gate but a barrier is a source gate or the gate
     table's own, and the table holds no rotation or barrier, within its bound."""
-    table = {}
-    monkeypatch.setattr("cacore.ir._SHARED", table)
+    table = empty_gate_table(monkeypatch)
     baselines = (builtin_topology("cairo27"), builtin_topology("prague33"))
     circuits = [gen_random_circuit(n, 2000, seed) for n in (10, 16, 20) for seed in range(10)]
     circuits += [_mixed_circuit(n, seed=n) for n in (10, 16, 20)]
@@ -668,9 +667,11 @@ def test_gate_table_after_the_acceptance_protocol(monkeypatch):
             source = set(map(id, circuit.gates))
             for gate in result.routed.gates:
                 if gate.param is None and gate.kind is not GateKind.BARRIER:
-                    assert table.get((gate.kind, gate.qubits)) is gate or id(gate) in source
-    assert not any(kind in PARAMETRIC_KINDS or kind is GateKind.BARRIER for kind, _ in table)
-    assert len(table) <= 7 * widest + 2 * widest * (widest - 1)
+                    assert table[gate.kind].get(gate.qubits) is gate or id(gate) in source
+    assert set(table) == SHARED_KINDS and not SHARED_KINDS & (PARAMETRIC_KINDS | {GateKind.BARRIER})
+    assert all(gate.kind is kind and gate.qubits == qubits and gate.param is None
+               for kind, gates in table.items() for qubits, gate in gates.items())
+    assert gates_held(table) <= 7 * widest + 2 * widest * (widest - 1)
     # each topology's tables: no rotation or barrier, only the gate table's own
     for topology in topologies:
         n, (adjacency, targets, relabeled) = topology.num_qubits, topology._routing
@@ -690,7 +691,7 @@ def test_gate_table_after_the_acceptance_protocol(monkeypatch):
                 held += [(kind, (nb, pb), gate) for nb, gate in gates.items()]
         for kind, qubits, gate in held:
             assert gate.kind is kind and gate.qubits == qubits and gate.param is None
-            assert table[kind, qubits] is gate
+            assert table[kind][qubits] is gate
         assert len({(kind, qubits) for kind, qubits, _ in held}) <= 7 * n + 2 * n * (n - 1)
 
 

@@ -19,6 +19,7 @@ from cacore.topology import (
     line_topology,
     load_topology,
     save_topology,
+    topology_from_dict,
     validate_topology,
 )
 
@@ -158,6 +159,27 @@ def test_load_schema_violations(tmp_path, field, value, needle):
     with pytest.raises(TopologyFormatError) as err:
         load_topology(path)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        ("edges", [[2, 2]], "self-edge (2,2) (at edges[0])"),
+        ("edges", [[0, 1], [3, 1]], "edge (3,1) must satisfy i < j (at edges[1])"),
+        ("edges", [[True, 1]], "edge must be a pair of integers (at edges[0])"),
+        ("edges", [[0, 1.0]], "edge must be a pair of integers (at edges[0])"),
+        ("edges", [[0, 1], [0, 1], [0, 5]], "duplicate edge (0,1) (at edges[1])"),
+        ("edges", [[0, 1], [0, 5], [0, 1]], "edge (0,5) out of range (at edges[1])"),
+        ("positions", [[0, 1], [0, True]], "position must be an [row, col] integer pair (at positions[1])"),
+    ],
+)
+def test_an_entry_that_breaks_two_rules_names_the_first_checked(field, value, error):
+    # check order: pair of ints, self-edge, i < j, range, duplicate; a position's
+    # pair check comes before its cell is compared
+    data = {"name": "t", "num_qubits": 2, "edges": [[0, 1]], field: value}
+    with pytest.raises(TopologyFormatError) as err:
+        topology_from_dict(data)
+    assert str(err.value) == error
 
 
 def test_unknown_keys_tolerated(tmp_path):
