@@ -17,7 +17,7 @@ import random
 from pathlib import Path
 
 from .errors import CacoreError, DegenerateInputError
-from .ir import Circuit, Frozen, Gate, GateKind, shared_gate
+from .ir import Circuit, Frozen, Gate, GateKind, Record, shared_gate
 from .routing import RouteMetrics, route_circuit, verify_routing
 from .synthesis import CA_CORE, synthesize_topology
 from .topology import Topology
@@ -58,8 +58,6 @@ class NoiseParams(Frozen):
     """Depolarizing error rates: epsilon per one-qubit gate, epsilon times
     ``TWO_QUBIT_FACTOR`` per two-qubit gate."""
 
-    _fields = ("epsilon",)
-
     def __init__(self, epsilon: float):
         if epsilon == 0 and math.copysign(1.0, epsilon) < 0:  # -0.0: one column with 0
             epsilon = 0.0
@@ -92,7 +90,7 @@ def _fidelity_key(epsilon: float) -> str:
     return f"fidelity@{text if float(text) == epsilon else repr(epsilon)}"
 
 
-class BenchmarkReport:
+class BenchmarkReport(Record):
     """Comparison results plus the configuration needed to reproduce them;
     mutable and unhashable, equal to a report with equal fields."""
 
@@ -102,13 +100,6 @@ class BenchmarkReport:
         self.skips: list[dict] = [] if skips is None else skips
         self.failures: list[dict] = [] if failures is None else failures
         self.aggregates: list[dict] = [] if aggregates is None else aggregates
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -165,17 +156,17 @@ def run_comparison(
     fidelity_keys = [(_fidelity_key(params.epsilon), params) for params in noise]
     for index, circuit in enumerate(circuits):
         seed = seeds[index] if seeds is not None and index < len(seeds) else None
-        pairs = [(topology.name, topology) for topology in baselines]
+        topologies = list(baselines)
         try:
-            pairs.insert(0, (CA_CORE, synthesize_topology(circuit)))
+            topologies.insert(0, synthesize_topology(circuit))  # named CA_CORE
         except CacoreError as exc:
             report.failures.append(
                 {"circuit": circuit.name, "topology": CA_CORE, "error": str(exc)}
             )
-        for label, topology in pairs:
+        for topology in topologies:
             if circuit.num_qubits > topology.num_qubits:
                 report.skips.append(
-                    {"circuit": circuit.name, "topology": label, "reason": "circuit too large"}
+                    {"circuit": circuit.name, "topology": topology.name, "reason": "circuit too large"}
                 )
                 continue
             try:
@@ -184,14 +175,14 @@ def run_comparison(
                     raise CacoreError("routing verification failed")
             except CacoreError as exc:
                 report.failures.append(
-                    {"circuit": circuit.name, "topology": label, "error": str(exc)}
+                    {"circuit": circuit.name, "topology": topology.name, "error": str(exc)}
                 )
                 continue
             row = {
                 "circuit": circuit.name,
                 "seed": seed,
                 "qubits": circuit.num_qubits,
-                "topology": label,
+                "topology": topology.name,
                 "depth": result.metrics.depth,
                 "gates": result.metrics.total_gates,
                 "swaps": result.metrics.swap_count,

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolchain."""
+"""Exception types shared across the toolchain, and ``read_utf8``, the one input-file reader."""
 
 from __future__ import annotations
 
@@ -39,13 +39,15 @@ class UnroutableGateError(CacoreError):
     """Two-qubit gate whose endpoints lie in different topology components."""
 
 
-def undecodable_byte(path: Path) -> tuple[int, int]:
-    """The line, counted as text mode counts it, and the value of the first
-    byte of a file that is not UTF-8; (0, 0) when every byte is."""
+def read_utf8(path: Path, error) -> str:
+    """The text of a UTF-8 file as ``Path.read_text`` gives it, ``\\r\\n`` and a lone
+    ``\\r`` made ``\\n``. The first byte that is not UTF-8 raises ``error(message, line)``,
+    its line counted as text mode counts it."""
     data = path.read_bytes()
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
-        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1, data[exc.start]
-    return 0, 0
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(f"byte {data[exc.start]:#04x} is not valid UTF-8", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

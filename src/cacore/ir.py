@@ -56,26 +56,26 @@ MAX_QUBITS = 2**16
 _set = object.__setattr__  # stores a field of a Frozen record
 
 
-class Frozen:
-    """Fields ``_fields``, each stored once by ``__init__`` through ``object.__setattr__``,
-    with a frozen dataclass's ``repr``, ``hash`` and immutability, but no decorator run at
-    import. ``==`` compares field tuples, the dataclass rule up to Python 3.12."""
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+class Record:
+    """Fields stored once each by ``__init__``, in its parameter order, with a dataclass's
+    ``repr`` and ``==`` read from ``vars(self)``, but no decorator run at import. ``==``
+    compares field dicts, which take a value as equal to itself (a NaN angle too), as a
+    dataclass's field tuples do up to Python 3.12."""
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return self._values() == other._values() if same else NotImplemented
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+class Frozen(Record):
+    """A Record with a frozen dataclass's ``hash`` and immutability; ``__init__`` stores
+    each field through ``object.__setattr__``."""
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(vars(self).values()))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -92,8 +92,6 @@ class Gate(Frozen):
     an angle in radians; all other kinds carry none. ``__init__`` checks this in
     ``__post_init__``.
     """
-
-    _fields = ("kind", "qubits", "param")
 
     def __init__(self, kind: GateKind, qubits: tuple[int, ...], param: float | None = None):
         _set(self, "kind", kind)

@@ -28,7 +28,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import QasmSyntaxError, undecodable_byte
+from .errors import QasmSyntaxError, read_utf8
 from .ir import MAX_QUBITS  # the limit on the declared registers' total
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .ir import shared_gate
@@ -431,12 +431,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
 
 def parse_qasm_file(path: str | Path) -> Circuit:
     path = Path(path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        line, byte = undecodable_byte(path)
-        raise QasmSyntaxError(f"byte {byte:#04x} is not valid UTF-8", line) from None
-    return parse_qasm(source, name=path.stem)
+    return parse_qasm(read_utf8(path, QasmSyntaxError), name=path.stem)
 
 
 def _real(value: float) -> str:

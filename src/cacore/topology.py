@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import TopologyFormatError, UnknownTopologyError, undecodable_byte
+from .errors import TopologyFormatError, UnknownTopologyError, read_utf8
 from .ir import MAX_QUBITS, SHARED_KINDS, TWO_QUBIT_KINDS, GateKind
 
 DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # each bundled as data/NAME.json
@@ -186,11 +186,7 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
 
 def load_topology(path: str | Path) -> Topology:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        line, byte = undecodable_byte(path)
-        raise TopologyFormatError(f"byte {byte:#04x} is not valid UTF-8", f"line {line}") from None
+    text = read_utf8(path, lambda message, line: TopologyFormatError(message, f"line {line}"))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -238,12 +234,6 @@ def sycamore_pattern(nrow: int, ncol: int) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def _load_bundled(fname: str) -> Topology:
-    # Read beside this file: importing importlib.resources loads tempfile and shutil.
-    text = (Path(__file__).parent / "data" / fname).read_text(encoding="utf-8")
-    return topology_from_dict(json.loads(text), source=fname)
-
-
 def builtin_topology(name: str) -> Topology:
     """Resolve a builtin topology by name.
 
@@ -251,8 +241,8 @@ def builtin_topology(name: str) -> Topology:
     come from bundled data files; ``half_sycamore24``, ``line(n)``, and
     ``grid(nrow,ncol)`` are generated, up to ``MAX_QUBITS`` qubits.
     """
-    if name in DEVICES:
-        return _load_bundled(f"{name}.json")
+    if name in DEVICES:  # read beside this file: importlib.resources loads tempfile and shutil
+        return load_topology(Path(__file__).parent / "data" / f"{name}.json")
     if name == "half_sycamore24":  # six rows by four columns, all couplers enabled
         return Topology(name, 24, tuple(sycamore_pattern(6, 4)))
     if m := _LINE_RE.fullmatch(name) or _GRID_RE.fullmatch(name):

@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import io
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cacore.cli import main
+from cacore.errors import CacoreError
 from cacore.ir import MAX_QUBITS
 from cacore.qasm import parse_qasm_file
 from cacore.topology import Topology, builtin_topology, load_topology, save_topology
@@ -353,6 +355,67 @@ def test_undecodable_or_deeply_nested_input_fails_with_one_error_line(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"  # one line, no traceback
+
+
+def _straddle(head: bytes, tail: bytes) -> bytes:
+    """``head``, blanks and ``tail`` with a "\\r\\n" between them whose "\\r" is byte
+    8191, so that the pair straddles a common buffer size."""
+    return head + b" " * (8191 - len(head)) + b"\r\n" + tail
+
+
+_READ_CASES = [
+    ("cr.qasm", b"qreg q[2];\rh q[0];\rfoo q[0];\rh q[1];\r", "line 3: unsupported gate 'foo'"),
+    ("crcrlf.qasm", b"qreg q[2];\r\r\nh q[0];\r\r\nfoo q[0];\r", "line 5: unsupported gate 'foo'"),
+    ("trailing.qasm", b"qreg q[2];\r\r\nh q[0];\r\ncx q[0],q[1];\r", None),
+    ("straddle.qasm", _straddle(b"qreg q[2];\n//", b"h q[0];\nfoo q[1];\n"),
+     "line 4: unsupported gate 'foo'"),
+    ("bom.qasm", b"\xef\xbb\xbfqreg q[2];\nh q[0];\n", "line 1: unexpected character '\\ufeff'"),
+    ("cr-byte.qasm", b"qreg q[2];\rh q[0];\r\xff h q[1];\n", "line 3: byte 0xff is not valid UTF-8"),
+    ("byte0.qasm", b"\xffqreg q[2];\n", "line 1: byte 0xff is not valid UTF-8"),
+    ("cr.json", b'{"name": "t",\r"num_qubits": 2,\r"edges": [[0, 1]] x\r}',
+     "invalid JSON: Expecting ',' delimiter (at line 3)"),
+    ("trailing.json", b'{"name": "t",\r\r\n"num_qubits": 2,\r\n"edges": [[0, 1]]}\r', None),
+    ("straddle.json", _straddle(b'{"name": "t",', b'"num_qubits": 2,\n"edges": [[0, 1]],\n}'),
+     "invalid JSON: Expecting property name enclosed in double quotes (at line 4)"),
+    ("bom.json", b'\xef\xbb\xbf{"name": "t", "num_qubits": 2, "edges": [[0, 1]]}',
+     "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (at line 1)"),
+    ("cr-byte.json", b'{"name": "t",\r"num_qubits": 2,\r\xfe"edges": [[0, 1]]}',
+     "byte 0xfe is not valid UTF-8 (at line 3)"),
+    ("byte0.json", b"\xff{}", "byte 0xff is not valid UTF-8 (at line 1)"),
+]
+
+
+@pytest.mark.parametrize("name, data, message", _READ_CASES, ids=[case[0] for case in _READ_CASES])
+def test_files_are_read_as_read_text_reads_them(tmp_path, capsys, name, data, message):
+    """``parse_qasm_file``, ``load_topology`` and ``cacore validate`` read a file as
+    ``Path.read_text`` reads it: each "\\r\\n" and lone "\\r" ends one line, a BOM is
+    kept, and a byte that is not UTF-8 is reported on the line text mode counts."""
+    def outcome(path):
+        read = parse_qasm_file if path.suffix == ".qasm" else load_topology
+        try:
+            value = read(path)
+        except CacoreError as exc:
+            value = str(exc)
+        return value, main(["validate", str(path)]), capsys.readouterr()
+
+    path = tmp_path / name
+    path.write_bytes(data)
+    value, code, (out, err) = got = outcome(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        head = io.TextIOWrapper(io.BytesIO(data[: exc.start]), encoding="utf-8").read()
+        line = head.count("\n") + 1  # the bad byte's line, as text mode counts it
+        assert f"line {line}" in message
+    else:  # the outcome of read_text's text, which holds no "\r" left to translate
+        plain = tmp_path / "plain" / name
+        plain.parent.mkdir()
+        plain.write_bytes(text.encode("utf-8"))
+        assert "\r" not in text and outcome(plain) == got
+    if message is None:
+        assert not isinstance(value, str) and code == 0 and out.endswith(" ok\n") and err == ""
+    else:
+        assert value == message and code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_main_parses_cleanly_after_a_usage_error(tmp_path, capsys):

@@ -148,12 +148,12 @@ def test_unpassed_keyword_is_named(tmp_path):
     assert unpassed_keywords(tmp_path) == ["mod.f.unused", "mod.C.m.flag"]
 
 
-def _outside_ir(package, found) -> list[str]:
-    """``module:line`` of each node outside ``ir.py`` for which ``found(node)`` holds."""
+def _outside(home: str, package, found) -> list[str]:
+    """``module:line`` of each node outside ``home.py`` for which ``found(node)`` holds."""
     return [
         f"{module}:{node.lineno}"
         for module, tree in sorted(_trees(package).items())
-        if module != "ir"
+        if module != home
         for node in ast.walk(tree)
         if found(node)
     ]
@@ -166,7 +166,7 @@ def _named(node, name: str) -> bool:
 def gate_calls(package=PACKAGE) -> list[str]:
     """``module:line`` of each call to ``Gate`` outside ``ir.py``, by name or attribute.
     Annotations such as ``list[Gate]`` are not calls."""
-    return _outside_ir(package, lambda node: isinstance(node, ast.Call) and _named(node.func, "Gate"))
+    return _outside("ir", package, lambda node: isinstance(node, ast.Call) and _named(node.func, "Gate"))
 
 
 def test_only_ir_builds_gates():
@@ -192,7 +192,7 @@ def gate_table_names(package=PACKAGE) -> list[str]:
         imported = isinstance(node, ast.ImportFrom) and any(a.name == "_SHARED" for a in node.names)
         return imported or _named(node, "_SHARED")
 
-    return _outside_ir(package, found)
+    return _outside("ir", package, found)
 
 
 def test_only_ir_reads_the_gate_table():
@@ -210,6 +210,32 @@ def test_gate_table_name_is_found(tmp_path):
     )
     (tmp_path / "ir.py").write_text("_SHARED = {}\n", encoding="utf-8")
     assert gate_table_names(tmp_path) == ["mod:1", "mod:4"]
+
+
+def file_reads(package=PACKAGE) -> list[str]:
+    """``module:line`` of each name or attribute ``read_text`` or ``read_bytes`` outside
+    ``errors.py``, whose ``read_utf8`` reads every input file."""
+    def found(node) -> bool:
+        return _named(node, "read_text") or _named(node, "read_bytes")
+
+    return _outside("errors", package, found)
+
+
+def test_only_errors_reads_files():
+    # a second reader could drift from read_text's newlines or the bad-byte line count
+    assert file_reads() == []
+
+
+def test_file_read_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from pathlib import Path\n"
+        "def load(path):\n"
+        "    return Path(path).read_text(encoding='utf-8') + read_utf8(path, error)\n"
+        "raw = Path.read_bytes\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "errors.py").write_text("def read_utf8(path, error):\n    return path.read_bytes()\n")
+    assert sorted(file_reads(tmp_path)) == ["mod:3", "mod:4"]
 
 
 # What built the routed gates: a verifier that read any of it would check the

@@ -1,25 +1,31 @@
 """The record types that are not dataclasses keep the dataclass contract, and
 ``import cacore`` stays free of what it does not use.
 
-``Gate`` and ``NoiseParams`` (``ir.Frozen`` records) and ``BenchmarkReport``
-are written by hand; ``CorrelationMatrix`` and ``RouteMetrics`` are
-``NamedTuple``s. Their constructors, ``repr`` text, ``==``, ``hash`` and
-immutability are those of the dataclasses they replaced.
+``Gate``, ``NoiseParams`` and ``BenchmarkReport`` are ``ir.Record``s, whose
+``repr`` and ``==`` read ``vars(self)``: the fields ``__init__`` stores, in its
+parameter order. ``Gate`` and ``NoiseParams`` are also ``ir.Frozen``, which adds
+``hash`` and immutability; ``BenchmarkReport`` stays mutable and unhashable.
+``CorrelationMatrix`` and ``RouteMetrics`` are ``NamedTuple``s. Their
+constructors, ``repr`` text, ``==``, ``hash`` and immutability are those of the
+dataclasses they replaced.
 """
 
+import inspect
 import json
 import math
 import pickle
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 import pytest
 
 from cacore.analysis import CorrelationMatrix
-from cacore.bench import BenchmarkReport, NoiseParams
-from cacore.ir import Gate, GateKind
-from cacore.routing import RouteMetrics
+from cacore.bench import BenchmarkReport, NoiseParams, gen_random_circuit, run_comparison
+from cacore.ir import Frozen, Gate, GateKind
+from cacore.routing import RouteMetrics, route_circuit
+from cacore.topology import builtin_topology
 
 from conftest import SRC_DIR
 
@@ -133,3 +139,36 @@ def test_route_metrics_as_dict_keeps_the_field_order():
         ("depth", 1), ("total_gates", 2), ("one_qubit_gates", 3),
         ("two_qubit_gates", 4), ("swap_count", 5), ("total_swap_gates", 6),
     ]
+
+
+def stores_only_its_init_fields(record) -> bool:
+    """Whether ``vars(record)``, which ``Record`` reads for ``repr``, ``==`` and
+    ``hash``, holds just the ``__init__`` parameters, in their order."""
+    return list(vars(record)) == list(inspect.signature(type(record)).parameters)
+
+
+def test_records_store_only_their_init_fields_in_order():
+    circuit, line = gen_random_circuit(4, 20, seed=0), builtin_topology("line(4)")
+    report = run_comparison([circuit], [line], [NoiseParams(0.001)])
+    routed = route_circuit(circuit, line).routed
+    records = [*circuit.gates, *routed.gates, Gate(GateKind.RZ, (0,), 0.5), NoiseParams(-0.0)]
+    for record in [*records, report, BenchmarkReport({})]:
+        assert repr(record) and record == record
+        if isinstance(record, Frozen):
+            hash(record)
+        assert stores_only_its_init_fields(record), record
+
+
+class _Cached(Gate):
+    @cached_property  # writes the instance __dict__ past Frozen.__setattr__
+    def width(self) -> int:
+        return len(self.qubits)
+
+
+def test_a_cached_attribute_is_found():
+    gate = _Cached(GateKind.CNOT, (0, 1))
+    assert stores_only_its_init_fields(gate) and gate.width == 2
+    assert not stores_only_its_init_fields(gate)
+    # what the guard keeps out: the cached value is now a field of repr, == and hash
+    assert repr(gate).endswith("param=None, width=2)") and gate != _Cached(GateKind.CNOT, (0, 1))
+    assert hash(gate) == hash((GateKind.CNOT, (0, 1), None, 2))
