@@ -8,17 +8,15 @@ source circuit counts as a single interaction, the same as a CNOT.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .ir import TWO_QUBIT_KINDS, Circuit
 
 
-class CorrelationMatrix(NamedTuple):
-    """Symmetric qubit-pair interaction counts, stored once per pair (i < j)."""
+class CorrelationMatrix(namedtuple("CorrelationMatrix", "num_qubits weights")):
+    """Symmetric qubit-pair interaction counts (``weights``), stored once per pair (i < j)."""
 
-    num_qubits: int
-    weights: dict[tuple[int, int], int]
+    __slots__ = ()
 
 
 def build_correlation(circuit: Circuit) -> CorrelationMatrix:

@@ -11,7 +11,6 @@ code relies on gate identity.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum, unique
 from functools import cached_property
 
@@ -57,31 +56,56 @@ _set = object.__setattr__  # stores a field of a Frozen record
 
 
 class Record:
-    """Fields stored once each by ``__init__``, in its parameter order, with a dataclass's
-    ``repr`` and ``==`` read from ``vars(self)``, but no decorator run at import. ``==``
-    compares field dicts, which take a value as equal to itself (a NaN angle too), as a
-    dataclass's field tuples do up to Python 3.12."""
+    """Fields named by the parameters of ``__init__`` in their order (``_fields``, read from
+    its code as the class is made), with a dataclass's ``repr`` and ``==`` read from them
+    alone, so a value cached in the instance dict enters neither. ``==`` compares field
+    tuples, which take a value as equal to itself (a NaN angle too), as a dataclass's do
+    up to Python 3.12. No decorator runs at import."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        init = vars(cls).get("__init__")
+        if init is not None:  # else the parent's fields
+            cls._fields = init.__code__.co_varnames[1 : init.__code__.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
 
 
 class Frozen(Record):
-    """A Record with a frozen dataclass's ``hash`` and immutability; ``__init__`` stores
-    each field through ``object.__setattr__``."""
+    """A Record with a frozen dataclass's ``hash`` and immutability; ``__init__`` stores each
+    field with ``object.__setattr__`` (a store into ``vars(self)`` slows every read)."""
 
     def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        return hash(self._values())
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FieldTable:
+    """``__dataclass_fields__`` of a Record copied with ``dataclasses.replace``, which runs
+    ``__init__`` (so a copy's caches start empty): made from ``_fields`` when first read."""
+
+    def __get__(self, record, cls):
+        from dataclasses import fields, make_dataclass
+        made = make_dataclass(cls.__name__, cls._fields)
+        cls.__dataclass_fields__ = {field.name: field for field in fields(made)}
+        return cls.__dataclass_fields__
 
 
 class Gate(Frozen):
@@ -134,16 +158,15 @@ def shared_gate(kind: GateKind, qubits: tuple[int, ...], param: float | None = N
     return gate
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Frozen):
     """Ordered gate list over a fixed number of logical qubits."""
 
-    num_qubits: int
-    gates: tuple[Gate, ...] = ()
-    name: str = "circuit"
+    __dataclass_fields__ = FieldTable()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+    def __init__(self, num_qubits: int, gates: tuple[Gate, ...] = (), name: str = "circuit"):
+        _set(self, "num_qubits", num_qubits)
+        _set(self, "gates", tuple(gates))
+        _set(self, "name", name)
 
     def check_qubits(self) -> None:
         """Raise DegenerateInputError if a gate names a logical qubit outside

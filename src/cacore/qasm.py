@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import QasmSyntaxError, read_utf8
 from .ir import MAX_QUBITS  # the limit on the declared registers' total
@@ -66,10 +66,7 @@ _REJECTED_STATEMENTS = {
 }
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
+_Token = namedtuple("_Token", "kind text line")
 
 
 def _lex(text: str, line: int) -> list[_Token]:

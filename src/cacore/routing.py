@@ -29,12 +29,11 @@ that of the unmatched source tail, so gates on disjoint qubits may commute.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 from .errors import DegenerateInputError, UnroutableGateError
-from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind, shared_gate
+from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, FieldTable, Gate, GateKind, Record
+from .ir import shared_gate
 from .topology import Topology
 
 
@@ -51,7 +50,10 @@ def trivial_layout(num_logical: int, num_physical: int) -> list[int | None]:
     return phys_to_log
 
 
-class RouteMetrics(NamedTuple):
+_TOTALS = "depth total_gates one_qubit_gates two_qubit_gates swap_count total_swap_gates"
+
+
+class RouteMetrics(namedtuple("RouteMetrics", _TOTALS)):
     """Routed-circuit totals. ``swap_count`` counts inserted SWAPs only;
     ``total_swap_gates`` additionally includes SWAPs already present in the
     source circuit.
@@ -62,22 +64,19 @@ class RouteMetrics(NamedTuple):
     ``asap_stats(result.routed)`` in tests/oracles.py (``total_swap_gates``
     its ``swap_count``)."""
 
-    depth: int
-    total_gates: int
-    one_qubit_gates: int
-    two_qubit_gates: int
-    swap_count: int
-    total_swap_gates: int
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, int]:
         return self._asdict()
 
 
-@dataclass
-class RoutingResult:
-    routed: Circuit
-    inserted: tuple[int, ...]  # indices of inserted SWAPs within routed.gates
-    metrics: RouteMetrics
+class RoutingResult(Record):
+    __dataclass_fields__ = FieldTable()
+
+    def __init__(self, routed: Circuit, inserted: tuple[int, ...], metrics: RouteMetrics):
+        self.routed = routed
+        self.inserted = inserted  # indices of inserted SWAPs within routed.gates
+        self.metrics = metrics
 
 
 def _toward(adjacency: dict[int, tuple[int, ...]], dst: int) -> tuple[list, list, dict]:

@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from .errors import TopologyFormatError, UnknownTopologyError, read_utf8
-from .ir import MAX_QUBITS, SHARED_KINDS, TWO_QUBIT_KINDS, GateKind
+from .ir import MAX_QUBITS, SHARED_KINDS, TWO_QUBIT_KINDS, FieldTable, Frozen, GateKind
 
 DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # each bundled as data/NAME.json
 # ASCII digits and spaces only, and nothing after the closing parenthesis
@@ -30,15 +29,21 @@ _GRID_RE = re.compile(r"grid\((\d+),\s*(\d+)\)", re.ASCII)
 BUILTIN_NAMES = (*DEVICES, "half_sycamore24", "line(n)", "grid(nrow,ncol)")
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Frozen):
     """Physical coupling map: qubits, coupler edges, optional grid positions."""
 
-    name: str
-    num_qubits: int
-    edges: tuple[tuple[int, int], ...]
-    synthetic: frozenset[tuple[int, int]] = frozenset()
-    positions: dict[int, tuple[int, int]] | None = None
+    __dataclass_fields__ = FieldTable()
+
+    def __init__(
+        self,
+        name: str,
+        num_qubits: int,
+        edges: tuple[tuple[int, int], ...],
+        synthetic: frozenset[tuple[int, int]] = frozenset(),
+        positions: dict[int, tuple[int, int]] | None = None,
+    ):
+        for field, value in zip(self._fields, (name, num_qubits, edges, synthetic, positions)):
+            object.__setattr__(self, field, value)
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Neighbor lists in ascending order, one entry per qubit.

@@ -363,6 +363,16 @@ def _straddle(head: bytes, tail: bytes) -> bytes:
     return head + b" " * (8191 - len(head)) + b"\r\n" + tail
 
 
+def _json_error(data: bytes) -> str:
+    """What ``load_topology`` says of JSON ``data``, which ``json.loads`` rejects: in the
+    running interpreter's words and line, as 3.13 names a trailing comma on its own line
+    where earlier versions ask for a property name on the next."""
+    with pytest.raises(json.JSONDecodeError) as caught:
+        json.loads(data.decode("utf-8").replace("\r\n", "\n"))
+    return f"invalid JSON: {caught.value.msg} (at line {caught.value.lineno})"
+
+
+_STRADDLE_JSON = _straddle(b'{"name": "t",', b'"num_qubits": 2,\n"edges": [[0, 1]],\n}')
 _READ_CASES = [
     ("cr.qasm", b"qreg q[2];\rh q[0];\rfoo q[0];\rh q[1];\r", "line 3: unsupported gate 'foo'"),
     ("crcrlf.qasm", b"qreg q[2];\r\r\nh q[0];\r\r\nfoo q[0];\r", "line 5: unsupported gate 'foo'"),
@@ -375,8 +385,7 @@ _READ_CASES = [
     ("cr.json", b'{"name": "t",\r"num_qubits": 2,\r"edges": [[0, 1]] x\r}',
      "invalid JSON: Expecting ',' delimiter (at line 3)"),
     ("trailing.json", b'{"name": "t",\r\r\n"num_qubits": 2,\r\n"edges": [[0, 1]]}\r', None),
-    ("straddle.json", _straddle(b'{"name": "t",', b'"num_qubits": 2,\n"edges": [[0, 1]],\n}'),
-     "invalid JSON: Expecting property name enclosed in double quotes (at line 4)"),
+    ("straddle.json", _STRADDLE_JSON, _json_error(_STRADDLE_JSON)),
     ("bom.json", b'\xef\xbb\xbf{"name": "t", "num_qubits": 2, "edges": [[0, 1]]}',
      "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (at line 1)"),
     ("cr-byte.json", b'{"name": "t",\r"num_qubits": 2,\r\xfe"edges": [[0, 1]]}',
@@ -432,8 +441,16 @@ def test_main_parses_cleanly_after_a_usage_error(tmp_path, capsys):
     assert load_topology(topology).num_qubits == 4
 
 
+# ``-I`` ignores PYTHONPATH, so an isolated child puts ``src`` on its path itself and
+# then runs the module as ``-m`` runs it.
+_ISOLATED_MAIN = """import runpy, sys
+sys.path.insert(0, sys.argv.pop(1))
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
 @pytest.mark.parametrize("module", ["cacore", "cacore.cli"])
-def test_python_dash_m_runs_the_cli(tmp_path, module):
+def test_python_dash_m_runs_the_cli(tmp_path, capsys, module):
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
 
     def run(*argv):
@@ -452,6 +469,32 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert "Traceback" not in failed.stderr
     assert len([line for line in failed.stderr.splitlines() if "error:" in line]) == 1
     assert not bad.exists()
+
+    # synth then route as ``python -I`` children, the path that never loads
+    # dataclasses, print and write the bytes that main does in process
+    topology, metrics, routed = (str(tmp_path / name) for name in ("t.json", "m.json", "r.qasm"))
+    commands = [
+        ["synth", FIGURE, "-o", topology],
+        ["route", FIGURE, "-t", topology, "--metrics", metrics, "--routed-qasm", routed],
+    ]
+    children = []
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", _ISOLATED_MAIN, str(SRC_DIR), module, *argv],
+            capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        children.append(done.stdout)
+    written = [Path(path).read_bytes() for path in (topology, metrics, routed)]
+    capsys.readouterr()
+    in_process = []
+    for argv in commands:
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        in_process.append(out.encode("utf-8"))
+    assert children == in_process
+    assert written == [Path(path).read_bytes() for path in (topology, metrics, routed)]
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,19 @@
-"""The record types that are not dataclasses keep the dataclass contract, and
-``import cacore`` stays free of what it does not use.
+"""The record types keep the dataclass contract, and ``import cacore`` stays free of
+what it does not use.
 
-``Gate``, ``NoiseParams`` and ``BenchmarkReport`` are ``ir.Record``s, whose
-``repr`` and ``==`` read ``vars(self)``: the fields ``__init__`` stores, in its
-parameter order. ``Gate`` and ``NoiseParams`` are also ``ir.Frozen``, which adds
-``hash`` and immutability; ``BenchmarkReport`` stays mutable and unhashable.
-``CorrelationMatrix`` and ``RouteMetrics`` are ``NamedTuple``s. Their
-constructors, ``repr`` text, ``==``, ``hash`` and immutability are those of the
-dataclasses they replaced.
+``Gate``, ``NoiseParams``, ``BenchmarkReport``, ``Circuit``, ``Topology`` and
+``RoutingResult`` are ``ir.Record``s: ``repr`` and ``==`` read the fields named by the
+``__init__`` parameters (``_fields``), so a value cached in the instance dict, such as
+``Circuit._stray_qubit`` or ``Topology._routing``, enters neither. ``Gate``,
+``NoiseParams``, ``Circuit`` and ``Topology`` are also ``ir.Frozen``, which adds ``hash``
+and immutability; ``BenchmarkReport`` and ``RoutingResult`` stay mutable and unhashable.
+``Circuit``, ``Topology`` and ``RoutingResult`` also answer ``dataclasses.replace``
+through ``__dataclass_fields__``, built when first read. ``CorrelationMatrix`` and
+``RouteMetrics`` are namedtuple subclasses. Their constructors, ``repr`` text, ``==``,
+``hash`` and immutability are those of the dataclasses they replaced.
 """
 
+import dataclasses
 import inspect
 import json
 import math
@@ -23,39 +27,55 @@ import pytest
 
 from cacore.analysis import CorrelationMatrix
 from cacore.bench import BenchmarkReport, NoiseParams, gen_random_circuit, run_comparison
-from cacore.ir import Frozen, Gate, GateKind
-from cacore.routing import RouteMetrics, route_circuit
-from cacore.topology import builtin_topology
+from cacore.ir import Circuit, Frozen, Gate, GateKind
+from cacore.qasm import parse_qasm_file
+from cacore.routing import RouteMetrics, RoutingResult, route_circuit
+from cacore.topology import Topology, builtin_topology
 
-from conftest import SRC_DIR
+from conftest import DATA_DIR, SRC_DIR
 
-# Run under ``python -I -S``: no site hook preloads a module, so every module
-# the import needs shows up as new.
+# Run under ``python -I -S``: no site hook preloads a module, so every module each
+# step needs shows up as new. The module sets are taken before anything reads a
+# ``__dataclass_fields__``, which loads ``dataclasses``.
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
+new = {}
 import cacore
-import json
+new["cacore"] = sorted(set(sys.modules) - before)
+from cacore import cli
+new["cacore.cli"] = sorted(set(sys.modules) - before)
+topology = sys.argv[3] + "/t.json"
+codes = [
+    cli.main(["synth", sys.argv[2], "-o", topology]),
+    cli.main(["route", sys.argv[2], "-t", topology]),
+]
+new["synth, route"] = sorted(set(sys.modules) - before)
+import dataclasses, json
 modules = [module for name, module in sys.modules.items() if name.startswith("cacore.")]
-dataclasses = {
+found = {
     name
     for module in modules
     for name, value in vars(module).items()
     if isinstance(value, type) and value.__module__ == module.__name__
-    and hasattr(value, "__dataclass_fields__")
+    and dataclasses.is_dataclass(value)
 }
-print(json.dumps({"dataclasses": sorted(dataclasses), "new": sorted(set(sys.modules) - before)}))
+print(json.dumps({"dataclasses": sorted(found), "new": new, "codes": codes}))
 """
+
+# What ``import dataclasses`` loaded with it, and ``typing``: none is needed to run.
+_UNUSED = ("dataclasses", "inspect", "typing", "ast", "dis")
 
 
 @pytest.fixture(scope="module")
-def imported():
+def imported(tmp_path_factory):
+    figure, out = DATA_DIR / "figure6.qasm", tmp_path_factory.mktemp("probe")
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _IMPORT_PROBE, str(SRC_DIR)],
+        [sys.executable, "-I", "-S", "-c", _IMPORT_PROBE, str(SRC_DIR), str(figure), str(out)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    return json.loads(done.stdout)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_only_the_types_copied_with_replace_are_dataclasses(imported):
@@ -65,8 +85,20 @@ def test_only_the_types_copied_with_replace_are_dataclasses(imported):
 
 def test_import_loads_every_submodule_and_no_resource_machinery(imported):
     submodules = ("analysis", "bench", "errors", "ir", "qasm", "routing", "synthesis", "topology")
-    assert {f"cacore.{name}" for name in submodules} <= set(imported["new"])
-    assert {"importlib.resources", "tempfile", "shutil"}.isdisjoint(imported["new"])
+    assert {f"cacore.{name}" for name in submodules} <= set(imported["new"]["cacore"])
+    assert {"importlib.resources", "tempfile", "shutil"}.isdisjoint(imported["new"]["cacore"])
+
+
+@pytest.mark.parametrize("step", ["cacore", "cacore.cli", "synth, route"])
+def test_import_and_the_file_flow_load_no_dataclasses_inspect_or_typing(imported, step):
+    assert imported["codes"] == [0, 0]
+    assert set(_UNUSED).isdisjoint(imported["new"][step]), step
+
+
+_CX = "Gate(kind=<GateKind.CNOT: 'cx'>, qubits=(0, 2), param=None)"
+_RZ = "Gate(kind=<GateKind.RZ: 'rz'>, qubits=(1,), param=0.5)"
+_TINY = Circuit(3, [Gate(GateKind.CNOT, (0, 2)), Gate(GateKind.RZ, (1,), 0.5)], "tiny")
+_PAIR = Topology("pair", 3, ((0, 1), (1, 2)), frozenset({(1, 2)}), {0: (0, 0), 1: (0, 1), 2: (1, 1)})
 
 
 @pytest.mark.parametrize(
@@ -86,8 +118,30 @@ def test_import_loads_every_submodule_and_no_resource_machinery(imported):
             "BenchmarkReport(config={'seeds': [0]}, rows=[{'depth': 1}], skips=[], failures=[], "
             "aggregates=[])",
         ),
+        (_TINY, f"Circuit(num_qubits=3, gates=({_CX}, {_RZ}), name='tiny')"),
+        (Circuit(1), "Circuit(num_qubits=1, gates=(), name='circuit')"),
+        (
+            _PAIR,
+            "Topology(name='pair', num_qubits=3, edges=((0, 1), (1, 2)), "
+            "synthetic=frozenset({(1, 2)}), positions={0: (0, 0), 1: (0, 1), 2: (1, 1)})",
+        ),
+        (
+            Topology("l", 2, ((0, 1),)),
+            "Topology(name='l', num_qubits=2, edges=((0, 1),), synthetic=frozenset(), positions=None)",
+        ),
+        (
+            route_circuit(_TINY, _PAIR),
+            "RoutingResult(routed=Circuit(num_qubits=3, gates=(Gate(kind=<GateKind.SWAP: 'swap'>, "
+            "qubits=(0, 1), param=None), Gate(kind=<GateKind.CNOT: 'cx'>, qubits=(1, 2), "
+            "param=None), Gate(kind=<GateKind.RZ: 'rz'>, qubits=(0,), param=0.5)), "
+            "name='tiny@pair'), inserted=(0,), metrics=RouteMetrics(depth=2, total_gates=3, "
+            "one_qubit_gates=1, two_qubit_gates=2, swap_count=1, total_swap_gates=1))",
+        ),
     ],
-    ids=["gate-angle", "gate", "noise", "correlation", "metrics", "report"],
+    ids=[
+        "gate-angle", "gate", "noise", "correlation", "metrics", "report",
+        "circuit", "empty-circuit", "topology", "plain-topology", "routing-result",
+    ],
 )
 def test_repr_is_the_dataclass_text(record, text):
     assert repr(record) == text
@@ -142,9 +196,10 @@ def test_route_metrics_as_dict_keeps_the_field_order():
 
 
 def stores_only_its_init_fields(record) -> bool:
-    """Whether ``vars(record)``, which ``Record`` reads for ``repr``, ``==`` and
-    ``hash``, holds just the ``__init__`` parameters, in their order."""
-    return list(vars(record)) == list(inspect.signature(type(record)).parameters)
+    """Whether ``vars(record)`` holds just the ``__init__`` parameters, in their order,
+    and ``_fields``, which ``Record`` reads for ``repr``, ``==`` and ``hash``, names them."""
+    parameters = list(inspect.signature(type(record)).parameters)
+    return list(vars(record)) == parameters == list(type(record)._fields)
 
 
 def test_records_store_only_their_init_fields_in_order():
@@ -165,10 +220,74 @@ class _Cached(Gate):
         return len(self.qubits)
 
 
-def test_a_cached_attribute_is_found():
-    gate = _Cached(GateKind.CNOT, (0, 1))
-    assert stores_only_its_init_fields(gate) and gate.width == 2
-    assert not stores_only_its_init_fields(gate)
-    # what the guard keeps out: the cached value is now a field of repr, == and hash
-    assert repr(gate).endswith("param=None, width=2)") and gate != _Cached(GateKind.CNOT, (0, 1))
-    assert hash(gate) == hash((GateKind.CNOT, (0, 1), None, 2))
+def test_a_cached_attribute_never_enters_repr_eq_or_hash():
+    gate, fresh = _Cached(GateKind.CNOT, (0, 1)), _Cached(GateKind.CNOT, (0, 1))
+    assert gate.width == 2 and "width" in vars(gate) and "width" not in vars(fresh)
+    assert repr(gate) == repr(fresh) == "_Cached(kind=<GateKind.CNOT: 'cx'>, qubits=(0, 1), param=None)"
+    assert gate == fresh and hash(gate) == hash(fresh) == hash((GateKind.CNOT, (0, 1), None))
+    # the circuit's range scan and the topology's routing tables, once filled
+    circuit, topology = _figure(), _chain()
+    text, value = repr(circuit), hash(circuit)
+    result = route_circuit(circuit, topology)
+    assert {"_stray_qubit", "_routing"} <= {*vars(circuit), *vars(topology)}
+    assert (repr(circuit), hash(circuit)) == (text, value)
+    assert repr(topology) == (
+        "Topology(name='chain', num_qubits=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), "
+        "synthetic=frozenset(), positions=None)"
+    )
+    assert circuit == Circuit(circuit.num_qubits, circuit.gates, circuit.name)
+    assert topology == Topology(topology.name, topology.num_qubits, topology.edges)
+    assert hash(topology) == hash((topology.name, 6, topology.edges, frozenset(), None))
+    assert result == RoutingResult(result.routed, result.inserted, result.metrics)
+
+
+def _chain() -> Topology:
+    """Six qubits in a line and no positions, so the topology hashes."""
+    return Topology("chain", 6, tuple((q, q + 1) for q in range(5)))
+
+
+def _figure() -> Circuit:
+    """The figure circuit, parsed afresh: the parser marks it in range (``_stray_qubit``)."""
+    return parse_qasm_file(DATA_DIR / "figure6.qasm")
+
+
+def test_the_field_tables_name_the_init_parameters():
+    for record in (Circuit, Topology, RoutingResult):
+        assert dataclasses.is_dataclass(record)
+        names = [field.name for field in dataclasses.fields(record)]
+        assert names == list(record._fields) == list(inspect.signature(record).parameters)
+
+
+def test_replace_gives_an_equal_copy_with_empty_caches():
+    circuit, topology = _figure(), _chain()
+    result = route_circuit(circuit, topology)
+    for record, cache in ((circuit, "_stray_qubit"), (topology, "_routing"), (result, None)):
+        copy = dataclasses.replace(record)
+        assert type(copy) is type(record) and copy == record and copy is not record
+        assert repr(copy) == repr(record)
+        if cache is not None:
+            assert cache in vars(record) and cache not in vars(copy)
+            assert hash(copy) == hash(record)
+    shorter = dataclasses.replace(circuit, gates=circuit.gates[:3], name="head")
+    assert shorter == Circuit(circuit.num_qubits, circuit.gates[:3], "head")
+    assert dataclasses.replace(result, inserted=()).inserted == () and result.inserted
+
+
+@pytest.mark.parametrize("record", [_figure(), builtin_topology("line(3)")], ids=["circuit", "topology"])
+def test_circuit_and_topology_fields_are_frozen(record):
+    for name in type(record)._fields:
+        value = getattr(record, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+
+def test_routing_result_stays_mutable_and_unhashable():
+    result = route_circuit(_figure(), builtin_topology("line(6)"))
+    with pytest.raises(TypeError):
+        hash(result)
+    inserted = result.inserted
+    result.inserted = ()
+    assert result.inserted == () and result != dataclasses.replace(result, inserted=inserted)
