@@ -14,14 +14,6 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import (
-    NoiseParams,
-    check_baseline_names,
-    check_error_rates,
-    emit_report,
-    gen_random_circuit,
-    run_comparison,
-)
 from .errors import (
     CacoreError,
     QasmSyntaxError,
@@ -111,6 +103,7 @@ def _parse_formats(text: str) -> list[str]:
 
 
 def _parse_noise(text: str) -> list[NoiseParams]:
+    from .bench import NoiseParams, check_error_rates  # bench, csv and random: bench and gen only
     try:
         noise = [NoiseParams(float(eps)) for eps in text.split(",") if eps.strip()]
         check_error_rates(noise)
@@ -217,6 +210,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .bench import gen_random_circuit
     circuit = gen_random_circuit(args.qubits, args.gates, args.seed)
     Path(args.output).write_text(to_qasm(circuit), encoding="utf-8")
     print(f"wrote {circuit.name} ({len(circuit.gates)} gates) to {args.output}")
@@ -224,6 +218,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import check_baseline_names, emit_report, gen_random_circuit, run_comparison
     seeds = list(range(args.seeds))
     baselines = [_resolve_topology(name) for name in _split_names(args.baselines)]
     try:

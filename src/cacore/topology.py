@@ -45,6 +45,9 @@ class Topology(Frozen):
         for field, value in zip(self._fields, (name, num_qubits, edges, synthetic, positions)):
             object.__setattr__(self, field, value)
 
+    def __hash__(self):  # fields that == compares, less the positions dict
+        return hash((self.name, self.num_qubits, self.edges, self.synthetic))
+
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Neighbor lists in ascending order, one entry per qubit.
 

@@ -253,15 +253,16 @@ def test_criterion_8_complexity_scaling():
     sizes = range(8, 34)
     circuits = [gen_random_circuit(n, 2000, seed=7) for n in sizes]
     xs = [n * n + len(build_correlation(c).weights) for n, c in zip(sizes, circuits)]
-    # Each round times every n once, so a slow spell of a shared machine
-    # (100-800 ms here) never covers a run of consecutive n alone, and it
-    # raises an n's minimum only if it lasts through all 60 rounds (about 1 s).
+    # The thread's own CPU time leaves out the spells in which other processes
+    # hold the CPU. Each round times every n once, so a slow spell of a shared
+    # machine (100-800 ms here) never covers a run of consecutive n alone, and
+    # it raises an n's minimum only if it lasts through all 60 rounds (about 1 s).
     ys = [math.inf] * len(circuits)
     for _ in range(60):
         for i, circuit in enumerate(circuits):
-            start = time.perf_counter()
+            start = time.thread_time()
             synthesize_topology(circuit)
-            ys[i] = min(ys[i], time.perf_counter() - start)
+            ys[i] = min(ys[i], time.thread_time() - start)
 
     r_squared = _r_squared(xs, ys)
     _report(8, "synthesis time fits n^2 + E", r_squared >= 0.8, f"R^2 = {r_squared:.3f}")

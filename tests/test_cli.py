@@ -168,7 +168,7 @@ def test_bench_baselines_sharing_a_report_label_are_usage_errors(tmp_path, capsy
     def no_circuits(*args):
         raise AssertionError("generated circuits before the labels were checked")
 
-    monkeypatch.setattr("cacore.cli.gen_random_circuit", no_circuits)
+    monkeypatch.setattr("cacore.bench.gen_random_circuit", no_circuits)
     ca = tmp_path / "ca.json"
     cairo = builtin_topology("cairo27")
     save_topology(Topology("ca_core", cairo.num_qubits, cairo.edges), ca)
@@ -187,7 +187,7 @@ def test_bench_rates_sharing_a_fidelity_column_are_usage_errors(tmp_path, capsys
     def no_circuits(*args):
         raise AssertionError("generated circuits before the rates were checked")
 
-    monkeypatch.setattr("cacore.cli.gen_random_circuit", no_circuits)
+    monkeypatch.setattr("cacore.bench.gen_random_circuit", no_circuits)
     out = tmp_path / "bench"
     code = main(["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", rates,
                  "-o", str(out)])
@@ -202,7 +202,7 @@ def test_bench_output_naming_a_file_fails_before_any_circuit_is_generated(tmp_pa
     def no_circuits(*args):
         raise AssertionError("generated circuits before the output directory was made")
 
-    monkeypatch.setattr("cacore.cli.gen_random_circuit", no_circuits)
+    monkeypatch.setattr("cacore.bench.gen_random_circuit", no_circuits)
     out = tmp_path / "report"
     out.write_text("kept\n", encoding="utf-8")
     code = main(["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "-o", str(out)])

@@ -14,10 +14,10 @@ A keyword-only parameter with a default must be passed by name, by its
 function's name or attribute, in some call in the package; one that no call
 sets is an option no caller uses.
 
-Re-exports in ``__init__.py`` do not count, and neither do strings or
-comments, which ``ast`` never shows as references. A method that overrides
-one of a base class (``_Parser.error``) is called through the base class, so
-it counts as referenced.
+Re-exports in ``__init__.py`` do not count: its table names them in
+strings, and ``ast`` never shows strings or comments as references. A method
+that overrides one of a base class (``_Parser.error``) is called through the
+base class, so it counts as referenced.
 """
 
 import ast
@@ -27,8 +27,8 @@ from collections import Counter
 from conftest import SRC_DIR
 
 PACKAGE = SRC_DIR / "cacore"
-# Read by packaging tools, never by the package itself.
-ALLOWED = {"__version__"}
+# Read by packaging tools or by the import system, never by the package itself.
+ALLOWED = {"__version__", "__all__", "__getattr__"}
 # The references that keep each kind of definition alive.
 USES = {"definition": ("name", "attribute"), "method": ("attribute",), "field": ("read",)}
 
@@ -81,13 +81,12 @@ def _trees(package) -> dict[str, ast.Module]:
 def unreferenced(package=PACKAGE) -> list[str]:
     trees = _trees(package)
     counts = Counter()
-    for module, tree in trees.items():
-        if module != "__init__":
-            counts += _references(tree)
+    for tree in trees.values():
+        counts += _references(tree)
     dead = []
     for module, tree in sorted(trees.items()):
         for qualified, name, kind, node in _definitions(module, tree):
-            inside = _references(node) if module != "__init__" else Counter()
+            inside = _references(node)
             uses = sum(counts[how, name] - inside[how, name] for how in USES[kind])
             if name not in ALLOWED and uses <= 0:
                 dead.append(f"{module}.{qualified}")

@@ -11,9 +11,13 @@ and immutability; ``BenchmarkReport`` and ``RoutingResult`` stay mutable and unh
 through ``__dataclass_fields__``, built when first read. ``CorrelationMatrix`` and
 ``RouteMetrics`` are namedtuple subclasses. Their constructors, ``repr`` text, ``==``,
 ``hash`` and immutability are those of the dataclasses they replaced.
+
+``import cacore`` loads no submodule: each re-export, and each submodule read as an
+attribute, is imported when first read.
 """
 
 import dataclasses
+import importlib
 import inspect
 import json
 import math
@@ -25,11 +29,13 @@ from functools import cached_property
 
 import pytest
 
+import cacore
 from cacore.analysis import CorrelationMatrix
 from cacore.bench import BenchmarkReport, NoiseParams, gen_random_circuit, run_comparison
 from cacore.ir import Circuit, Frozen, Gate, GateKind
 from cacore.qasm import parse_qasm_file
 from cacore.routing import RouteMetrics, RoutingResult, route_circuit
+from cacore.synthesis import synthesize_topology
 from cacore.topology import Topology, builtin_topology
 
 from conftest import DATA_DIR, SRC_DIR
@@ -44,6 +50,9 @@ sys.path.insert(0, sys.argv[1])
 new = {}
 import cacore
 new["cacore"] = sorted(set(sys.modules) - before)
+for name in ("almaden20", "cairo27", "prague33", "sycamore53"):  # the devices bench_grid loads
+    cacore.builtin_topology(name)
+new["builtin_topology"] = sorted(set(sys.modules) - before)
 from cacore import cli
 new["cacore.cli"] = sorted(set(sys.modules) - before)
 topology = sys.argv[3] + "/t.json"
@@ -52,6 +61,7 @@ codes = [
     cli.main(["route", sys.argv[2], "-t", topology]),
 ]
 new["synth, route"] = sorted(set(sys.modules) - before)
+cacore.bench  # a submodule read as an attribute loads, so the search below sees it
 import dataclasses, json
 modules = [module for name, module in sys.modules.items() if name.startswith("cacore.")]
 found = {
@@ -83,16 +93,86 @@ def test_only_the_types_copied_with_replace_are_dataclasses(imported):
     assert imported["dataclasses"] == ["Circuit", "RoutingResult", "Topology"]
 
 
-def test_import_loads_every_submodule_and_no_resource_machinery(imported):
-    submodules = ("analysis", "bench", "errors", "ir", "qasm", "routing", "synthesis", "topology")
-    assert {f"cacore.{name}" for name in submodules} <= set(imported["new"]["cacore"])
+def _loaded(imported, step) -> list[str]:
+    return [name for name in imported["new"][step] if name.split(".")[0] == "cacore"]
+
+
+def test_import_loads_no_submodule_and_no_resource_machinery(imported):
+    assert _loaded(imported, "cacore") == ["cacore"]
     assert {"importlib.resources", "tempfile", "shutil"}.isdisjoint(imported["new"]["cacore"])
 
 
-@pytest.mark.parametrize("step", ["cacore", "cacore.cli", "synth, route"])
+def test_builtin_devices_load_only_ir_errors_and_topology(imported):
+    loaded = _loaded(imported, "builtin_topology")
+    assert loaded == ["cacore", "cacore.errors", "cacore.ir", "cacore.topology"]
+    assert "json" in imported["new"]["builtin_topology"]
+    assert "csv" not in imported["new"]["builtin_topology"]
+
+
+def test_synth_and_route_load_neither_bench_nor_csv_nor_random(imported):
+    assert imported["codes"] == [0, 0]
+    assert {"cacore.bench", "csv", "random"}.isdisjoint(imported["new"]["synth, route"])
+
+
+@pytest.mark.parametrize("step", ["cacore", "builtin_topology", "cacore.cli", "synth, route"])
 def test_import_and_the_file_flow_load_no_dataclasses_inspect_or_typing(imported, step):
     assert imported["codes"] == [0, 0]
     assert set(_UNUSED).isdisjoint(imported["new"][step]), step
+
+
+# What ``from cacore import X`` gave when ``import cacore`` imported every module.
+_REEXPORTS = {
+    "analysis": ["CorrelationMatrix", "build_correlation"],
+    "bench": ["BenchmarkReport", "NoiseParams", "emit_report", "estimate_fidelity",
+              "gen_random_circuit", "run_comparison"],
+    "errors": ["CacoreError", "DegenerateInputError", "QasmSyntaxError", "TopologyFormatError",
+               "UnknownTopologyError", "UnroutableGateError"],
+    "ir": ["Circuit", "Gate", "GateKind"],
+    "qasm": ["parse_qasm", "parse_qasm_file", "to_qasm"],
+    "routing": ["RouteMetrics", "RoutingResult", "route_circuit", "trivial_layout", "verify_routing"],
+    "synthesis": ["synthesize_topology"],
+    "topology": ["Topology", "builtin_topology", "grid_topology", "line_topology", "load_topology",
+                 "save_topology", "validate_topology"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(_REEXPORTS))
+def test_each_reexport_is_its_modules_object_and_is_kept(module):
+    home = importlib.import_module(f"cacore.{module}")
+    for name in _REEXPORTS[module]:
+        assert getattr(cacore, name) is getattr(home, name), name
+        assert vars(cacore)[name] is getattr(home, name), name
+
+
+def test_submodules_resolve_as_attributes():
+    for module in (*_REEXPORTS, "cli"):
+        assert getattr(cacore, module) is importlib.import_module(f"cacore.{module}")
+
+
+def test_star_import_binds_the_names_of_the_eager_import():
+    namespace = {}
+    exec("from cacore import *", namespace)
+    names = {name for names in _REEXPORTS.values() for name in names} | set(_REEXPORTS)
+    assert len(names) == 41 and set(namespace) - {"__builtins__"} == names
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "MAX_QUBITS", "__wrapped__"])
+def test_an_unknown_attribute_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"module 'cacore' has no attribute '{name}'"):
+        getattr(cacore, name)
+    assert not hasattr(cacore, name)
+    with pytest.raises(ImportError):
+        exec(f"from cacore import {name}", {})
+
+
+def test_every_topology_hashes_and_equal_topologies_hash_equal():
+    line, grid = builtin_topology("line(6)"), builtin_topology("grid(2,3)")
+    synthesized = synthesize_topology(_figure())
+    copy = dataclasses.replace(synthesized)
+    for topology in (line, grid, synthesized, copy):
+        assert topology.positions and hash(topology) == hash(Topology(*topology._values()))
+    assert copy == synthesized and hash(copy) == hash(synthesized)
+    assert len({line, grid, synthesized, copy, builtin_topology("line(6)")}) == 3
 
 
 _CX = "Gate(kind=<GateKind.CNOT: 'cx'>, qubits=(0, 2), param=None)"
@@ -237,12 +317,12 @@ def test_a_cached_attribute_never_enters_repr_eq_or_hash():
     )
     assert circuit == Circuit(circuit.num_qubits, circuit.gates, circuit.name)
     assert topology == Topology(topology.name, topology.num_qubits, topology.edges)
-    assert hash(topology) == hash((topology.name, 6, topology.edges, frozenset(), None))
+    assert hash(topology) == hash((topology.name, 6, topology.edges, frozenset()))
     assert result == RoutingResult(result.routed, result.inserted, result.metrics)
 
 
 def _chain() -> Topology:
-    """Six qubits in a line and no positions, so the topology hashes."""
+    """Six qubits in a line and no positions."""
     return Topology("chain", 6, tuple((q, q + 1) for q in range(5)))
 
 
