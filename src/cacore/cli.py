@@ -97,7 +97,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_formats(text: str) -> list[str]:
     formats = _split_names(text)
-    if not formats or not set(formats) <= {"csv", "json"}:
+    if not set(formats) <= {"csv", "json"}:
         raise argparse.ArgumentTypeError(f"expected a non-empty subset of csv,json, got {text!r}")
     return formats
 
@@ -115,9 +115,11 @@ def _parse_noise(text: str) -> list[NoiseParams]:
 
 
 def _split_names(text: str) -> list[str]:
-    """Split a comma list, keeping commas inside parentheses (grid(2,3))."""
-    names = re.split(r",(?![^(]*\))", text)
-    return [name.strip() for name in names if name.strip()]
+    """The names of a comma list, keeping commas inside parentheses (grid(2,3)); at least one."""
+    names = [name.strip() for name in re.split(r",(?![^(]*\))", text) if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one name, got {text!r}")
+    return names
 
 
 @functools.cache  # built on first use, then shared: parse_args keeps no state in it
@@ -160,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--baselines",
+        type=_split_names,
         default=",".join(DEVICES),
         help="comma-separated builtin names or topology file paths",
     )
@@ -220,7 +223,7 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import check_baseline_names, emit_report, gen_random_circuit, run_comparison
     seeds = list(range(args.seeds))
-    baselines = [_resolve_topology(name) for name in _split_names(args.baselines)]
+    baselines = [_resolve_topology(name) for name in args.baselines]
     try:
         check_baseline_names(baselines)
     except ValueError as exc:  # checked before any circuit is generated

@@ -388,7 +388,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     """
     parser = _Parser()
     gates, qubits = parser.gates, parser.qubits
-    memo: dict[str, Gate] = {}  # line -> the one param-less gate its one statement reads to
+    memo: dict[str, Gate] = {}  # line -> its one statement's gate; the text tells -0.0 from 0.0
     lines = source.split("\n")  # no token crosses a newline
     pending = parser.tokens  # a statement a line left open; read() changes it in place
     for number, line in enumerate(lines, 1):
@@ -420,8 +420,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
             gate = gates[-1]  # the one gate of a line's one statement
         else:
             gates.append(gate)
-        if gate.param is None:
-            memo[line] = gate
+        memo[line] = gate
     parser.read([], final=True)  # the tokens after the last ';'
     return Circuit(parser.num_qubits, tuple(gates), name)._in_range()  # every operand checked
 
@@ -444,30 +443,28 @@ def to_qasm(circuit: Circuit) -> str:
     Float parameters are printed via ``repr``, with ``.0`` added to an
     exponent form's mantissa, so parse -> print -> parse reproduces the
     exact gate list; a non-finite angle or a qubit outside [0, num_qubits)
-    raises ``ValueError``. Every other line is rendered once per gate object,
-    in the canonical form the parser reads without its lexer unless it is a
-    barrier or measure. A measure ``q[i]`` writes to ``c[i]``, and ``creg
-    c[num_qubits];`` is declared right after the ``qreg`` line only when the
-    circuit measures.
+    raises ``ValueError``. Each line is rendered once per gate object, a
+    rotation's too, in the canonical form the parser reads without its lexer
+    unless it is a barrier or measure. A measure ``q[i]`` writes to ``c[i]``,
+    and ``creg c[num_qubits];`` is declared right after the ``qreg`` line only
+    when the circuit measures.
     """
     n = circuit.num_qubits
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
     rendered: dict[int, str] = {}  # id(gate) -> its line; the circuit keeps every gate alive
     measured = False
     for gate in circuit.gates:
-        param = gate.param
-        line = rendered.get(id(gate)) if param is None else None
+        line = rendered.get(id(gate))
         if line is None:  # a line rendered for the first time: check what it names
-            kind, qubits = gate.kind, gate.qubits
+            kind, qubits, param = gate.kind, gate.qubits, gate.param
             for q in qubits:
                 if not 0 <= q < n:
                     raise ValueError(f"gate {len(lines) - 3}: qubit {q} is outside qreg q[{n}]")
             if param is not None:
                 if not math.isfinite(param):
                     raise ValueError(f"gate {len(lines) - 3}: angle {param!r} is not finite")
-                lines.append(f"{kind._value_}({_real(param)}) q[{qubits[0]}];")
-                continue
-            if kind is GateKind.BARRIER:
+                line = f"{kind._value_}({_real(param)}) q[{qubits[0]}];"
+            elif kind is GateKind.BARRIER:
                 line = "barrier " + ",".join(f"q[{q}]" for q in qubits) + ";"
             elif kind is GateKind.MEASURE:
                 measured = True

@@ -11,10 +11,10 @@ first route to that target: the next hop, by a BFS the smallest neighbour one
 hop closer, so the walk takes that path one SWAP per step, updating the layout
 in place (the qubit moved is always the gate's first operand); the SWAP of each
 hop, filled when the walk first takes it; and per two-qubit kind the gate from
-each neighbour of the target. Gates are immutable, so the routed circuit reuses
-a source gate whose physical qubits equal its logical ones. A rotation or barrier
-comes from ``ir.shared_gate`` each time; any other one-qubit gate from the
-topology's n-slot list for its kind, filled once.
+each neighbour of the target, the source of every routed two-qubit gate. A
+one-qubit gate other than a rotation or barrier comes from the topology's n-slot
+list for its kind, filled once. A rotation or barrier that did not move is its
+source gate; a moved one comes from ``ir.shared_gate``.
 The same walk scores the route: it keeps each physical qubit's ASAP
 finish time and the gate counts, so the metrics equal those of
 ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
@@ -160,11 +160,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             two_qubit += 1
             if kind is swap:
                 source_swaps += 1
-            if pa == a and pb == b:
-                routed.append(gate)
-                continue
             routed.append(arrivals[kind][pa])
-            continue
         elif len(qubits) == 1:
             (q,) = qubits
             p = log_to_phys[q]
@@ -172,27 +168,21 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
                 exempt += 1
             else:
                 busy[p] += 1
-            if p == q:
-                routed.append(gate)
-                continue
             table = relabeled.get(kind)  # None for a rotation or a barrier
-            if table is not None:
+            if table is None:
+                routed.append(gate if p == q else shared_gate(kind, (p,), gate.param))
+            else:
                 single = table[p]
                 if single is None:
                     single = table[p] = shared_gate(kind, (p,))
                 routed.append(single)
-                continue
-            physical = (p,)
         else:  # a barrier on several qubits: it fences them at their latest finish
             exempt += 1
             physical = tuple(map(log_to_phys.__getitem__, qubits))
             fence = max(map(busy.__getitem__, physical))
             for p in physical:
                 busy[p] = fence
-            if physical == qubits:
-                routed.append(gate)
-                continue
-        routed.append(shared_gate(kind, physical, gate.param))
+            routed.append(gate if physical == qubits else shared_gate(kind, physical))
 
     routed_circuit = Circuit(size, tuple(routed), name=f"{circuit.name}@{topology.name}")
     total = len(routed) - exempt

@@ -236,6 +236,8 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "0"], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "-5"], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", ","], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--baselines", ","], 1),
+        (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--baselines", ""], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", "0.001,0.001,1e-3"], 1),
         (["gen", "-n", "4", "--gates", "0"], 1),
         (["gen", "-n", "4", "--gates", "-3"], 1),

@@ -1,8 +1,9 @@
 """The bytes of the CLI's outputs are pinned.
 
-Each run below goes through ``cli.main``; its stdout and every file it writes are
-hashed with sha256 and compared with ``tests/data/outputs.json``. When outputs are
-meant to change, re-record the manifest with
+Each run below goes through ``cli.main`` in an output directory that first gets the
+files of ``INPUTS``. Its exit code must match; its stdout, its stderr and every file it
+writes are hashed with sha256 and compared with ``tests/data/outputs.json``. When
+outputs are meant to change, re-record the manifest with
 
     PYTHONPATH=src python tests/test_outputs.py
 
@@ -13,29 +14,66 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from cacore.cli import main
+from cacore.topology import DEVICES
 
 from conftest import DATA_DIR
 
 MANIFEST = DATA_DIR / "outputs.json"
 FIGURE = str(DATA_DIR / "figure6.qasm")
 ROUTE = ["--metrics", "{out}/metrics.json", "--routed-qasm", "{out}/routed.qasm"]
+ROUTED = ["metrics.json", "routed.qasm"]
+BENCH = ["--format", "csv,json", "-o", "{out}/bench"]
+REPORTS = ["bench/report.csv", "bench/report.json"]
 
-# (label, argv, files written under the output directory "{out}"), run in this order.
+# Files written into the output directory before the first run.
+INPUTS = {
+    "malformed.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0] q[1];\n',
+    # two components, {0, 1, 2} and {3, 4, 5}
+    "split.json": '{"name": "split6", "num_qubits": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5]]}\n',
+}
+
+# Every circuit here has at most 19 qubits, so it fits every bundled device.
+CIRCUITS = sorted(path.stem for path in DATA_DIR.glob("*.qasm"))
+
+
+def _circuit_runs(name: str) -> list:
+    """synth with and without --drop-synthetic, then route on the synthesized map (and
+    validate both of its outputs) and on every bundled device."""
+    path = str(DATA_DIR / f"{name}.qasm")
+    return [
+        (f"synth {name}", ["synth", path, "-o", f"{{out}}/{name}.json"], [f"{name}.json"], 0),
+        (f"synth {name} --drop-synthetic",
+         ["synth", path, "--drop-synthetic", "-o", f"{{out}}/{name}-drop.json"],
+         [f"{name}-drop.json"], 0),
+        (f"route {name} on its map", ["route", path, "-t", f"{{out}}/{name}.json", *ROUTE],
+         ROUTED, 0),
+        (f"validate {name} routed on its map", ["validate", "{out}/routed.qasm"], [], 0),
+        (f"validate {name} map", ["validate", f"{{out}}/{name}.json"], [], 0),
+    ] + [
+        (f"route {name} on {device}", ["route", path, "-t", device, *ROUTE], ROUTED, 0)
+        for device in DEVICES
+    ]
+
+
+# (label, argv, files written under the output directory "{out}", exit code), in run order.
 RUNS = [
-    ("gen n=8 seed=0", ["gen", "-n", "8", "--seed", "0", "-o", "{out}/gen.qasm"], ["gen.qasm"]),
-    ("gen n=20 seed=7", ["gen", "-n", "20", "--seed", "7", "-o", "{out}/gen.qasm"], ["gen.qasm"]),
-    ("synth figure6", ["synth", FIGURE, "-o", "{out}/figure6.json"], ["figure6.json"]),
-    ("route figure6 on its map", ["route", FIGURE, "-t", "{out}/figure6.json", *ROUTE],
-     ["metrics.json", "routed.qasm"]),
-    ("route figure6 on cairo27", ["route", FIGURE, "-t", "cairo27", *ROUTE],
-     ["metrics.json", "routed.qasm"]),
+    ("gen n=8 seed=0", ["gen", "-n", "8", "--seed", "0", "-o", "{out}/gen.qasm"], ["gen.qasm"], 0),
+    ("gen n=20 seed=7", ["gen", "-n", "20", "--seed", "7", "-o", "{out}/gen.qasm"], ["gen.qasm"], 0),
+    *(run for name in CIRCUITS for run in _circuit_runs(name)),
     ("bench", ["bench", "--qubits", "4..5", "--seeds", "2", "--gates", "40", "--baselines",
-               "cairo27,line(6)", "--format", "csv,json", "-o", "{out}/bench"],
-     ["bench/report.csv", "bench/report.json"]),
+               "cairo27,line(6)", *BENCH], REPORTS, 0),
+    # one failing input per exit code
+    ("bench --seeds 0", ["bench", "--seeds", "0", "-o", "{out}/unmade"], [], 1),
+    ("validate malformed.qasm", ["validate", "{out}/malformed.qasm"], [], 2),
+    ("route figure6 on split.json", ["route", FIGURE, "-t", "{out}/split.json"], [], 3),
+    ("bench on split.json", ["bench", "--qubits", "6", "--seeds", "1", "--gates", "40",
+                             "--baselines", "{out}/split.json", *BENCH], REPORTS, 4),
 ]
 
 
@@ -44,15 +82,21 @@ def _sha256(data: bytes) -> str:
 
 
 def outputs(out: Path) -> dict[str, str]:
-    """``"<label>: stdout"`` and ``"<label>: <file>"`` -> sha256, in run order. The output
-    directory's path reads as ``{out}`` in stdout."""
+    """``"<label>: stdout"``, ``"<label>: stderr"`` and ``"<label>: <file>"`` -> sha256,
+    in run order. The output directory's path reads as ``{out}`` in stdout and stderr.
+    A usage message is wrapped at 80 columns, whatever the terminal."""
+    for name, text in INPUTS.items():
+        (out / name).write_text(text, encoding="utf-8")
     hashes = {}
-    for label, argv, files in RUNS:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+    for label, argv, files, expected in RUNS:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             code = main([arg.replace("{out}", str(out)) for arg in argv])
-        assert code == 0, f"{label} exited {code}"
-        hashes[f"{label}: stdout"] = _sha256(stdout.getvalue().replace(str(out), "{out}").encode())
+        assert code == expected, f"{label} exited {code}, not {expected}: {stderr.getvalue()}"
+        for stream, text in (("stdout", stdout), ("stderr", stderr)):
+            text = text.getvalue().replace(str(out), "{out}")
+            hashes[f"{label}: {stream}"] = _sha256(text.encode())
         for name in files:
             hashes[f"{label}: {name}"] = _sha256((out / name).read_bytes())
     return hashes

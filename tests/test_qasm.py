@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import random
 import re
 import signal
@@ -374,15 +375,18 @@ def test_emit_matches_per_gate_renderer():
     rng = random.Random(20261019)
     circuits += [_with_special_angles(rng, _mixed_circuit(rng, rng.randint(2, 12)))
                  for _ in range(40)]
-    # equal gates that are distinct objects, one object repeated, and the gate table's own
+    # equal gates that are distinct objects, one object repeated (a rotation three times),
+    # and the gate table's own
     twin, shared = Gate(GateKind.CNOT, (0, 1)), shared_gate(GateKind.CNOT, (0, 1))
-    circuits.append(Circuit(3, (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (0, 1)), twin,
-                                shared, Gate(GateKind.MEASURE, (2,)), twin, shared,
+    turn = Gate(GateKind.RY, (1,), -0.75)
+    circuits.append(Circuit(3, (Gate(GateKind.CNOT, (0, 1)), turn, Gate(GateKind.CNOT, (0, 1)),
+                                twin, shared, Gate(GateKind.MEASURE, (2,)), turn, twin, shared,
                                 shared_gate(GateKind.MEASURE, (2,)), Gate(GateKind.MEASURE, (2,)),
                                 Gate(GateKind.BARRIER, (0, 2)), Gate(GateKind.BARRIER, (0, 2)),
                                 Gate(GateKind.BARRIER, (2, 0, 1)), shared_gate(GateKind.H, (1,)),
                                 Gate(GateKind.RZ, (2,), -0.0), Gate(GateKind.RZ, (2,), 0.0),
-                                Gate(GateKind.RX, (1,), 1e-05), shared_gate(GateKind.H, (1,)))))
+                                Gate(GateKind.RX, (1,), 1e-05), turn,
+                                shared_gate(GateKind.H, (1,)))))
     assert len(circuits) > 80
     for circuit in circuits:
         assert to_qasm(circuit) == plain_to_qasm(circuit)
@@ -623,15 +627,14 @@ def test_a_semicolon_in_a_comment_or_string_reads_as_the_oracle_reads_it(source)
     assert _outcome(parse_qasm, source) == _outcome(token_parse, source)
 
 
-def test_repeated_param_less_gates_are_shared_and_rotations_are_not():
-    circuit = parse_qasm(
-        "qreg q[2];\ncx q[0],q[1];\nh q[0];\nrz(0.5) q[0];\nrz(-0.0) q[1];\n"
-        "cx q[0],q[1];\nh q[0];\nrz(0.5) q[0];\nrz(0.0) q[1];\n"
-    )
-    first, again = circuit.gates[:4], circuit.gates[4:]
-    assert first[0] is again[0] and first[1] is again[1]
-    assert first[2] == again[2] and first[2] is not again[2]
-    assert [math.copysign(1.0, g.param) for g in (first[3], again[3])] == [-1.0, 1.0]
+def test_a_repeated_line_reads_to_the_gate_of_its_first_reading():
+    lines = "cx q[0],q[1];\nh q[0];\nrz(0.5) q[0];\nrz(pi/4) q[1];\nrz(-0.0) q[1];\n"
+    circuit = parse_qasm(f"qreg q[2];\n{lines}{lines}rz(0.0) q[1];\n")
+    first, again, zero = circuit.gates[:5], circuit.gates[5:10], circuit.gates[10]
+    assert all(map(operator.is_, first, again))  # rotations too, lexed or not
+    # a line's text keeps rz(0.0) and rz(-0.0) apart, with their signs
+    assert zero is not first[4] and zero == first[4]
+    assert [math.copysign(1.0, g.param) for g in (first[4], zero)] == [-1.0, 1.0]
 
 
 def test_a_second_parse_builds_only_its_rotations(gate_builds):

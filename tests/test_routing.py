@@ -108,6 +108,23 @@ def test_barrier_and_measure_are_remapped_and_preserved():
     assert verify_routing(circuit, result, topology)
 
 
+def test_a_rotation_or_barrier_that_did_not_move_is_its_source_gate():
+    """On line(4), cnot(0, 2) swaps logical 0 and 1 and leaves 2 and 3 in place:
+    every rotation or barrier on 2 and 3 only is its source gate, and one on a
+    moved qubit is a new gate on the new qubits."""
+    stay = (Gate(GateKind.RZ, (2,), 0.5), Gate(GateKind.BARRIER, (2,)), Gate(GateKind.BARRIER, (2, 3)))
+    moved = (Gate(GateKind.RZ, (0,), -0.0), Gate(GateKind.BARRIER, (0,)), Gate(GateKind.BARRIER, (0, 1, 3)))
+    circuit = Circuit(4, (cnot(0, 2), *stay, *moved))
+    topology = builtin_topology("line(4)")
+    result = route_circuit(circuit, topology)
+    assert verify_routing(circuit, result, topology)
+    routed = result.routed.gates[2:]  # after the SWAP and the CNOT
+    assert all(gate is source for gate, source in zip(routed, stay))
+    expected = (Gate(GateKind.RZ, (1,), -0.0), Gate(GateKind.BARRIER, (1,)), Gate(GateKind.BARRIER, (1, 0, 3)))
+    for gate, source, want in zip(routed[3:], moved, expected, strict=True):
+        assert gate is not source and gate == want and repr(gate.param) == repr(want.param)
+
+
 def test_verify_rejects_deleted_swap():
     circuit = Circuit(3, (cnot(0, 2),))
     topology = builtin_topology("line(3)")
@@ -756,7 +773,8 @@ def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
     """A deterministic work count: a route asks ``shared_gate`` only for gates it
     emits, plus the 2 * deg(pb) arrival gates of each target pb it builds tables
     for; every call fills one table slot, and a second route of the same circuit
-    asks for nothing."""
+    asks for nothing. With no rotation or barrier in the circuit, every routed
+    gate is a table's object, whether or not it moved."""
     calls = []
     build = shared_gate
 
@@ -773,9 +791,20 @@ def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
         kept = (g for g in mixed.gates if g.param is None and g.kind is not GateKind.BARRIER)
         circuits.append(Circuit(mixed.num_qubits, tuple(kept)))
     for circuit in circuits:
+        # fresh copies, so that no source gate is an object a table holds
+        circuit = Circuit(circuit.num_qubits, tuple(Gate(g.kind, g.qubits) for g in circuit.gates))
         old = {pb for pb, target in enumerate(targets) if target is not None}
         start = len(calls)
-        routed = route_circuit(circuit, topology).routed.gates
+        result = route_circuit(circuit, topology)
+        routed, inserted = result.routed.gates, set(result.inserted)
+        steps = {id(step) for target in filter(None, targets) for step in target[1]}
+        for index, gate in enumerate(routed):
+            kind, qubits = gate.kind, gate.qubits
+            if index in inserted:
+                assert id(gate) in steps
+            else:  # a two-qubit gate (a, b) comes from target b's arrival from a
+                table = targets[qubits[1]][2][kind] if kind in TWO_QUBIT_KINDS else relabeled[kind]
+                assert gate is table[qubits[0]]
         built = [pb for pb, target in enumerate(targets) if target is not None and pb not in old]
         emitted = {(g.kind, g.qubits) for g in routed}
         arrivals = {(kind, (nb, pb)) for pb in built for nb in adjacency[pb] for kind in TWO_QUBIT_KINDS}
