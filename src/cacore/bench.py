@@ -27,6 +27,9 @@ _ONE_QUBIT_POOL = (GateKind.H, GateKind.X, GateKind.S, GateKind.T)
 # A two-qubit gate fails five times as often as a one-qubit gate.
 TWO_QUBIT_FACTOR = 5.0
 
+# Each row metric an aggregate averages -> the key of its reduction percentage.
+_REDUCTIONS = {"depth": "depth_reduction_pct", "gates": "gate_reduction_pct", "swaps": "swap_reduction_pct"}
+
 
 def gen_random_circuit(num_qubits: int, target_gates: int, seed: int) -> Circuit:
     """Layered random circuit ``random_n{num_qubits}_s{seed}``, fully
@@ -103,12 +106,6 @@ class BenchmarkReport(Record):
 
     def to_dict(self) -> dict:
         return dict(vars(self))
-
-
-def _reduction_pct(baseline: float, ca: float) -> float:
-    if baseline == 0:
-        return 0.0
-    return (baseline - ca) / baseline * 100.0
 
 
 def _refuse_repeats(labels: list[str], what: str) -> None:
@@ -199,32 +196,29 @@ def _aggregate(rows: list[dict], baseline_names: list[str]) -> list[dict]:
     by_key: dict[tuple[int, str], list[dict]] = {}
     for row in rows:
         by_key.setdefault((row["qubits"], row["topology"]), []).append(row)
+    means = {
+        key: {m: sum(r[m] for r in group) / len(group) for m in _REDUCTIONS}
+        for key, group in by_key.items()
+    }
 
     aggregates = []
-    for qubits in sorted({row["qubits"] for row in rows}):
-        ca_rows = by_key.get((qubits, CA_CORE), [])
-        if not ca_rows:
-            continue
-        ca_means = {m: sum(r[m] for r in ca_rows) / len(ca_rows) for m in ("depth", "gates", "swaps")}
+    for qubits in sorted({qubits for qubits, topology in by_key if topology == CA_CORE}):
+        ca_means = means[qubits, CA_CORE]
         for name in baseline_names:
-            base_rows = by_key.get((qubits, name), [])
-            if not base_rows:
+            base_means = means.get((qubits, name))
+            if base_means is None:
                 continue
-            base_means = {
-                m: sum(r[m] for r in base_rows) / len(base_rows) for m in ("depth", "gates", "swaps")
+            entry = {
+                "qubits": qubits,
+                "baseline": name,
+                "samples": len(by_key[qubits, name]),
+                "baseline_mean": base_means,
+                "ca_core_mean": ca_means,
             }
-            aggregates.append(
-                {
-                    "qubits": qubits,
-                    "baseline": name,
-                    "samples": len(base_rows),
-                    "baseline_mean": base_means,
-                    "ca_core_mean": ca_means,
-                    "depth_reduction_pct": _reduction_pct(base_means["depth"], ca_means["depth"]),
-                    "gate_reduction_pct": _reduction_pct(base_means["gates"], ca_means["gates"]),
-                    "swap_reduction_pct": _reduction_pct(base_means["swaps"], ca_means["swaps"]),
-                }
-            )
+            for m, key in _REDUCTIONS.items():
+                base = base_means[m]
+                entry[key] = (base - ca_means[m]) / base * 100.0 if base else 0.0
+            aggregates.append(entry)
     return aggregates
 
 

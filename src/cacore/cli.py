@@ -254,7 +254,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_validate(args) -> int:
     path = Path(args.path)
-    if path.suffix == ".qasm":
+    if path.suffix.lower() == ".qasm":
         circuit = parse_qasm_file(path)  # parsing checks every circuit rule
         print(f"{circuit.name}: {circuit.num_qubits} qubits, {len(circuit.gates)} gates, ok")
         return EXIT_OK

@@ -90,9 +90,8 @@ class _Parser:
         self.pos = 0
         # register name -> (offset, size); declaration order fixes offsets
         self.registers: dict[str, tuple[int, int]] = {}
-        self.qubits: dict[str, int] = {}  # "reg[i]" -> its qubit, for every declared i
+        self.qubits: dict[str, int] = {}  # "reg[i]" -> its qubit, one key per declared qubit
         self.classical: set[str] = set()
-        self.num_qubits = 0
         self.gates: list[Gate] = []
 
     def read(self, tokens: list[_Token], final: bool = False) -> None:
@@ -181,19 +180,18 @@ class _Parser:
         size = self._expect_int()
         self._expect_sym("]")
         self._expect_sym(";")
+        name, offset = reg.text, len(self.qubits)
         if keyword == "creg":
-            self.classical.add(reg.text)
-        elif self.num_qubits + size > MAX_QUBITS:
+            self.classical.add(name)
+        elif offset + size > MAX_QUBITS:
             message = (
-                f"qreg {reg.text}[{size}] brings the qubit count to "
-                f"{self.num_qubits + size}, above the limit of {MAX_QUBITS}"
+                f"qreg {name}[{size}] brings the qubit count to "
+                f"{offset + size}, above the limit of {MAX_QUBITS}"
             )
             raise QasmSyntaxError(message, reg.line)
         else:
-            name, offset = reg.text, self.num_qubits
             self.registers[name] = (offset, size)
             self.qubits.update((f"{name}[{i}]", offset + i) for i in range(size))
-            self.num_qubits += size
 
     def _operand(self, *, allow_broadcast: bool) -> list[int]:
         """Resolve ``reg[i]`` to one qubit or a bare register to all of its qubits."""
@@ -422,7 +420,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
             gates.append(gate)
         memo[line] = gate
     parser.read([], final=True)  # the tokens after the last ';'
-    return Circuit(parser.num_qubits, tuple(gates), name)._in_range()  # every operand checked
+    return Circuit(len(qubits), tuple(gates), name)._in_range()  # every operand checked
 
 
 def parse_qasm_file(path: str | Path) -> Circuit:

@@ -7,14 +7,14 @@ ties) until it neighbors the second operand. This mirrors a
 minimal-optimization transpile so topology comparisons stay router-fixed.
 
 The topology keeps three tables per target qubit for its life, built on the
-first route to that target: the next hop, by a BFS the smallest neighbour one
-hop closer, so the walk takes that path one SWAP per step, updating the layout
-in place (the qubit moved is always the gate's first operand); the SWAP of each
-hop, filled when the walk first takes it; and per two-qubit kind the gate from
-each neighbour of the target, the source of every routed two-qubit gate. A
-one-qubit gate other than a rotation or barrier comes from the topology's n-slot
-list for its kind, filled once. A rotation or barrier that did not move is its
-source gate; a moved one comes from ``ir.shared_gate``.
+first route to that target: the next hop, the smallest neighbour one hop closer,
+which a BFS visiting each level in ascending qubit order finds first, so the
+walk takes that path one SWAP per step, updating the layout in place; the SWAP
+of each hop, filled when the walk first takes it; and per two-qubit kind the
+gate from each neighbour of the target, the source of every routed two-qubit
+gate. A one-qubit gate other than a rotation or barrier comes from the
+topology's n-slot list for its kind, filled once. A rotation or barrier that
+did not move is its source gate; a moved one comes from ``ir.shared_gate``.
 The same walk scores the route: it keeps each physical qubit's ASAP
 finish time and the gate counts, so the metrics equal those of
 ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
@@ -29,7 +29,7 @@ that of the unmatched source tail, so gates on disjoint qubits may commute.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .errors import DegenerateInputError, UnroutableGateError
 from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, FieldTable, Gate, GateKind, Record
@@ -81,29 +81,26 @@ class RoutingResult(Record):
 
 def _toward(adjacency: dict[int, tuple[int, ...]], dst: int) -> tuple[list, list, dict]:
     """next_hop, steps and arrivals toward dst. next_hop holds, per physical qubit,
-    the smallest neighbour one BFS hop closer to dst (so a walk along it takes the
-    lexicographically smallest shortest path), dst itself at dst and None where
+    the smallest neighbour one hop closer to dst, its first finder in a BFS that
+    visits each level in ascending qubit order, dst itself at dst and None where
     dst is unreachable; steps is None per qubit, for the walk to fill with its
     SWAP ``(p, next_hop[p])``; arrivals maps each two-qubit kind to the gate
     ``(nb, dst)`` from each neighbour nb of dst."""
     size = len(adjacency)
-    hops: list[int | None] = [None] * size
     next_hop: list[int | None] = [None] * size
-    hops[dst], next_hop[dst] = 0, dst
+    next_hop[dst] = dst
     arrivals = {
         kind: {nb: shared_gate(kind, (nb, dst)) for nb in adjacency[dst]} for kind in TWO_QUBIT_KINDS
     }
-    frontier = deque([dst])
-    while frontier:
-        node = frontier.popleft()
-        closer = hops[node] + 1
-        for nb in adjacency[node]:
-            if hops[nb] is None:
-                hops[nb] = closer
-                next_hop[nb] = node
-                frontier.append(nb)
-            elif hops[nb] == closer and node < next_hop[nb]:
-                next_hop[nb] = node
+    level = [dst]  # the qubits at one BFS distance from dst
+    while level:
+        farther = []
+        for node in sorted(level):
+            for nb in adjacency[node]:
+                if next_hop[nb] is None:
+                    next_hop[nb] = node
+                    farther.append(nb)
+        level = farther
     return next_hop, [None] * size, arrivals
 
 

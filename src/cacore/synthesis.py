@@ -132,8 +132,6 @@ def place_on_grid(num_qubits: int, path: Edges, nrow: int, ncol: int) -> Positio
     """
     if num_qubits > nrow * ncol:
         raise DegenerateInputError(f"{num_qubits} qubits exceed a {nrow}x{ncol} grid")
-    if num_qubits == 0:
-        return {}
     adjacency = _adjacency(num_qubits, path)
     ends = [q for q in range(num_qubits) if len(adjacency[q]) <= 1]
     order = _walk(adjacency, ends[0]) if ends else []

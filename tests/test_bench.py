@@ -14,8 +14,10 @@ from cacore.bench import (
     run_comparison,
 )
 import cacore.routing
+from cacore.errors import DegenerateInputError
 from cacore.ir import Circuit, Gate, GateKind
 from cacore.routing import route_circuit
+from cacore.synthesis import synthesize_topology
 from cacore.topology import Topology, builtin_topology
 
 from conftest import empty_gate_table
@@ -116,8 +118,6 @@ def small_report():
 
 def test_comparison_against_itself_is_zero_reduction():
     circuit = gen_random_circuit(6, 100, 0)
-    from cacore.synthesis import synthesize_topology
-
     ca = synthesize_topology(circuit)
     itself = Topology("itself", ca.num_qubits, ca.edges, ca.synthetic, ca.positions)
     report = run_comparison([circuit], [itself], [NoiseParams(0.001)])
@@ -222,6 +222,54 @@ def test_baseline_with_an_out_of_range_coupler_is_recorded_and_the_run_continues
     assert len(report.failures) == 1
     assert report.failures[0]["topology"] == "bad"
     assert "coupler (0, 5) has an endpoint that is not a qubit" in report.failures[0]["error"]
+
+
+def _expected_aggregates(rows, baselines):
+    """The aggregates of ``rows``, from the rows alone: for each qubit count with
+    ca_core rows, in ascending order, one entry per baseline with rows there."""
+    metrics = ("depth", "gates", "swaps")
+    expected = []
+    for qubits in sorted({row["qubits"] for row in rows}):
+        ca = [row for row in rows if row["qubits"] == qubits and row["topology"] == "ca_core"]
+        for name in baselines:
+            base = [row for row in rows if row["qubits"] == qubits and row["topology"] == name]
+            if not ca or not base:
+                continue
+            base_mean = {m: sum(row[m] for row in base) / len(base) for m in metrics}
+            ca_mean = {m: sum(row[m] for row in ca) / len(ca) for m in metrics}
+            entry = {"qubits": qubits, "baseline": name, "samples": len(base),
+                     "baseline_mean": base_mean, "ca_core_mean": ca_mean}
+            for m, key in zip(metrics, ("depth_reduction_pct", "gate_reduction_pct",
+                                        "swap_reduction_pct")):
+                b, c = base_mean[m], ca_mean[m]
+                entry[key] = 0.0 if b == 0 else (b - c) / b * 100.0
+            expected.append(entry)
+    return expected
+
+
+def test_aggregates_equal_means_computed_from_the_rows(monkeypatch):
+    # 7 qubits: synthesis fails, so ca_core has no rows and no aggregate there;
+    # 9 qubits: grid(2,4) is too small and skipped, so its entry is left out
+    def failing_at_seven(circuit):
+        if circuit.num_qubits == 7:
+            raise DegenerateInputError("no map for 7 qubits")
+        return synthesize_topology(circuit)
+
+    monkeypatch.setattr("cacore.bench.synthesize_topology", failing_at_seven)
+    circuits = [gen_random_circuit(n, 120, seed) for seed in range(3) for n in (9, 7)]
+    names = ["line(9)", "grid(2,4)", "cairo27"]
+    report = run_comparison(circuits, [builtin_topology(n) for n in names], [NoiseParams(0.001)])
+    assert {(row["qubits"], row["topology"]) for row in report.rows} == {
+        (7, "line(9)"), (7, "grid(2,4)"), (7, "cairo27"),
+        (9, "ca_core"), (9, "line(9)"), (9, "cairo27"),
+    }
+    assert [(a["qubits"], a["baseline"], a["samples"]) for a in report.aggregates] == [
+        (9, "line(9)", 3), (9, "cairo27", 3)
+    ]
+    expected = _expected_aggregates(report.rows, names)
+    assert report.aggregates == expected
+    assert [list(a) for a in report.aggregates] == [list(e) for e in expected]  # the JSON key order
+    assert any(a["swap_reduction_pct"] != 0.0 for a in report.aggregates)
 
 
 def test_csv_row_count_and_columns(tmp_path):

@@ -525,6 +525,18 @@ def test_validate_circuit_and_topology(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("suffix", [".QASM", ".Qasm"])
+def test_validate_reads_a_qasm_suffix_in_any_case_as_qasm(tmp_path, capsys, suffix):
+    # validate picks its reader by the suffix, in any letter case; synth and
+    # route read this file as QASM whatever its suffix
+    copy = tmp_path / f"figure6{suffix}"
+    copy.write_bytes(Path(FIGURE).read_bytes())
+    assert main(["validate", FIGURE]) == 0
+    original = capsys.readouterr()
+    assert main(["validate", str(copy)]) == 0
+    assert capsys.readouterr() == original
+
+
 @pytest.mark.parametrize("command", ["validate", "route", "bench"])
 def test_two_qubits_in_one_cell_fail_with_one_error_line(tmp_path, capsys, command):
     topo = tmp_path / "shared.json"

@@ -14,6 +14,9 @@ A keyword-only parameter with a default must be passed by name, by its
 function's name or attribute, in some call in the package; one that no call
 sets is an option no caller uses.
 
+Every name an import binds is read in its module, so a removal cannot leave
+its import behind.
+
 Re-exports in ``__init__.py`` do not count: its table names them in
 strings, and ``ast`` never shows strings or comments as references. A method
 that overrides one of a base class (``_Parser.error``) is called through the
@@ -91,6 +94,46 @@ def unreferenced(package=PACKAGE) -> list[str]:
             if name not in ALLOWED and uses <= 0:
                 dead.append(f"{module}.{qualified}")
     return dead
+
+
+def unread_imports(package=PACKAGE) -> list[str]:
+    """``module.name`` of each name an import binds that its module never reads.
+    A ``__future__`` import is a compiler directive, and binds nothing to read."""
+    unread = []
+    for module, tree in sorted(_trees(package).items()):
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                names = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                unread += [f"{module}.{name}" for name in names if name not in read]
+    return unread
+
+
+def test_every_import_is_read():
+    # a stray import would outlive the code that read it, and could load a
+    # module that a one-shot synth or route otherwise never imports
+    assert unread_imports() == []
+
+
+def test_unread_import_is_named(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js, re\n"
+        "from collections import deque, namedtuple\n"
+        "from .ir import Gate\n"
+        "def f(g: Gate) -> None:\n"
+        "    from .bench import run_comparison\n"
+        "    return namedtuple('T', 'a'), re.compile(''), os.sep\n",
+        encoding="utf-8",
+    )
+    assert unread_imports(tmp_path) == ["mod.js", "mod.deque", "mod.run_comparison"]
 
 
 def _keyword_options(prefix: str, body: list[ast.stmt]):

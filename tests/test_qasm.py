@@ -100,6 +100,18 @@ def test_multiple_qregs_flatten_in_declaration_order():
     assert circuit.gates[0].qubits == (1, 2)
 
 
+def test_an_empty_qreg_between_two_registers_takes_no_qubit():
+    # offsets 0, 2 and 2: the qubit count is the number of declared qubits
+    source = "qreg a[2];\nqreg r[0];\nqreg b[3];\ncx a[1],b[0];\nh b[2];\nbarrier a,r,b;\n"
+    gates = [(GateKind.CNOT, (1, 2), "None"), (GateKind.H, (4,), "None"),
+             (GateKind.BARRIER, (0, 1, 2, 3, 4), "None")]
+    assert _outcome(parse_qasm, source) == _outcome(token_parse, source) == (5, gates)
+    over = f"qreg a[{MAX_QUBITS - 2}];\nqreg r[0];\nqreg b[3];\n"
+    message = f"qreg b[3] brings the qubit count to {MAX_QUBITS + 1}, above the limit of {MAX_QUBITS}"
+    expected = (QasmSyntaxError, f"line 3: {message}", 3)
+    assert _outcome(parse_qasm, over) == _outcome(token_parse, over) == expected
+
+
 def test_one_qubit_broadcast_and_barrier_register():
     circuit = parse_qasm("qreg q[3]; h q; barrier q; measure q -> c;")
     assert kinds(circuit) == [GateKind.H] * 3 + [GateKind.BARRIER] + [GateKind.MEASURE] * 3

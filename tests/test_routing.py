@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 from conftest import DATA_DIR, empty_gate_table, gates_held
-from oracles import asap_stats, complete, same_up_to_phase, statevector
+from oracles import _shortest_path, asap_stats, complete, same_up_to_phase, statevector
 
 from cacore.bench import gen_random_circuit
 from cacore.errors import DegenerateInputError, UnroutableGateError
@@ -26,6 +26,7 @@ from cacore.qasm import parse_qasm, parse_qasm_file, to_qasm
 from cacore.routing import (
     RouteMetrics,
     RoutingResult,
+    _toward,
     route_circuit,
     trivial_layout,
     verify_routing,
@@ -72,6 +73,34 @@ def test_bfs_prefers_lexicographically_smallest_path():
     diamond = Topology("diamond", 4, ((0, 1), (0, 2), (1, 3), (2, 3)))
     result = route_circuit(Circuit(4, (cnot(0, 3),)), diamond)
     assert result.routed.gates[0] == Gate(GateKind.SWAP, (0, 1))
+
+
+def _hop_table_maps():
+    names = ("almaden20", "cairo27", "prague33", "sycamore53", "half_sycamore24", "line(9)",
+             "grid(5,7)")
+    maps = [pytest.param(builtin_topology(name), id=name) for name in names]
+    for n in (12, 21):
+        topology = synthesize_topology(gen_random_circuit(n, 300, seed=n))
+        maps.append(pytest.param(topology, id=f"synthesized_n{n}"))
+    # two components: a 4-ring with a chord, and a path with a pendant on 4..9
+    edges = ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (5, 8), (6, 7), (8, 9))
+    maps.append(pytest.param(Topology("two_components", 10, edges), id="two_components"))
+    return maps
+
+
+@pytest.mark.parametrize("topology", _hop_table_maps())
+def test_each_next_hop_is_the_second_node_of_the_oracle_path(topology):
+    # the oracle takes the smallest closer neighbour at each step from a full
+    # distance table, so any tie the level-ordered BFS broke wrongly shows here
+    adjacency = topology._routing[0]
+    unreachable = 0
+    for target in range(topology.num_qubits):
+        next_hop = _toward(adjacency, target)[0]
+        for p in range(topology.num_qubits):
+            path = _shortest_path(adjacency, p, target)
+            unreachable += path is None
+            assert next_hop[p] == (None if path is None else path[min(1, len(path) - 1)]), (p, target)
+    assert (unreachable > 0) == (topology.name == "two_components")
 
 
 def test_unroutable_gate_on_disconnected_topology():

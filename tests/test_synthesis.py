@@ -227,6 +227,11 @@ def test_place_starts_at_smaller_endpoint():
     assert positions[2] == (1, 1)
 
 
+@pytest.mark.parametrize("nrow, ncol", [(0, 0), (1, 1)])
+def test_place_no_qubits_on_any_grid(nrow, ncol):
+    assert place_on_grid(0, {}, nrow, ncol) == {}
+
+
 def test_place_capacity_error():
     with pytest.raises(DegenerateInputError):
         place_on_grid(5, chain([0, 1, 2, 3, 4]), 2, 2)
