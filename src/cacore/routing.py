@@ -12,19 +12,23 @@ which a BFS visiting each level in ascending qubit order finds first, so the
 walk takes that path one SWAP per step, updating the layout in place; the SWAP
 of each hop, filled when the walk first takes it; and per two-qubit kind the
 gate from each neighbour of the target, the source of every routed two-qubit
-gate. A one-qubit gate other than a rotation or barrier comes from the
-topology's n-slot list for its kind, filled once. A rotation or barrier that
-did not move is its source gate; a moved one comes from ``ir.shared_gate``.
+gate. Past ``_TABLE_LIMIT`` next-hop and step slots (2n per target), a new
+target's tables first drop every target's, each rebuilt on its next use. A
+one-qubit gate other than a rotation or barrier comes from the topology's
+n-slot list for its kind, filled once. A rotation or barrier that did not move
+is its source gate; a moved one comes from ``ir.shared_gate``. Every barrier,
+one qubit wide or more, fences its qubits at their latest finish.
 The same walk scores the route: it keeps each physical qubit's ASAP
 finish time and the gate counts, so the metrics equal those of
 ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
 
 The verifier walks the routed gates once beside a byte mask of the inserted
 SWAPs, reading the router's adjacency but never its per-target or gate tables.
-It tracks the SWAP permutation and keeps nothing per gate while each other
-gate's (kind, logical qubits, angle) equals the next source gate's. From the
-first mismatch on it collects those tuples and compares each qubit's lane with
-that of the unmatched source tail, so gates on disjoint qubits may commute.
+It tracks the SWAP permutation and builds nothing per gate while each other
+gate's kind, logical operands, one by one, and angle equal the next source
+gate's. From the first mismatch on it matches only a sentinel past the source,
+collects (kind, logical qubits, angle) tuples and compares each qubit's lane
+with that of the unmatched source tail, so gates on disjoint qubits may commute.
 """
 
 from __future__ import annotations
@@ -32,9 +36,16 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DegenerateInputError, UnroutableGateError
-from .ir import METRIC_EXEMPT_KINDS, TWO_QUBIT_KINDS, Circuit, FieldTable, Gate, GateKind, Record
+from .ir import TWO_QUBIT_KINDS, Circuit, FieldTable, Gate, GateKind, Record
 from .ir import shared_gate
 from .topology import Topology
+
+
+_TABLE_LIMIT = 2**20  # next-hop and step slots one topology's targets hold, far above 2 * 53**2
+
+
+class _Unmatched:  # follows the source gates in verify_routing: no gate's kind is None
+    kind = None
 
 
 def trivial_layout(num_logical: int, num_physical: int) -> list[int | None]:
@@ -121,7 +132,8 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     # physical qubit's finish time, and the counts that set the totals.
     busy = [0] * size
     exempt = two_qubit = source_swaps = 0
-    swap = GateKind.SWAP  # a member lookup is slow on an Enum class
+    # a member lookup is slow on an Enum class
+    swap, barrier, measure = GateKind.SWAP, GateKind.BARRIER, GateKind.MEASURE
 
     for gate in circuit.gates:
         kind, qubits = gate.kind, gate.qubits
@@ -130,6 +142,8 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             pa, pb = log_to_phys[a], log_to_phys[b]
             target = targets[pb]
             if target is None:
+                if 2 * size * (size - targets.count(None) + 1) > _TABLE_LIMIT:
+                    targets[:] = [None] * size  # each is rebuilt on its next use
                 target = targets[pb] = _toward(adjacency, pb)
             next_hop, steps, arrivals = target
             hop = next_hop[pa]
@@ -158,14 +172,14 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
             if kind is swap:
                 source_swaps += 1
             routed.append(arrivals[kind][pa])
-        elif len(qubits) == 1:
+        elif kind is not barrier:
             (q,) = qubits
             p = log_to_phys[q]
-            if kind in METRIC_EXEMPT_KINDS:
+            if kind is measure:
                 exempt += 1
             else:
                 busy[p] += 1
-            table = relabeled.get(kind)  # None for a rotation or a barrier
+            table = relabeled.get(kind)  # None for a rotation
             if table is None:
                 routed.append(gate if p == q else shared_gate(kind, (p,), gate.param))
             else:
@@ -173,7 +187,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
                 if single is None:
                     single = table[p] = shared_gate(kind, (p,))
                 routed.append(single)
-        else:  # a barrier on several qubits: it fences them at their latest finish
+        else:  # a barrier, of any width: it fences its qubits at their latest finish
             exempt += 1
             physical = tuple(map(log_to_phys.__getitem__, qubits))
             fence = max(map(busy.__getitem__, physical))
@@ -200,10 +214,12 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
 
     Replaying the routed gates while tracking the permutation induced by
     inserted SWAPs must recover the original logical gate sequence: same
-    kinds, same logical operands, same per-qubit order. Only a SWAP on a
-    coupler may be marked inserted, and a routed gate on a physical qubit
-    outside the topology fails. Couplers come from the adjacency the router
-    reads: an endpoint that is not a qubit raises TopologyFormatError here too.
+    kinds, same logical operands, same per-qubit order. Gates in source order
+    are compared operand by operand; tuples are built only from the first
+    mismatch on, for the lane check. Only a SWAP on a coupler may be marked
+    inserted, and a routed gate on a physical qubit outside the topology
+    fails. Couplers come from the adjacency the router reads: an endpoint that
+    is not a qubit raises TopologyFormatError here too.
 
     ``result.inserted`` holds ints and is read as a set: the verifier marks
     each index inside the routed circuit in a byte mask, so their order,
@@ -215,15 +231,16 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
     routed = result.routed.gates
-    marks = bytearray(len(routed))  # 1 at each inserted index inside the routed circuit
+    count = len(routed)
+    marks = bytearray(count)  # 1 at each inserted index inside the routed circuit
     for idx in result.inserted:
-        if 0 <= idx < len(routed):
+        if 0 <= idx < count:
             marks[idx] = 1
-    source = circuit.gates
-    total = len(source)
-    matched = 0  # source gates replayed in order so far
+    total = len(circuit.gates)
+    wants = (*circuit.gates, _Unmatched)  # the sentinel ends in-order matching
+    matched = 0  # source gates replayed in order; from the first mismatch on, the sentinel's index
     rest: list[tuple] = []  # (kind, logical qubits, param) from the first mismatch on
-    swap = GateKind.SWAP
+    swap, barrier = GateKind.SWAP, GateKind.BARRIER
 
     for gate, mark in zip(routed, marks):
         kind, qubits = gate.kind, gate.qubits
@@ -235,36 +252,46 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
                 return False
             phys_to_log[a], phys_to_log[b] = phys_to_log[b], phys_to_log[a]
             continue
+        # Gate fixes the arity of every kind but barrier, so a matching kind unpacks alike
+        want = wants[matched]
         if kind in TWO_QUBIT_KINDS:
             a, b = qubits
             if b not in adjacency.get(a, ()):
                 return False
-            logical = (phys_to_log[a], phys_to_log[b])
-        elif len(qubits) == 1:
+            la, lb = phys_to_log[a], phys_to_log[b]
+            if want.kind is kind:
+                wa, wb = want.qubits
+                if wa == la and wb == lb:  # neither kind takes an angle
+                    matched += 1
+                    continue
+            logical = (la, lb)
+        elif kind is not barrier:
             (q,) = qubits
             if not 0 <= q < size:
                 return False
-            logical = (phys_to_log[q],)
+            lq = phys_to_log[q]
+            if want.kind is kind:
+                (wq,) = want.qubits
+                if wq == lq and (want.param is gate.param or want.param == gate.param):
+                    matched += 1
+                    continue
+            logical = (lq,)
         else:
             if not all(0 <= p < size for p in qubits):
                 return False
             logical = tuple(map(phys_to_log.__getitem__, qubits))
-        param = gate.param
-        if not rest and matched < total:
-            want = source[matched]
-            # exactly tuple equality of (kind, qubits, param); a source qubit is never None
-            if want.kind is kind and want.qubits == logical and (
-                want.param is param or want.param == param
-            ):
+            if want.kind is kind and want.qubits == logical:  # a barrier takes no angle
                 matched += 1
                 continue
-        if None in logical:
+        if None in logical:  # a source qubit is never None
             return False
-        rest.append((kind, logical, param))
+        if not rest:
+            start, matched = matched, total
+        rest.append((kind, logical, gate.param))
 
     if not rest:
         return matched == total
-    tail = [(gate.kind, gate.qubits, gate.param) for gate in source[matched:]]
+    tail = [(gate.kind, gate.qubits, gate.param) for gate in circuit.gates[start:]]
     n = circuit.num_qubits
     return len(rest) == len(tail) and _lanes(rest, n) == _lanes(tail, n)
 

@@ -103,6 +103,31 @@ def test_each_next_hop_is_the_second_node_of_the_oracle_path(topology):
     assert (unreachable > 0) == (topology.name == "two_components")
 
 
+def test_per_target_tables_hold_at_most_their_slot_budget(monkeypatch):
+    """Past the budget a topology drops every target's tables and rebuilds each on
+    its next use: its next-hop and step lists never hold more slots than the
+    budget, and the routes equal unbudgeted ones."""
+    n, budget = 60, 2 * 60 * 5  # room for five targets' two n-slot lists
+    circuits = [gen_random_circuit(n, 300, seed) for seed in range(3)]
+    unbudgeted = builtin_topology(f"line({n})")
+    expected = [route_circuit(circuit, unbudgeted).routed for circuit in circuits]
+    assert 2 * n * sum(t is not None for t in unbudgeted._routing[1]) > budget
+    topology = builtin_topology(f"line({n})")
+    targets = topology._routing[1]
+    built = []
+
+    def bounded(adjacency, dst):
+        held = 2 * n * sum(t is not None for t in targets)
+        assert held + 2 * n <= budget
+        built.append(dst)
+        return _toward(adjacency, dst)
+
+    monkeypatch.setattr("cacore.routing._TABLE_LIMIT", budget)
+    monkeypatch.setattr("cacore.routing._toward", bounded)
+    assert [route_circuit(circuit, topology).routed for circuit in circuits] == expected
+    assert len(built) > len(set(built))  # some tables were dropped and rebuilt
+
+
 def test_unroutable_gate_on_disconnected_topology():
     split = Topology("split", 4, ((0, 1), (2, 3)))
     with pytest.raises(UnroutableGateError):
@@ -520,17 +545,65 @@ def _replace(i, gate):
     ],
 )
 def test_verify_hands_off_from_in_order_matching_like_the_oracle(edit, expected):
+    _check_hand_off(_HAND_OFF_CIRCUIT, (2,), edit, expected)
+
+
+def _check_hand_off(circuit, inserted, edit, expected):
     from oracles import rescan_verify
 
     topology = builtin_topology("line(4)")
-    result = route_circuit(_HAND_OFF_CIRCUIT, topology)
-    assert result.inserted == (2,)
+    result = route_circuit(circuit, topology)
+    assert result.inserted == inserted
     gates = list(result.routed.gates)
     edit(gates)
     routed = Circuit(result.routed.num_qubits, tuple(gates), result.routed.name)
     mutant = RoutingResult(routed, result.inserted, result.metrics)
-    assert rescan_verify(_HAND_OFF_CIRCUIT, mutant, topology) is expected
-    assert verify_routing(_HAND_OFF_CIRCUIT, mutant, topology) is expected
+    assert rescan_verify(circuit, mutant, topology) is expected
+    assert verify_routing(circuit, mutant, topology) is expected
+
+
+def _barrier(*qubits):
+    return Gate(GateKind.BARRIER, qubits)
+
+
+# Routed on line(4): barrier q[0],q[1],q[2]; barrier q[3]; barrier q[0],q[1];
+# h q[1]; swap q[0],q[1] (inserted); cx q[1],q[2]; barrier q[1],q[0]; x q[3]; t q[0];
+_BARRIER_HAND_OFF_CIRCUIT = Circuit(4, (
+    _barrier(0, 1, 2),
+    _barrier(3),
+    _barrier(0, 1),
+    Gate(GateKind.H, (1,)),
+    cnot(0, 2),
+    _barrier(0, 1),
+    Gate(GateKind.X, (3,)),
+    Gate(GateKind.T, (1,)),
+))
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda gates: None, True),
+        # a routed one-qubit barrier meets a wider source barrier; disjoint, so they commute
+        (lambda gates: _exchange(gates, 0), True),
+        (_replace(1, _barrier(0)), False),
+        # a routed wide barrier meets a one-qubit source barrier; disjoint, so they commute
+        (lambda gates: _exchange(gates, 1), True),
+        (_replace(1, _barrier(2, 3)), False),
+        # wide barriers on the wrong qubits, or on the right ones in the wrong order
+        (_replace(2, _barrier(0, 2)), False),
+        (_replace(6, _barrier(0, 1)), False),
+        (_replace(6, _barrier(1, 2)), False),
+        (_replace(6, _barrier(1)), False),
+        # routed gates left over after the last source gate, behind the SWAP
+        (lambda gates: gates.append(Gate(GateKind.H, (0,))), False),
+        (lambda gates: gates.append(_barrier(1, 0)), False),
+        (lambda gates: gates.append(_barrier(0)), False),
+        (lambda gates: gates.append(Gate(GateKind.SWAP, (2, 3))), False),
+    ],
+)
+def test_verify_hands_off_at_barriers_like_the_oracle(edit, expected):
+    _check_hand_off(_BARRIER_HAND_OFF_CIRCUIT, (4,), edit, expected)
 
 
 # One verify_routing call on the route below (4,096 routed gates) holds its
