@@ -234,6 +234,6 @@ def emit_report(report: BenchmarkReport, fmt: str, path: str | Path) -> None:
             for row in report.rows:
                 writer.writerow(row)
     elif fmt == "json":
-        Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

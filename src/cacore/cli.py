@@ -203,10 +203,10 @@ def _cmd_route(args) -> int:
         **result.metrics.as_dict(),
     }
     if args.metrics:
-        Path(args.metrics).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        Path(args.metrics).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     if args.routed_qasm:
         Path(args.routed_qasm).write_text(to_qasm(result.routed), encoding="utf-8")
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     if not verified:  # the payload and files above still show the route
         print("error: routing verification failed", file=sys.stderr)
     return EXIT_OK if verified else EXIT_PIPELINE

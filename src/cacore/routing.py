@@ -6,18 +6,18 @@ along the BFS-shortest path (lexicographically smallest node sequence on
 ties) until it neighbors the second operand. This mirrors a
 minimal-optimization transpile so topology comparisons stay router-fixed.
 
-The topology keeps three tables per target qubit for its life, built on the
-first route to that target: the next hop, the smallest neighbour one hop closer,
-which a BFS visiting each level in ascending qubit order finds first, so the
-walk takes that path one SWAP per step, updating the layout in place; the SWAP
-of each hop, filled when the walk first takes it; and per two-qubit kind the
-gate from each neighbour of the target, the source of every routed two-qubit
-gate. Past ``_TABLE_LIMIT`` next-hop and step slots (2n per target), a new
-target's tables first drop every target's, each rebuilt on its next use. A
-one-qubit gate other than a rotation or barrier comes from the topology's
-n-slot list for its kind, filled once. A rotation or barrier that did not move
-is its source gate; a moved one comes from ``ir.shared_gate``. Every barrier,
-one qubit wide or more, fences its qubits at their latest finish.
+``route_circuit`` alone fills the routing state a topology keeps for its life.
+Keyed by target qubit and built on the first route to it are three tables: the
+next hop, the smallest neighbour one hop closer that ``_toward``'s BFS finds
+first, so the walk takes that path one SWAP per step; the SWAP of each hop,
+filled when the walk first takes it; and per two-qubit kind the gate from each
+neighbour of the target, the source of every routed two-qubit gate. Past
+``_TABLE_LIMIT`` next-hop and step slots (2n per target), a new target's tables
+first drop every target's, each rebuilt on its next use. A one-qubit gate other
+than a rotation or barrier comes from an n-slot list for its kind, made on the
+first route and filled once. A rotation or barrier that did not move is its
+source gate; a moved one comes from ``ir.shared_gate``. Every barrier, of any
+width, fences its qubits at their latest finish.
 The same walk scores the route: it keeps each physical qubit's ASAP
 finish time and the gate counts, so the metrics equal those of
 ``asap_stats(result.routed)`` in tests/oracles.py without a second pass.
@@ -37,7 +37,7 @@ from collections import namedtuple
 
 from .errors import DegenerateInputError, UnroutableGateError
 from .ir import TWO_QUBIT_KINDS, Circuit, FieldTable, Gate, GateKind, Record
-from .ir import shared_gate
+from .ir import SHARED_KINDS, shared_gate
 from .topology import Topology
 
 
@@ -116,8 +116,8 @@ def _toward(adjacency: dict[int, tuple[int, ...]], dst: int) -> tuple[list, list
 
 
 def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
-    """Insert SWAPs so every two-qubit gate lands on a coupler edge, reading
-    and filling the per-target and one-qubit tables that ``topology`` keeps.
+    """Insert SWAPs so every two-qubit gate lands on a coupler edge, reading and
+    filling the routing state ``topology`` keeps, keyed by target qubit and by kind.
 
     A logical qubit outside [0, num_qubits) raises DegenerateInputError.
     """
@@ -125,7 +125,9 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
     log_to_phys = list(range(circuit.num_qubits))
-    adjacency, targets, relabeled = topology._routing  # kept on the topology, filled on first use
+    adjacency, targets, relabeled = topology._routing  # kept on the topology, filled here
+    if not relabeled:  # the topology's first route
+        relabeled.update({kind: [None] * size for kind in SHARED_KINDS - TWO_QUBIT_KINDS})
     routed: list[Gate] = []
     inserted: list[int] = []
     # The ASAP pass, run on the routed gates as they are emitted: each
@@ -140,12 +142,12 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
         if kind in TWO_QUBIT_KINDS:
             a, b = qubits
             pa, pb = log_to_phys[a], log_to_phys[b]
-            target = targets[pb]
-            if target is None:
-                if 2 * size * (size - targets.count(None) + 1) > _TABLE_LIMIT:
-                    targets[:] = [None] * size  # each is rebuilt on its next use
-                target = targets[pb] = _toward(adjacency, pb)
-            next_hop, steps, arrivals = target
+            try:
+                next_hop, steps, arrivals = targets[pb]
+            except KeyError:
+                if 2 * size * (len(targets) + 1) > _TABLE_LIMIT:
+                    targets.clear()  # each is rebuilt on its next use
+                next_hop, steps, arrivals = targets[pb] = _toward(adjacency, pb)
             hop = next_hop[pa]
             if hop is None:
                 raise UnroutableGateError(

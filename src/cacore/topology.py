@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import TopologyFormatError, UnknownTopologyError, read_utf8
-from .ir import MAX_QUBITS, SHARED_KINDS, TWO_QUBIT_KINDS, FieldTable, Frozen, GateKind
+from .ir import MAX_QUBITS, FieldTable, Frozen
 
 DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # each bundled as data/NAME.json
 # ASCII digits and spaces only, and nothing after the closing parenthesis
@@ -65,15 +65,11 @@ class Topology(Frozen):
         return {q: tuple(sorted(ns)) for q, ns in neighbors.items()}
 
     @cached_property  # in the instance __dict__, so a dataclasses.replace copy starts empty
-    def _routing(self) -> tuple[dict[int, tuple[int, ...]], list, dict[GateKind, list]]:
+    def _routing(self) -> tuple[dict[int, tuple[int, ...]], dict, dict]:
         """Routing state, which depends only on num_qubits and edges: the adjacency,
-        the one coupler map that ``route_circuit`` and ``verify_routing`` read; per
-        target qubit its tables (``routing._toward``: next hops, the SWAP of each hop
-        and the two-qubit gates arriving from its neighbours); per one-qubit kind of
-        ``SHARED_KINDS``, the routed gates indexed by physical qubit. ``route_circuit``
-        builds a target's tables and fills every gate slot on first use."""
-        n = self.num_qubits
-        return self.adjacency(), [None] * n, {kind: [None] * n for kind in SHARED_KINDS - TWO_QUBIT_KINDS}
+        the one coupler map that ``route_circuit`` and ``verify_routing`` read, and two
+        dicts that start empty and that ``route_circuit`` alone fills."""
+        return self.adjacency(), {}, {}
 
 
 def validate_topology(topology: Topology) -> list[str]:

@@ -54,11 +54,11 @@ def gate_builds(monkeypatch):
     empty gate table."""
     empty_gate_table(monkeypatch)
     built = []
-    check = Gate.__post_init__
+    init = Gate.__init__
 
-    def counting(gate):
-        check(gate)
+    def counting(gate, *args, **kwargs):
+        init(gate, *args, **kwargs)
         built.append(gate)
 
-    monkeypatch.setattr(Gate, "__post_init__", counting)
+    monkeypatch.setattr(Gate, "__init__", counting)
     return built

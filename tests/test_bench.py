@@ -201,7 +201,7 @@ def test_oversized_circuits_are_skipped():
     assert [r["topology"] for r in report.rows] == ["ca_core"]
 
 
-def test_synthesis_failure_is_recorded_and_the_run_continues():
+def test_synthesis_failure_is_recorded_and_the_run_continues(monkeypatch):
     good = gen_random_circuit(4, 50, 0)
     bad = Circuit(3, (Gate(GateKind.CNOT, (3, 0)),), "bad")
     report = run_comparison([good, bad], [builtin_topology("line(4)")], [NoiseParams(0.001)])
@@ -212,6 +212,17 @@ def test_synthesis_failure_is_recorded_and_the_run_continues():
         ("bad", "ca_core"), ("bad", "line(4)")
     ]
     assert all("out of range" in f["error"] for f in report.failures)
+    # a route that fails verification is recorded too, and the run goes on
+    monkeypatch.setattr("cacore.bench.verify_routing", lambda *args: False)
+    report = run_comparison([good, bad], [builtin_topology("line(4)")], [NoiseParams(0.001)])
+    assert report.rows == []
+    assert [(f["circuit"], f["topology"], f["error"]) for f in report.failures[:2]] == [
+        (good.name, "ca_core", "routing verification failed"),
+        (good.name, "line(4)", "routing verification failed"),
+    ]
+    assert [(f["circuit"], f["topology"]) for f in report.failures[2:]] == [
+        ("bad", "ca_core"), ("bad", "line(4)")
+    ]
 
 
 def test_baseline_with_an_out_of_range_coupler_is_recorded_and_the_run_continues():
@@ -336,6 +347,17 @@ def test_json_round_trip(tmp_path):
     # and the raw dict round-trips losslessly
     raw = json.loads(path.read_text())
     assert raw == report.to_dict()
+
+
+def test_emit_report_writes_no_file_for_nan_or_an_unknown_format(tmp_path):
+    report = small_report()
+    report.rows[0]["depth"] = float("nan")  # JSON has no NaN, which json.dumps writes by default
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_report(report, "json", path)
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        emit_report(small_report(), "xml", tmp_path / "report.xml")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reports_reproducible_byte_identical(tmp_path):

@@ -434,9 +434,21 @@ def _rescanned(circuit):
 
 def test_circuit_rule_examples():
     _rescanned(parse_qasm("qreg q[2]; cx q[0],q[1];")).check_qubits()
-    for kind, qubits in ((GateKind.CNOT, (0, 0)), (GateKind.SWAP, (1, 1))):
-        with pytest.raises(ValueError, match=f"{kind.value}: identical endpoints {qubits[0]}"):
-            Gate(kind, qubits)
+    shapes = [
+        (GateKind.CNOT, (0, 0), None, "cx: identical endpoints 0"),
+        (GateKind.SWAP, (1, 1), None, "swap: identical endpoints 1"),
+        (GateKind.CNOT, (0,), None, "cx takes exactly 2 qubits, got 1"),
+        (GateKind.SWAP, (0, 1, 2), None, "swap takes exactly 2 qubits, got 3"),
+        (GateKind.BARRIER, (), None, "barrier requires at least one qubit"),
+        (GateKind.H, (0, 1), None, "h takes exactly 1 qubit, got 2"),
+        (GateKind.MEASURE, (), None, "measure takes exactly 1 qubit, got 0"),
+        (GateKind.H, (0,), 0.5, "h: angle parameter mismatch"),
+        (GateKind.CNOT, (0, 1), 0.5, "cx: angle parameter mismatch"),
+        (GateKind.RZ, (0,), None, "rz: angle parameter mismatch"),
+    ]
+    for kind, qubits, param, message in shapes:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Gate(kind, qubits, param)
     bad_range = Circuit(6, (Gate(GateKind.H, (7,)),))
     with pytest.raises(DegenerateInputError, match="out of range"):
         bad_range.check_qubits()

@@ -212,6 +212,46 @@ def test_verify_rejects_a_routed_gate_off_the_topology(routed):
     assert verify_routing(circuit, tampered, topology) is False
 
 
+@pytest.mark.parametrize(
+    "source, routed",
+    [
+        ((0, 2), (0, 2)),  # not a coupler of line(3), though the operands match
+        ((1, 2), (1, 7)),  # 7 would index past the layout
+        ((2, 0), (-1, 0)),  # -1 would wrap around to 2 and match the source
+    ],
+    ids=["not_a_coupler", "past_the_topology", "negative"],
+)
+def test_verify_rejects_an_unmarked_two_qubit_gate_off_the_couplers(source, routed):
+    """A routed two-qubit gate that is not an inserted SWAP must sit on a coupler."""
+    from oracles import rescan_verify
+
+    circuit = Circuit(3, (cnot(*source),))
+    topology = builtin_topology("line(3)")
+    tampered = RoutingResult(Circuit(3, (cnot(*routed),)), (), route_circuit(circuit, topology).metrics)
+    assert rescan_verify(circuit, tampered, topology) is False
+    assert verify_routing(circuit, tampered, topology) is False
+
+
+def test_a_topology_holds_no_routing_state_until_a_route_fills_it():
+    """A topology's routing state is its adjacency and two empty dicts, and a
+    verify leaves them empty. A route fills them with the tables of the targets
+    it used, keyed by qubit, and one list per one-qubit kind the gate table shares."""
+    topology = builtin_topology("grid(256,256)")
+    assert topology._routing[1:] == ({}, {})
+    gates = (cnot(0, 257), Gate(GateKind.H, (3,)), cnot(5, 1000), Gate(GateKind.X, (0,)), cnot(2, 257))
+    circuit = Circuit(topology.num_qubits, gates)
+    result = route_circuit(circuit, dataclasses.replace(topology))
+    assert verify_routing(circuit, result, topology)
+    assert topology._routing[1:] == ({}, {})
+    result = route_circuit(circuit, topology)
+    inserted = set(result.inserted)
+    used = {g.qubits[1] for i, g in enumerate(result.routed.gates) if len(g.qubits) == 2 and i not in inserted}
+    _, targets, relabeled = topology._routing
+    assert len(used) > 1 and set(targets) == used
+    assert set(relabeled) == SHARED_KINDS - TWO_QUBIT_KINDS
+    assert all(len(gates) == topology.num_qubits for gates in relabeled.values())
+
+
 def test_verify_rejects_wrong_logical_operands():
     circuit = Circuit(2, (cnot(0, 1),))
     topology = builtin_topology("line(3)")
@@ -798,9 +838,7 @@ def test_gate_table_after_the_acceptance_protocol(monkeypatch):
         held = [(kind, (p,), gate) for kind, gates in relabeled.items()
                 for p, gate in enumerate(gates) if gate is not None]
         assert all(len(gates) == n for gates in relabeled.values())
-        for pb, target in enumerate(targets):
-            if target is None:
-                continue
+        for pb, target in targets.items():
             next_hop, steps, arrivals = target
             held += [(GateKind.SWAP, (p, next_hop[p]), gate)
                      for p, gate in enumerate(steps) if gate is not None]
@@ -895,11 +933,11 @@ def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
     for circuit in circuits:
         # fresh copies, so that no source gate is an object a table holds
         circuit = Circuit(circuit.num_qubits, tuple(Gate(g.kind, g.qubits) for g in circuit.gates))
-        old = {pb for pb, target in enumerate(targets) if target is not None}
+        old = set(targets)
         start = len(calls)
         result = route_circuit(circuit, topology)
         routed, inserted = result.routed.gates, set(result.inserted)
-        steps = {id(step) for target in filter(None, targets) for step in target[1]}
+        steps = {id(step) for target in targets.values() for step in target[1]}
         for index, gate in enumerate(routed):
             kind, qubits = gate.kind, gate.qubits
             if index in inserted:
@@ -907,7 +945,7 @@ def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
             else:  # a two-qubit gate (a, b) comes from target b's arrival from a
                 table = targets[qubits[1]][2][kind] if kind in TWO_QUBIT_KINDS else relabeled[kind]
                 assert gate is table[qubits[0]]
-        built = [pb for pb, target in enumerate(targets) if target is not None and pb not in old]
+        built = [pb for pb in targets if pb not in old]
         emitted = {(g.kind, g.qubits) for g in routed}
         arrivals = {(kind, (nb, pb)) for pb in built for nb in adjacency[pb] for kind in TWO_QUBIT_KINDS}
         assert set(calls[start:]) <= emitted | arrivals
@@ -917,7 +955,7 @@ def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
         assert route_circuit(circuit, topology).routed.gates == routed
         assert calls[start:] == []
     filled = sum(gate is not None for gates in relabeled.values() for gate in gates)
-    for target in filter(None, targets):
+    for target in targets.values():
         _, steps, arrivals = target
         filled += sum(gate is not None for gate in steps) + sum(map(len, arrivals.values()))
     assert len(calls) == filled > 0
@@ -930,8 +968,7 @@ def test_relabeled_gates_come_from_the_topology_tables(monkeypatch):
 
 def test_a_route_builds_the_tables_of_its_targets_alone(monkeypatch):
     """On line(2000), a route whose two-qubit gates land on k distinct physical
-    targets builds exactly those k per-target entries, once each; every other
-    entry stays None."""
+    targets builds exactly those k per-target entries, once each, and no other."""
     import cacore.routing
 
     built = []
@@ -957,8 +994,7 @@ def test_a_route_builds_the_tables_of_its_targets_alone(monkeypatch):
     assert 1 < len(targets) < len(gates)  # some targets repeat
     assert sorted(built) == sorted(targets)
     entries = topology._routing[1]
-    assert {pb for pb, target in enumerate(entries) if target is not None} == targets
-    assert entries.count(None) == 2000 - len(targets)
+    assert set(entries) == targets
 
 
 def test_signed_zero_rotations_on_a_shared_topology_keep_their_signs():
@@ -972,7 +1008,7 @@ def test_signed_zero_rotations_on_a_shared_topology_keep_their_signs():
         emitted = to_qasm(route_circuit(circuit, topology).routed)
         assert emitted.endswith(f"rz({float(first)!r}) q[1];\nrz({float(second)!r}) q[1];\n")
     _, targets, relabeled = topology._routing
-    assert targets[2] is not None  # the route took the SWAP from physical 2's tables
+    assert 2 in targets  # the route took the SWAP from physical 2's tables
     assert not any(map(any, relabeled.values()))  # and no rotation went into a table
     _, targets, relabeled = dataclasses.replace(topology)._routing
-    assert targets == [None] * 3 and not any(map(any, relabeled.values()))  # a copy starts empty
+    assert targets == {} and not any(map(any, relabeled.values()))  # a copy starts empty

@@ -237,6 +237,13 @@ def test_place_capacity_error():
         place_on_grid(5, chain([0, 1, 2, 3, 4]), 2, 2)
 
 
+@pytest.mark.parametrize("path", [{**chain([0, 1]), **chain([2, 3])}, chain([0, 1, 2, 3, 0])])
+def test_place_rejects_a_path_that_is_not_connected(path):
+    # two pieces, or a cycle with no end to start from
+    with pytest.raises(ValueError, match="requires a connected path graph"):
+        place_on_grid(4, path, 2, 2)
+
+
 def test_place_first_column_pair_is_grid_adjacent():
     positions = place_on_grid(6, chain([3, 1, 0, 2, 5, 4]), 2, 3)
     cells = {rc: q for q, rc in positions.items()}
