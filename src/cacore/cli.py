@@ -20,7 +20,7 @@ from .errors import (
     TopologyFormatError,
     UnknownTopologyError,
 )
-from .ir import MAX_QUBITS
+from .ir import MAX_GATES, MAX_QUBITS
 from .qasm import parse_qasm_file, to_qasm
 from .routing import route_circuit, verify_routing
 from .synthesis import synthesize_topology
@@ -95,6 +95,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _gate_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_GATES:
+        raise argparse.ArgumentTypeError(f"{value} gates exceed the limit of {MAX_GATES}")
+    return value
+
+
 def _parse_formats(text: str) -> list[str]:
     formats = _split_names(text)
     if not set(formats) <= {"csv", "json"}:
@@ -146,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a seeded random circuit")
     p_gen.add_argument("-n", "--qubits", type=_qubit_count, required=True)
-    p_gen.add_argument("--gates", type=_positive_int, default=2000, help="target gate count")
+    p_gen.add_argument("--gates", type=_gate_count, default=2000, help="target gate count")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True, help="QASM output path")
 
@@ -158,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=_positive_int, default=10, help="random seeds per qubit count"
     )
     p_bench.add_argument(
-        "--gates", type=_positive_int, default=2000, help="target gates per circuit"
+        "--gates", type=_gate_count, default=2000, help="target gates per circuit"
     )
     p_bench.add_argument(
         "--baselines",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 
 class CacoreError(Exception):
     """Base class for all toolchain errors."""
@@ -11,8 +9,8 @@ class CacoreError(Exception):
 
 class QasmSyntaxError(CacoreError):
     """OpenQASM source that cannot be read: a malformed token or statement,
-    a gate outside the supported subset, or a qubit index out of range. The
-    message is prefixed with ``line N:``."""
+    a gate outside the supported subset, a qubit index out of range, or more
+    than MAX_GATES gates. The message is prefixed with ``line N:``."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -39,10 +37,10 @@ class UnroutableGateError(CacoreError):
     """Two-qubit gate whose endpoints lie in different topology components."""
 
 
-def read_utf8(path: Path, error) -> str:
-    """The text of a UTF-8 file as ``Path.read_text`` gives it, ``\\r\\n`` and a lone
-    ``\\r`` made ``\\n``. The first byte that is not UTF-8 raises ``error(message, line)``,
-    its line counted as text mode counts it."""
+def read_utf8(path, error) -> str:
+    """The text of the UTF-8 file at ``path``, a ``pathlib.Path``, as ``Path.read_text``
+    gives it, ``\\r\\n`` and a lone ``\\r`` made ``\\n``. The first byte that is not UTF-8
+    raises ``error(message, line)``, its line counted as text mode counts it."""
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")

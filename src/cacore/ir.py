@@ -51,6 +51,11 @@ METRIC_EXEMPT_KINDS = frozenset({GateKind.MEASURE, GateKind.BARRIER})
 # the largest bundled device (53), so one short input cannot make later stages
 # allocate per-qubit lists of any size it names.
 MAX_QUBITS = 2**16
+# The most gates a QASM file may add, and the most `--gates` may ask for: far above the
+# 2000-gate benchmarks, so one short input cannot make later stages walk a gate list of
+# any length it implies. Under tracemalloc a circuit at the bound, each gate its own
+# object, holds 46 MB, and parsing it from 262,144 distinct lines peaks at 81 MB.
+MAX_GATES = 2**18
 
 _set = object.__setattr__  # stores a field of a Frozen record
 

@@ -29,7 +29,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .errors import QasmSyntaxError, read_utf8
-from .ir import MAX_QUBITS  # the limit on the declared registers' total
+from .ir import MAX_GATES, MAX_QUBITS  # limits on the gates and on the declared registers' total
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .ir import shared_gate
 
@@ -170,6 +170,8 @@ class _Parser:
             self._barrier()
         else:
             self._gate_application(name, tok.line)
+        if len(self.gates) > MAX_GATES:  # a broadcast or ccx adds many gates in one statement
+            raise QasmSyntaxError(f"more than {MAX_GATES} gates", tok.line)
 
     def _declaration(self, keyword: str) -> None:
         """``qreg`` or ``creg``; both kinds of register share one name space."""
@@ -420,6 +422,8 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
             gates.append(gate)
         memo[line] = gate
     parser.read([], final=True)  # the tokens after the last ';'
+    if len(gates) > MAX_GATES:  # each line read without the lexer adds one gate
+        raise QasmSyntaxError(f"more than {MAX_GATES} gates", len(lines) - (not lines[-1]))
     return Circuit(len(qubits), tuple(gates), name)._in_range()  # every operand checked
 
 

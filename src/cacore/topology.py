@@ -1,6 +1,6 @@
 """Coupling-map topologies: representation, validation, JSON I/O, builtins.
 
-Baseline device maps ship as bundled JSON data files; ``line(n)``,
+Baseline device maps are Python data here, built anew on each call; ``line(n)``,
 ``grid(r,c)``, and ``half_sycamore24`` are generated analytically. The
 JSON schema is the contract between the synth and route commands: ``name``
 (string), ``num_qubits`` (int), ``edges`` (sorted ``[i, j]`` pairs with
@@ -12,21 +12,31 @@ JSON schema is the contract between the synth and route commands: ``name``
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from functools import cached_property
-from pathlib import Path
 
 from .errors import TopologyFormatError, UnknownTopologyError, read_utf8
 from .ir import MAX_QUBITS, FieldTable, Frozen
 
-DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # each bundled as data/NAME.json
-# ASCII digits and spaces only, and nothing after the closing parenthesis
-_LINE_RE = re.compile(r"line\((\d+)\)", re.ASCII)
-_GRID_RE = re.compile(r"grid\((\d+),\s*(\d+)\)", re.ASCII)
-
+DEVICES = ("almaden20", "cairo27", "prague33", "sycamore53")  # defined below as Python data
 BUILTIN_NAMES = (*DEVICES, "half_sycamore24", "line(n)", "grid(nrow,ncol)")
+
+# almaden20: the publicly documented 20-qubit 4x5 lattice (a family retired in 2020), rows of five
+_ALMADEN_COLUMNS = ((0, 1, 3, 4), (0, 2, 4), (0, 1, 3, 4))  # of the couplers below rows 0, 1, 2
+# cairo27: the publicly documented 27-qubit heavy-hex device (Falcon-family coupling list).
+_CAIRO_EDGES = (
+    (0, 1), (1, 2), (1, 4), (2, 3), (3, 5), (4, 7), (5, 8), (6, 7), (7, 10), (8, 9), (8, 11),
+    (10, 12), (11, 14), (12, 13), (12, 15), (13, 14), (14, 16), (15, 18), (16, 19), (17, 18),
+    (18, 21), (19, 20), (19, 22), (21, 23), (22, 25), (23, 24), (24, 25), (25, 26),
+)
+# prague33: best-effort heavy-hex reconstruction; the retired system's coupling list is not public.
+_PRAGUE_EDGES = (
+    (0, 1), (0, 9), (1, 2), (2, 3), (3, 4), (4, 5), (4, 10), (5, 6), (6, 7), (7, 8), (8, 11),
+    (9, 12), (10, 16), (11, 20), (12, 13), (13, 14), (14, 15), (14, 21), (15, 16), (16, 17),
+    (17, 18), (18, 19), (18, 22), (19, 20), (21, 25), (22, 29), (23, 24), (24, 25), (25, 26),
+    (26, 27), (27, 28), (27, 32), (28, 29), (29, 30), (30, 31),
+)
+_HEAVY_HEX = {"cairo27": (27, _CAIRO_EDGES), "prague33": (33, _PRAGUE_EDGES)}  # qubits, couplers
 
 
 class Topology(Frozen):
@@ -105,8 +115,10 @@ def validate_topology(topology: Topology) -> list[str]:
 # -- JSON serialization ------------------------------------------------------
 
 
-def save_topology(topology: Topology, path: str | Path) -> None:
+def save_topology(topology: Topology, path) -> None:  # path: a str or path-like
     """``json.dumps(fields, indent=2)`` and a newline, built as strings (its indenting is slow)."""
+    import json  # here and in load_topology alone, so a builtin device loads without it
+    from pathlib import Path
     edges, synthetic, positions = topology.edges, topology.synthetic, topology.positions
     name, size = json.dumps(topology.name), topology.num_qubits
     fields = [f'"name": {name}', f'"num_qubits": {size}', f'"edges": {_pairs(edges)}']
@@ -188,7 +200,9 @@ def topology_from_dict(data: dict, *, source: str = "topology") -> Topology:
     return Topology(data["name"], num_qubits, tuple(edges), synthetic, positions)
 
 
-def load_topology(path: str | Path) -> Topology:
+def load_topology(path) -> Topology:  # path: a str or path-like
+    import json
+    from pathlib import Path
     path = Path(path)
     text = read_utf8(path, lambda message, line: TopologyFormatError(message, f"line {line}"))
     try:
@@ -239,17 +253,25 @@ def sycamore_pattern(nrow: int, ncol: int) -> list[tuple[int, int]]:
 
 
 def builtin_topology(name: str) -> Topology:
-    """Resolve a builtin topology by name.
+    """Resolve a builtin topology by name, built anew on each call.
 
     Device maps (``almaden20``, ``cairo27``, ``prague33``, ``sycamore53``)
-    come from bundled data files; ``half_sycamore24``, ``line(n)``, and
+    come from the data above; ``half_sycamore24``, ``line(n)``, and
     ``grid(nrow,ncol)`` are generated, up to ``MAX_QUBITS`` qubits.
     """
-    if name in DEVICES:  # read beside this file: importlib.resources loads tempfile and shutil
-        return load_topology(Path(__file__).parent / "data" / f"{name}.json")
+    if name == "almaden20":  # qubit q at row q // 5, column q % 5
+        down = [(5 * r + c, 5 * r + c + 5) for r, cs in enumerate(_ALMADEN_COLUMNS) for c in cs]
+        edges = sorted([(q, q + 1) for q in range(20) if q % 5 != 4] + down)
+        return Topology(name, 20, tuple(edges), positions={q: divmod(q, 5) for q in range(20)})
+    if name in _HEAVY_HEX:
+        return Topology(name, *_HEAVY_HEX[name])
+    if name == "sycamore53":  # the published 54-site 9x6 diagonal grid less inoperable qubit 53
+        return Topology(name, 53, tuple(edge for edge in sycamore_pattern(9, 6) if 53 not in edge))
     if name == "half_sycamore24":  # six rows by four columns, all couplers enabled
         return Topology(name, 24, tuple(sycamore_pattern(6, 4)))
-    if m := _LINE_RE.fullmatch(name) or _GRID_RE.fullmatch(name):
+    import re  # here alone: no device needs it
+    line, grid = r"line\((\d+)\)", r"grid\((\d+),\s*(\d+)\)"  # ASCII digits, nothing after ")"
+    if m := re.fullmatch(line, name, re.ASCII) or re.fullmatch(grid, name, re.ASCII):
         try:
             dims = [int(d) for d in m.groups()]
         except ValueError:  # more digits than int() converts

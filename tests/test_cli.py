@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from cacore.cli import main
+from cacore.cli import build_parser, main
 from cacore.errors import CacoreError
-from cacore.ir import MAX_QUBITS
+from cacore.ir import MAX_GATES, MAX_QUBITS
 from cacore.qasm import parse_qasm_file
 from cacore.topology import Topology, builtin_topology, load_topology, save_topology
 
@@ -245,6 +245,8 @@ def test_bench_unknown_format_is_usage_error(tmp_path):
         (["gen", "-n", "4", "--gates", "x"], 1),
         (["gen", "-n", str(MAX_QUBITS + 1)], 1),
         (["bench", "--qubits", f"2..{MAX_QUBITS + 1}"], 1),
+        (["gen", "-n", "4", "--gates", str(MAX_GATES + 1)], 1),
+        (["bench", "--gates", str(MAX_GATES + 1)], 1),
         (["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "--eps", "0,-0",
           "--baselines", "line(4)"], 1),
     ],
@@ -260,6 +262,24 @@ def test_bad_values_fail_with_one_error_line(tmp_path, capsys, argv, code):
         assert "noise parameters must be finite, got NoiseParams(epsilon=nan)" in err
     assert not re.search(r"\b_[a-z]", err)  # the reason, not the name of a private parser
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["gen", "-n", "4"], ["bench"]], ids=["gen", "bench"])
+def test_gate_count_options_are_bounded_like_qubit_counts(capsys, command):
+    parser = build_parser()
+    assert parser.parse_args([*command, "--gates", str(MAX_GATES), "-o", "out"]).gates == MAX_GATES
+    with pytest.raises(SystemExit):
+        parser.parse_args([*command, "--gates", str(MAX_GATES + 1), "-o", "out"])
+    assert f"{MAX_GATES + 1} gates exceed the limit of {MAX_GATES}" in capsys.readouterr().err
+
+
+def test_a_short_broadcast_file_fails_with_one_error_line(tmp_path, capsys):
+    # 551 bytes whose 100 broadcasts name 6,553,600 gates; the parse stops at the 5th
+    source = tmp_path / "broadcast.qasm"
+    source.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[65536];\n' + "h q;\n" * 100)
+    assert source.stat().st_size == 551
+    assert main(["validate", str(source)]) == 2
+    assert capsys.readouterr().err == f"error: line 8: more than {MAX_GATES} gates\n"
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,8 @@ INPUTS = {
     "malformed.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0] q[1];\n',
     # two components, {0, 1, 2} and {3, 4, 5}
     "split.json": '{"name": "split6", "num_qubits": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5]]}\n',
+    # 551 bytes whose broadcasts name 6,553,600 gates, far past ir.MAX_GATES
+    "broadcast.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[65536];\n' + "h q;\n" * 100,
 }
 
 # Every circuit here has at most 19 qubits, so it fits every bundled device.
@@ -74,6 +76,7 @@ RUNS = [
     ("route figure6 on split.json", ["route", FIGURE, "-t", "{out}/split.json"], [], 3),
     ("bench on split.json", ["bench", "--qubits", "6", "--seeds", "1", "--gates", "40",
                              "--baselines", "{out}/split.json", *BENCH], REPORTS, 4),
+    ("validate broadcast.qasm", ["validate", "{out}/broadcast.qasm"], [], 2),
 ]
 
 

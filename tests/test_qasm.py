@@ -293,6 +293,25 @@ def test_declared_qubit_count_is_bounded(source, line):
     assert _outcome(token_parse, source) == _outcome(parse_qasm, source)
 
 
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("qreg q[4];\nh q;\nx q;\nh q[0];\nz q;\n", 5),  # a broadcast passes the bound
+        ("qreg q[3];\nccx q[0],q[1],q[2];\n", 2),  # one expansion adds 15 gates
+        ("qreg q[2];\nh q; x q; y q; z q; s q; t q;\n", 2),  # six statements on one line
+        ("qreg q[2];\n" + "h q[0];\n" * 10 + "x q[1];\n// end\n", 13),  # one gate a line
+        ("qreg q[2];\n" + "h q[0];\n" * 11, 12),  # the total is checked at the last line
+    ],
+    ids=["broadcast", "ccx", "statements", "lines", "repeated-line"],
+)
+def test_gate_count_is_bounded(monkeypatch, source, line):
+    monkeypatch.setattr("cacore.qasm.MAX_GATES", 10)
+    with pytest.raises(QasmSyntaxError, match="more than 10 gates") as err:
+        parse_qasm(source)
+    assert err.value.line == line
+    assert len(parse_qasm("qreg q[2];\nh q; x q; y q; z q; s q;\n").gates) == 10  # at the bound
+
+
 def test_declared_qubit_count_may_reach_the_bound():
     source = f"qreg a[{MAX_QUBITS - 1}];\nqreg b[1];\ncreg c[{MAX_QUBITS + 1}];\nh b[0];"
     circuit = parse_qasm(source)

@@ -36,7 +36,7 @@ from cacore.ir import Circuit, Frozen, Gate, GateKind
 from cacore.qasm import parse_qasm_file
 from cacore.routing import RouteMetrics, RoutingResult, route_circuit
 from cacore.synthesis import synthesize_topology
-from cacore.topology import Topology, builtin_topology
+from cacore.topology import Topology, builtin_topology, load_topology
 
 from conftest import DATA_DIR, SRC_DIR
 
@@ -105,8 +105,28 @@ def test_import_loads_no_submodule_and_no_resource_machinery(imported):
 def test_builtin_devices_load_only_ir_errors_and_topology(imported):
     loaded = _loaded(imported, "builtin_topology")
     assert loaded == ["cacore", "cacore.errors", "cacore.ir", "cacore.topology"]
-    assert "json" in imported["new"]["builtin_topology"]
+    # the device maps are Python data: no JSON decoder, pattern compiler or path class
+    assert {"json", "re", "pathlib"}.isdisjoint(imported["new"]["builtin_topology"])
     assert "csv" not in imported["new"]["builtin_topology"]
+
+
+def _first_call(statement: str, path) -> subprocess.CompletedProcess:
+    """Run ``statement`` as the first call into cacore of a fresh ``python -I -S``."""
+    probe = "import sys\nsys.path.insert(0, sys.argv[1])\nfrom cacore import topology\n" + statement
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, str(SRC_DIR), str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_topology_json_io_works_as_the_first_call_of_a_process(tmp_path):
+    # json and pathlib are imported inside save_topology and load_topology
+    path = tmp_path / "t.json"
+    saved = _first_call("topology.save_topology(topology.builtin_topology('almaden20'), sys.argv[2])", path)
+    assert (saved.returncode, saved.stderr) == (0, "")
+    loaded = _first_call("print(topology.load_topology(sys.argv[2]).name)", path)
+    assert (loaded.returncode, loaded.stdout, loaded.stderr) == (0, "almaden20\n", "")
+    assert load_topology(path) == builtin_topology("almaden20")
 
 
 def test_synth_and_route_load_neither_bench_nor_csv_nor_random(imported):

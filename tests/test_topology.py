@@ -1,8 +1,12 @@
 """Topology model tests: load checks, collision warnings, JSON round-trips, builtins."""
 
+import builtins
+import hashlib
+import io
 import json
 import random
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,43 @@ def test_builtin_device_sizes(name, qubits, edges):
     topology = builtin_topology(name)
     assert topology.num_qubits == qubits
     assert len(topology.edges) == edges
+
+
+# sha256 of ``_device_fields`` as read from each device's JSON data file, the form
+# the four maps shipped in before they became Python data in ``topology``
+_DEVICE_DIGESTS = {
+    "almaden20": "74bd4b5625a0306087b3fe0fd9eb318cfaa49986871dc4ed553b2f91672e0b56",
+    "cairo27": "5cdc82fbfefe56d20b6c53e7f3c47e48895688db88d4f9be776c6f829d86dc36",
+    "prague33": "0a1cbe7e60bce582517b8d1087430b0a1f203faaec78d911cfd7ddf60c3093ac",
+    "sycamore53": "938d9ee6626b6adf24a929493bcc07f79ffcf90346e31a3f5546f7f7550ecf9f",
+}
+
+
+def _device_fields(topology: Topology) -> str:
+    """num_qubits, edges, the synthetic edges in edge order and the positions, as JSON."""
+    n, edges, positions = topology.num_qubits, topology.edges, topology.positions
+    synthetic = [list(pair) for pair in edges if pair in topology.synthetic]
+    cells = None if positions is None else [list(positions[q]) for q in range(n)]
+    return json.dumps([n, [list(pair) for pair in edges], synthetic, cells])
+
+
+def _no_file(*args, **kwargs):
+    raise AssertionError("a builtin device opened a file")
+
+
+@pytest.mark.parametrize("name", sorted(_DEVICE_DIGESTS))
+def test_devices_equal_their_data_files_and_open_none(monkeypatch, name):
+    for target, attribute in ((builtins, "open"), (io, "open"), (Path, "open"),
+                              (Path, "read_bytes"), (Path, "read_text")):
+        monkeypatch.setattr(target, attribute, _no_file)
+    first, second = builtin_topology(name), builtin_topology(name)
+    monkeypatch.undo()
+    digest = hashlib.sha256(_device_fields(first).encode()).hexdigest()
+    assert digest == _DEVICE_DIGESTS[name]
+    assert first.name == name and first == second
+    assert first is not second
+    if first.positions is not None:  # a caller may change its own copy
+        assert first.positions is not second.positions
 
 
 def test_every_builtin_is_connected():
