@@ -17,7 +17,7 @@ import random
 from pathlib import Path
 
 from .errors import CacoreError, DegenerateInputError
-from .ir import Circuit, Frozen, Gate, GateKind, Record, shared_gate
+from .ir import MAX_GATES, Circuit, Frozen, Gate, GateKind, Record, shared_gate
 from .routing import RouteMetrics, route_circuit, verify_routing
 from .synthesis import CA_CORE, synthesize_topology
 from .topology import Topology
@@ -39,7 +39,8 @@ def gen_random_circuit(num_qubits: int, target_gates: int, seed: int) -> Circuit
     of them into disjoint CNOTs, and gives every remaining qubit a
     uniformly chosen one-qubit gate with probability 0.7. Layers are
     appended until the gate count reaches ``target_gates``, so the total
-    lands in [target, target + layer size).
+    lands in [target, target + layer size); past ``MAX_GATES``, which the
+    parser would refuse, it raises DegenerateInputError.
     """
     if num_qubits < 2:
         raise DegenerateInputError(f"random circuits need at least 2 qubits, got {num_qubits}")
@@ -54,6 +55,8 @@ def gen_random_circuit(num_qubits: int, target_gates: int, seed: int) -> Circuit
         for q in order[2 * pairs :]:
             if rng.random() < 0.7:
                 gates.append(shared_gate(rng.choice(_ONE_QUBIT_POOL), (q,)))
+    if len(gates) > MAX_GATES:
+        raise DegenerateInputError(f"{len(gates)} random gates exceed the limit of {MAX_GATES}")
     return Circuit(num_qubits, tuple(gates), f"random_n{num_qubits}_s{seed}")
 
 

@@ -12,7 +12,6 @@ code relies on gate identity.
 from __future__ import annotations
 
 from enum import Enum, unique
-from functools import cached_property
 
 from .errors import DegenerateInputError
 
@@ -161,32 +160,29 @@ def shared_gate(kind: GateKind, qubits: tuple[int, ...], param: float | None = N
 
 
 class Circuit(Frozen):
-    """Ordered gate list over a fixed number of logical qubits."""
+    """Ordered gate list over a fixed number of logical qubits. ``__init__`` raises
+    DegenerateInputError if a gate names a logical qubit outside [0, num_qubits): the
+    lowest negative one, else the highest too large. So every stage may index by qubit."""
 
     __dataclass_fields__ = FieldTable()
 
     def __init__(self, num_qubits: int, gates: tuple[Gate, ...] = (), name: str = "circuit"):
+        gates = tuple(gates)
+        used = {q for gate in gates for q in gate.qubits}
+        low, high = min(used, default=0), max(used, default=-1)
+        if low < 0 or high >= num_qubits:
+            q = low if low < 0 else high
+            raise DegenerateInputError(f"logical qubit {q} out of range for {num_qubits}-qubit circuit {name!r}")
         _set(self, "num_qubits", num_qubits)
-        _set(self, "gates", tuple(gates))
+        _set(self, "gates", gates)
         _set(self, "name", name)
 
-    def check_qubits(self) -> None:
-        """Raise DegenerateInputError if a gate names a logical qubit outside
-        [0, num_qubits): the lowest negative one, else the highest too large.
-        One scan per circuit, kept; none for ``parse_qasm``'s (``_in_range``)."""
-        q = self._stray_qubit
-        if q is not None:
-            raise DegenerateInputError(
-                f"logical qubit {q} out of range for {self.num_qubits}-qubit circuit {self.name!r}"
-            )
 
-    @cached_property  # stored in the instance __dict__; the circuit never changes
-    def _stray_qubit(self) -> int | None:
-        used = {q for gate in self.gates for q in gate.qubits}
-        low, high = min(used, default=0), max(used, default=-1)
-        return low if low < 0 else high if high >= self.num_qubits else None
-
-    def _in_range(self) -> Circuit:
-        """This circuit, stored as in range unscanned; a ``dataclasses.replace`` copy scans."""
-        self.__dict__["_stray_qubit"] = None
-        return self
+def _unchecked_circuit(num_qubits: int, gates: tuple[Gate, ...], name: str) -> Circuit:
+    """A Circuit built without ``__init__``'s scan, for ``parse_qasm`` and ``route_circuit``
+    alone: each builds only gates whose qubits are in range (a ``dataclasses.replace`` copy scans)."""
+    circuit = object.__new__(Circuit)
+    _set(circuit, "num_qubits", num_qubits)
+    _set(circuit, "gates", gates)
+    _set(circuit, "name", name)
+    return circuit

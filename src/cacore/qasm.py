@@ -31,7 +31,7 @@ from pathlib import Path
 from .errors import QasmSyntaxError, read_utf8
 from .ir import MAX_GATES, MAX_QUBITS  # limits on the gates and on the declared registers' total
 from .ir import METRIC_EXEMPT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
-from .ir import shared_gate
+from .ir import _unchecked_circuit, shared_gate
 
 _TOKEN_RE = re.compile(
     r"""
@@ -424,7 +424,7 @@ def parse_qasm(source: str, name: str = "circuit") -> Circuit:
     parser.read([], final=True)  # the tokens after the last ';'
     if len(gates) > MAX_GATES:  # each line read without the lexer adds one gate
         raise QasmSyntaxError(f"more than {MAX_GATES} gates", len(lines) - (not lines[-1]))
-    return Circuit(len(qubits), tuple(gates), name)._in_range()  # every operand checked
+    return _unchecked_circuit(len(qubits), tuple(gates), name)  # every operand checked
 
 
 def parse_qasm_file(path: str | Path) -> Circuit:
@@ -444,12 +444,11 @@ def to_qasm(circuit: Circuit) -> str:
 
     Float parameters are printed via ``repr``, with ``.0`` added to an
     exponent form's mantissa, so parse -> print -> parse reproduces the
-    exact gate list; a non-finite angle or a qubit outside [0, num_qubits)
-    raises ``ValueError``. Each line is rendered once per gate object, a
-    rotation's too, in the canonical form the parser reads without its lexer
-    unless it is a barrier or measure. A measure ``q[i]`` writes to ``c[i]``,
-    and ``creg c[num_qubits];`` is declared right after the ``qreg`` line only
-    when the circuit measures.
+    exact gate list; a non-finite angle raises ``ValueError``. Each line is
+    rendered once per gate object, a rotation's too, in the canonical form the
+    parser reads without its lexer unless it is a barrier or measure. A
+    measure ``q[i]`` writes to ``c[i]``, and ``creg c[num_qubits];`` is
+    declared right after the ``qreg`` line only when the circuit measures.
     """
     n = circuit.num_qubits
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
@@ -457,11 +456,8 @@ def to_qasm(circuit: Circuit) -> str:
     measured = False
     for gate in circuit.gates:
         line = rendered.get(id(gate))
-        if line is None:  # a line rendered for the first time: check what it names
+        if line is None:  # a line rendered for the first time: check its angle
             kind, qubits, param = gate.kind, gate.qubits, gate.param
-            for q in qubits:
-                if not 0 <= q < n:
-                    raise ValueError(f"gate {len(lines) - 3}: qubit {q} is outside qreg q[{n}]")
             if param is not None:
                 if not math.isfinite(param):
                     raise ValueError(f"gate {len(lines) - 3}: angle {param!r} is not finite")

@@ -37,7 +37,7 @@ from collections import namedtuple
 
 from .errors import DegenerateInputError, UnroutableGateError
 from .ir import TWO_QUBIT_KINDS, Circuit, FieldTable, Gate, GateKind, Record
-from .ir import SHARED_KINDS, shared_gate
+from .ir import SHARED_KINDS, _unchecked_circuit, shared_gate
 from .topology import Topology
 
 
@@ -118,10 +118,8 @@ def _toward(adjacency: dict[int, tuple[int, ...]], dst: int) -> tuple[list, list
 def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     """Insert SWAPs so every two-qubit gate lands on a coupler edge, reading and
     filling the routing state ``topology`` keeps, keyed by target qubit and by kind.
-
-    A logical qubit outside [0, num_qubits) raises DegenerateInputError.
+    The routed circuit is built unscanned: its every qubit is one of the topology's.
     """
-    circuit.check_qubits()
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
     log_to_phys = list(range(circuit.num_qubits))
@@ -197,7 +195,7 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
                 busy[p] = fence
             routed.append(gate if physical == qubits else shared_gate(kind, physical))
 
-    routed_circuit = Circuit(size, tuple(routed), name=f"{circuit.name}@{topology.name}")
+    routed_circuit = _unchecked_circuit(size, tuple(routed), f"{circuit.name}@{topology.name}")
     total = len(routed) - exempt
     two_qubit += len(inserted)
     metrics = RouteMetrics(
@@ -219,9 +217,10 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     kinds, same logical operands, same per-qubit order. Gates in source order
     are compared operand by operand; tuples are built only from the first
     mismatch on, for the lane check. Only a SWAP on a coupler may be marked
-    inserted, and a routed gate on a physical qubit outside the topology
-    fails. Couplers come from the adjacency the router reads: an endpoint that
-    is not a qubit raises TopologyFormatError here too.
+    inserted, and a routed gate on a qubit at or past the topology's size
+    fails (a Circuit holds no negative qubit). Couplers come from the
+    adjacency the router reads: an endpoint that is not a qubit raises
+    TopologyFormatError here too.
 
     ``result.inserted`` holds ints and is read as a set: the verifier marks
     each index inside the routed circuit in a byte mask, so their order,
@@ -269,7 +268,7 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
             logical = (la, lb)
         elif kind is not barrier:
             (q,) = qubits
-            if not 0 <= q < size:
+            if q >= size:
                 return False
             lq = phys_to_log[q]
             if want.kind is kind:
@@ -279,7 +278,7 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
                     continue
             logical = (lq,)
         else:
-            if not all(0 <= p < size for p in qubits):
+            if max(qubits) >= size:
                 return False
             logical = tuple(map(phys_to_log.__getitem__, qubits))
             if want.kind is kind and want.qubits == logical:  # a barrier takes no angle
@@ -299,11 +298,10 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
 
 
 def _lanes(gates: list[tuple], num_qubits: int) -> list[list[tuple]]:
-    """Each in-range qubit's (kind, qubits, param) entries in program order,
-    an entry once per distinct qubit."""
+    """Each qubit's (kind, qubits, param) entries in program order, an entry once
+    per distinct qubit."""
     lanes: list[list[tuple]] = [[] for _ in range(num_qubits)]
     for gate in gates:
         for q in set(gate[1]):
-            if 0 <= q < num_qubits:
-                lanes[q].append(gate)
+            lanes[q].append(gate)
     return lanes

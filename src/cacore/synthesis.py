@@ -205,10 +205,9 @@ def synthesize_topology(circuit: Circuit, *, keep_synthetic: bool = True) -> Top
     With ``keep_synthetic`` (the default) the zero-correlation joining
     edges stay in the topology, guaranteeing one connected device; setting
     it to False configures couplers only where a correlation exists, which
-    may leave uncorrelated fragments disconnected. A logical qubit outside
-    [0, num_qubits) raises DegenerateInputError (``Circuit.check_qubits``).
+    may leave uncorrelated fragments disconnected. ``Circuit`` checked the
+    qubit range when it was built, so no scan runs here.
     """
-    circuit.check_qubits()
     n = circuit.num_qubits
     matrix = build_correlation(circuit)
     path = join_components(n, generate_mwpg(matrix))

@@ -203,25 +203,25 @@ def test_oversized_circuits_are_skipped():
 
 def test_synthesis_failure_is_recorded_and_the_run_continues(monkeypatch):
     good = gen_random_circuit(4, 50, 0)
-    bad = Circuit(3, (Gate(GateKind.CNOT, (3, 0)),), "bad")
+    with pytest.raises(DegenerateInputError, match="logical qubit 3 out of range for 3-qubit circuit 'bad'"):
+        Circuit(3, (Gate(GateKind.CNOT, (3, 0)),), "bad")  # fails where it is built
+    bad = Circuit(0, (), "bad")  # builds, routes, but sizes no grid
     report = run_comparison([good, bad], [builtin_topology("line(4)")], [NoiseParams(0.001)])
     assert [(r["circuit"], r["topology"]) for r in report.rows] == [
-        (good.name, "ca_core"), (good.name, "line(4)")
+        (good.name, "ca_core"), (good.name, "line(4)"), ("bad", "line(4)")
     ]
-    assert [(f["circuit"], f["topology"]) for f in report.failures] == [
-        ("bad", "ca_core"), ("bad", "line(4)")
+    assert report.failures == [
+        {"circuit": "bad", "topology": "ca_core", "error": "cannot size a grid for 0 qubits"}
     ]
-    assert all("out of range" in f["error"] for f in report.failures)
     # a route that fails verification is recorded too, and the run goes on
     monkeypatch.setattr("cacore.bench.verify_routing", lambda *args: False)
     report = run_comparison([good, bad], [builtin_topology("line(4)")], [NoiseParams(0.001)])
     assert report.rows == []
-    assert [(f["circuit"], f["topology"], f["error"]) for f in report.failures[:2]] == [
+    assert [(f["circuit"], f["topology"], f["error"]) for f in report.failures] == [
         (good.name, "ca_core", "routing verification failed"),
         (good.name, "line(4)", "routing verification failed"),
-    ]
-    assert [(f["circuit"], f["topology"]) for f in report.failures[2:]] == [
-        ("bad", "ca_core"), ("bad", "line(4)")
+        ("bad", "ca_core", "cannot size a grid for 0 qubits"),
+        ("bad", "line(4)", "routing verification failed"),
     ]
 
 

@@ -273,6 +273,28 @@ def test_gate_count_options_are_bounded_like_qubit_counts(capsys, command):
     assert f"{MAX_GATES + 1} gates exceed the limit of {MAX_GATES}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_generated_gates_past_the_bound_fail_with_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # whole layers can pass --gates, and so the bound the parser keeps; the bound
+    # is patched down to one 60-qubit layer, so no run nears the real one
+    from cacore.bench import gen_random_circuit
+
+    total = len(gen_random_circuit(60, 10, 0).gates)
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "-n", "60", "--gates", "10", "-o", str(out)],
+        "bench": ["bench", "--qubits", "60", "--seeds", "1", "--gates", "10", "--baselines", "line(60)",
+                  "-o", str(out)],
+    }[command]
+    monkeypatch.setattr("cacore.bench.MAX_GATES", total - 1)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {total} random gates exceed the limit of {total - 1}\n"
+    assert not out.is_file()
+    monkeypatch.setattr("cacore.bench.MAX_GATES", total)  # a total at the bound is kept
+    assert main(argv) == 0
+
+
 def test_a_short_broadcast_file_fails_with_one_error_line(tmp_path, capsys):
     # 551 bytes whose 100 broadcasts name 6,553,600 gates; the parse stops at the 5th
     source = tmp_path / "broadcast.qasm"

@@ -254,6 +254,48 @@ def test_gate_table_name_is_found(tmp_path):
     assert gate_table_names(tmp_path) == ["mod:1", "mod:4"]
 
 
+def unchecked_circuit_callers(package=PACKAGE) -> list[str]:
+    """Each top-level statement outside ``ir.py`` that names ``_unchecked_circuit``, or
+    imports it under another name: ``module.function`` for a function, else ``module:line``."""
+    def found(node) -> bool:
+        renamed = isinstance(node, ast.alias) and node.name == "_unchecked_circuit" and node.asname
+        return renamed or _named(node, "_unchecked_circuit")
+
+    return [
+        f"{module}.{node.name}" if isinstance(node, ast.FunctionDef) else f"{module}:{node.lineno}"
+        for module, tree in sorted(_trees(package).items())
+        if module != "ir"
+        for node in tree.body
+        if any(map(found, ast.walk(node)))
+    ]
+
+
+def test_only_the_parser_and_the_router_build_circuits_unscanned():
+    # each builds only gates whose qubits are in range; any other producer scans
+    assert unchecked_circuit_callers() == ["qasm.parse_qasm", "routing.route_circuit"]
+
+
+def test_unchecked_circuit_call_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .ir import _unchecked_circuit\n"
+        "from . import ir\n"
+        "def f(n):\n"
+        "    return _unchecked_circuit(n, (), 'f')\n"
+        "def g(n):\n"
+        "    return ir._unchecked_circuit(n, (), 'g')\n"
+        "def h(n):\n"
+        "    return Circuit(n, (), 'h')\n"
+        "class C:\n"
+        "    def m(self, n):\n"
+        "        return _unchecked_circuit(n, (), 'm')\n"
+        "build = _unchecked_circuit\n"
+        "from .ir import _unchecked_circuit as unscanned\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "ir.py").write_text("def f(n):\n    return _unchecked_circuit(n, (), 'f')\n", encoding="utf-8")
+    assert unchecked_circuit_callers(tmp_path) == ["mod.f", "mod.g", "mod:9", "mod:12", "mod:13"]
+
+
 def file_reads(package=PACKAGE) -> list[str]:
     """``module:line`` of each name or attribute ``read_text`` or ``read_bytes`` outside
     ``errors.py``, whose ``read_utf8`` reads every input file."""

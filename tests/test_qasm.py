@@ -7,7 +7,6 @@ import operator
 import random
 import re
 import signal
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -367,18 +366,20 @@ def test_non_finite_angle_is_not_emitted(kind, angle):
                                          (Gate(GateKind.CNOT, (0, 5)), 5),
                                          (Gate(GateKind.RZ, (3,), 0.5), 3)])
 def test_out_of_range_qubit_is_not_emitted(gate, qubit):
-    # a repeated valid gate first, so the check holds past the rendered-line cache
-    circuit = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.H, (0,)), gate))
-    with pytest.raises(ValueError, match=rf"gate 2: qubit {qubit} is outside qreg q\[2\]"):
-        to_qasm(circuit)
+    # no such circuit is built, so to_qasm never sees one
+    with pytest.raises(DegenerateInputError, match=rf"^logical qubit {qubit} out of range for 2-qubit"):
+        Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.H, (0,)), gate))
 
 
-def test_out_of_range_error_names_the_first_offending_gate():
+def test_out_of_range_error_names_the_lowest_negative_else_the_highest_qubit():
     # the offending object repeats, after an equal twin of a valid shared gate
     h, bad = shared_gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (1, 4))
-    circuit = Circuit(2, (h, Gate(GateKind.H, (0,)), h, bad, h, bad, Gate(GateKind.H, (3,))))
-    with pytest.raises(ValueError, match=r"^gate 3: qubit 4 is outside qreg q\[2\]$"):
-        to_qasm(circuit)
+    gates = (h, Gate(GateKind.H, (0,)), h, bad, h, bad, Gate(GateKind.H, (3,)))
+    with pytest.raises(DegenerateInputError, match=r"^logical qubit 4 out of range for 2-qubit circuit 'c'$"):
+        Circuit(2, gates, "c")
+    gates += (Gate(GateKind.H, (-1,)), Gate(GateKind.BARRIER, (0, -2, 5)))
+    with pytest.raises(DegenerateInputError, match=r"^logical qubit -2 out of range for 2-qubit circuit 'c'$"):
+        Circuit(2, gates, "c")
 
 
 def _with_special_angles(rng, circuit):
@@ -442,17 +443,18 @@ def test_parser_total_on_fuzzed_inputs():
             circuit = parse_qasm(program)
         except QasmSyntaxError:
             continue
-        _rescanned(circuit).check_qubits()
+        assert _rebuilt(circuit) == circuit
 
 
-def _rescanned(circuit):
-    """A copy that scans its gates: ``parse_qasm`` returns its circuit marked in
-    range, so only a fresh one checks the parser's claim."""
+def _rebuilt(circuit):
+    """A copy through the public constructor, which scans its gates: ``parse_qasm``
+    builds its circuit unscanned, so only a rebuilt one checks the parser's claim."""
     return Circuit(circuit.num_qubits, circuit.gates, circuit.name)
 
 
 def test_circuit_rule_examples():
-    _rescanned(parse_qasm("qreg q[2]; cx q[0],q[1];")).check_qubits()
+    parsed = parse_qasm("qreg q[2]; cx q[0],q[1];")
+    assert _rebuilt(parsed) == parsed
     shapes = [
         (GateKind.CNOT, (0, 0), None, "cx: identical endpoints 0"),
         (GateKind.SWAP, (1, 1), None, "swap: identical endpoints 1"),
@@ -468,9 +470,8 @@ def test_circuit_rule_examples():
     for kind, qubits, param, message in shapes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Gate(kind, qubits, param)
-    bad_range = Circuit(6, (Gate(GateKind.H, (7,)),))
-    with pytest.raises(DegenerateInputError, match="out of range"):
-        bad_range.check_qubits()
+    with pytest.raises(DegenerateInputError, match="^logical qubit 7 out of range for 6-qubit circuit 'circuit'$"):
+        Circuit(6, (Gate(GateKind.H, (7,)),))
 
 
 _STAGES = {
@@ -481,13 +482,14 @@ _STAGES = {
 
 @pytest.mark.parametrize("stage", list(_STAGES))
 def test_a_replaced_copy_of_a_parsed_circuit_is_scanned(stage):
-    """Only the parsed circuit itself is marked in range: a ``dataclasses.replace``
-    copy given an out-of-range gate is refused by each stage that reads it."""
+    """Only the parsed circuit itself is built unscanned: a ``dataclasses.replace``
+    copy given an out-of-range gate fails where it is made, before any stage reads it,
+    and one given an in-range gate is read like the parsed circuit."""
     parsed = parse_qasm("qreg q[4];\ncx q[0],q[1];\nh q[3];\n")
     _STAGES[stage](parsed)
-    copy = dataclasses.replace(parsed, gates=(*parsed.gates, Gate(GateKind.CNOT, (2, 4))))
-    with pytest.raises(DegenerateInputError, match="logical qubit 4 out of range"):
-        _STAGES[stage](copy)
+    with pytest.raises(DegenerateInputError, match="^logical qubit 4 out of range for 4-qubit circuit 'circuit'$"):
+        dataclasses.replace(parsed, gates=(*parsed.gates, Gate(GateKind.CNOT, (2, 4))))
+    _STAGES[stage](dataclasses.replace(parsed, gates=(*parsed.gates, Gate(GateKind.CNOT, (2, 3)))))
 
 
 def _outcome(parse, source):
@@ -607,8 +609,9 @@ def test_statement_tokens_match_token_by_token_oracle():
         assert _outcome(parse_qasm, source) == expected, source
         if isinstance(expected[0], int):
             parsed += 1
-            # a parsed circuit is always valid, so ``cacore synth`` need not check it
-            _rescanned(parse_qasm(source)).check_qubits()
+            # a parsed circuit is always valid, so it is built unscanned
+            circuit = parse_qasm(source)
+            assert _rebuilt(circuit) == circuit
         else:
             failed += 1
     assert parsed >= 300 and failed >= 300
@@ -876,28 +879,27 @@ def test_a_file_synthesized_then_routed_is_never_scanned_and_lexes_only_its_head
     tmp_path, monkeypatch
 ):
     """A deterministic work count for ``cacore synth`` then ``cacore route`` on a
-    33-qubit, 2000-gate file: ``parse_qasm`` checked every operand, so no stage
-    rescans the circuit, and every gate line of ``to_qasm`` text is read without
-    the lexer."""
-    scans = []
-    scan = Circuit._stray_qubit.func
-
-    def counting_scan(circuit):
-        scans.append(circuit)
-        return scan(circuit)
-
-    prop = cached_property(counting_scan)
-    prop.__set_name__(Circuit, "_stray_qubit")
-    monkeypatch.setattr(Circuit, "_stray_qubit", prop)
+    33-qubit, 2000-gate file: ``parse_qasm`` checked every operand and
+    ``route_circuit`` places every gate on the topology, so neither builds its
+    circuit through the scanning ``Circuit.__init__``, and every gate line of
+    ``to_qasm`` text is read without the lexer."""
     source, topology = tmp_path / "c.qasm", tmp_path / "t.json"
     assert main(["gen", "-n", "33", "--gates", "2000", "-o", str(source)]) == 0
+    scans = []
+    init = Circuit.__init__
+
+    def counting_init(circuit, *args):
+        scans.append(args)
+        init(circuit, *args)
+
+    monkeypatch.setattr(Circuit, "__init__", counting_init)
     lexed = _counting_lex(monkeypatch)
     assert main(["synth", str(source), "-o", str(topology)]) == 0
     assert main(["route", str(source), "-t", str(topology)]) == 0
     header = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[33];"]
     assert not scans and lexed == header * 2
     # the counters see a caller's circuit and a line that is not a canonical gate
-    Circuit(2, (Gate(GateKind.H, (0,)),)).check_qubits()
+    Circuit(2, (Gate(GateKind.H, (0,)),))
     parse_qasm("qreg q[1];\n// c\nh\tq[0];\n")
     assert len(scans) == 1 and lexed[6:] == ["qreg q[1];", "h\tq[0];"]
 

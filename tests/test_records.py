@@ -4,7 +4,7 @@ what it does not use.
 ``Gate``, ``NoiseParams``, ``BenchmarkReport``, ``Circuit``, ``Topology`` and
 ``RoutingResult`` are ``ir.Record``s: ``repr`` and ``==`` read the fields named by the
 ``__init__`` parameters (``_fields``), so a value cached in the instance dict, such as
-``Circuit._stray_qubit`` or ``Topology._routing``, enters neither. ``Gate``,
+``Topology._routing``, enters neither. ``Gate``,
 ``NoiseParams``, ``Circuit`` and ``Topology`` are also ``ir.Frozen``, which adds ``hash``
 and immutability; ``BenchmarkReport`` and ``RoutingResult`` stay mutable and unhashable.
 ``Circuit``, ``Topology`` and ``RoutingResult`` also answer ``dataclasses.replace``
@@ -325,11 +325,11 @@ def test_a_cached_attribute_never_enters_repr_eq_or_hash():
     assert gate.width == 2 and "width" in vars(gate) and "width" not in vars(fresh)
     assert repr(gate) == repr(fresh) == "_Cached(kind=<GateKind.CNOT: 'cx'>, qubits=(0, 1), param=None)"
     assert gate == fresh and hash(gate) == hash(fresh) == hash((GateKind.CNOT, (0, 1), None))
-    # the circuit's range scan and the topology's routing tables, once filled
+    # the topology's routing tables, once filled; the circuit caches nothing
     circuit, topology = _figure(), _chain()
     text, value = repr(circuit), hash(circuit)
     result = route_circuit(circuit, topology)
-    assert {"_stray_qubit", "_routing"} <= {*vars(circuit), *vars(topology)}
+    assert "_routing" in vars(topology) and set(vars(circuit)) == set(Circuit._fields)
     assert (repr(circuit), hash(circuit)) == (text, value)
     assert repr(topology) == (
         "Topology(name='chain', num_qubits=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), "
@@ -347,7 +347,7 @@ def _chain() -> Topology:
 
 
 def _figure() -> Circuit:
-    """The figure circuit, parsed afresh: the parser marks it in range (``_stray_qubit``)."""
+    """The figure circuit, parsed afresh: the parser builds it unscanned."""
     return parse_qasm_file(DATA_DIR / "figure6.qasm")
 
 
@@ -361,7 +361,7 @@ def test_the_field_tables_name_the_init_parameters():
 def test_replace_gives_an_equal_copy_with_empty_caches():
     circuit, topology = _figure(), _chain()
     result = route_circuit(circuit, topology)
-    for record, cache in ((circuit, "_stray_qubit"), (topology, "_routing"), (result, None)):
+    for record, cache in ((circuit, None), (topology, "_routing"), (result, None)):
         copy = dataclasses.replace(record)
         assert type(copy) is type(record) and copy == record and copy is not record
         assert repr(copy) == repr(record)

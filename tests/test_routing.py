@@ -136,10 +136,10 @@ def test_unroutable_gate_on_disconnected_topology():
 
 @pytest.mark.parametrize("q", [-1, 3])
 def test_out_of_range_logical_qubit_is_rejected(q):
-    # -1 would wrap around through list indexing; 3 would index past the layout
-    circuit = Circuit(3, (Gate(GateKind.H, (q,)), cnot(q, 0)))
-    with pytest.raises(DegenerateInputError, match=f"logical qubit {q} out of range"):
-        route_circuit(circuit, builtin_topology("line(3)"))
+    # -1 would wrap around through list indexing; 3 would index past the layout.
+    # Such a circuit fails where it is built, so route_circuit never reads one.
+    with pytest.raises(DegenerateInputError, match=f"^logical qubit {q} out of range for 3-qubit circuit 'circuit'$"):
+        Circuit(3, (Gate(GateKind.H, (q,)), cnot(q, 0)))
 
 
 def test_one_qubit_gates_emitted_on_current_physical():
@@ -207,7 +207,12 @@ def test_verify_rejects_a_routed_gate_off_the_topology(routed):
     topology = builtin_topology("line(3)")
     result = route_circuit(circuit, topology)
     assert result.routed.gates == circuit.gates
-    tampered = RoutingResult(Circuit(3, routed), (), result.metrics)
+    low = min(q for gate in routed for q in gate.qubits)
+    if low < 0:  # fails where the routed circuit is built, so no verifier reads it
+        with pytest.raises(DegenerateInputError, match=f"^logical qubit {low} out of range"):
+            Circuit(8, routed)
+        return
+    tampered = RoutingResult(Circuit(8, routed), (), result.metrics)  # wider than the topology
     assert rescan_verify(circuit, tampered, topology) is False
     assert verify_routing(circuit, tampered, topology) is False
 
@@ -227,7 +232,12 @@ def test_verify_rejects_an_unmarked_two_qubit_gate_off_the_couplers(source, rout
 
     circuit = Circuit(3, (cnot(*source),))
     topology = builtin_topology("line(3)")
-    tampered = RoutingResult(Circuit(3, (cnot(*routed),)), (), route_circuit(circuit, topology).metrics)
+    if min(routed) < 0:  # fails where the routed circuit is built, so no verifier reads it
+        with pytest.raises(DegenerateInputError, match=f"^logical qubit {min(routed)} out of range"):
+            Circuit(8, (cnot(*routed),))
+        return
+    # built wider than the topology, so a qubit past it is a valid circuit's
+    tampered = RoutingResult(Circuit(8, (cnot(*routed),)), (), route_circuit(circuit, topology).metrics)
     assert rescan_verify(circuit, tampered, topology) is False
     assert verify_routing(circuit, tampered, topology) is False
 
@@ -805,6 +815,22 @@ def test_circuit_stats_match_asap_oracle():
             stats.depth, stats.total_gates, stats.one_qubit_gates, stats.two_qubit_gates,
             swap_count=0, total_swap_gates=stats.swap_count,
         )
+
+
+def test_every_routed_circuit_of_the_acceptance_protocol_rebuilds_equal():
+    """``route_circuit`` builds its routed circuit unscanned, so the public constructor,
+    which scans, checks the claim: 30 circuits routed on ca_core, cairo27 and prague33,
+    plus mixed circuits with rotations, barriers and measures, each rebuilt equal."""
+    baselines = (builtin_topology("cairo27"), builtin_topology("prague33"))
+    circuits = [gen_random_circuit(n, 2000, seed) for n in (10, 16, 20) for seed in range(10)]
+    circuits += [_mixed_circuit(n, seed=n) for n in (10, 16, 20)]
+    routes = 0
+    for circuit in circuits:
+        for topology in (synthesize_topology(circuit), *baselines):
+            routed = route_circuit(circuit, topology).routed
+            assert Circuit(routed.num_qubits, routed.gates, routed.name) == routed
+            routes += 1
+    assert routes == 99
 
 
 def test_gate_table_after_the_acceptance_protocol(monkeypatch):
