@@ -21,11 +21,13 @@ class CorrelationMatrix(namedtuple("CorrelationMatrix", "num_qubits weights")):
 
 def build_correlation(circuit: Circuit) -> CorrelationMatrix:
     """Count two-qubit gates per qubit pair."""
-    # Counter's C loop counts each gate's own qubit tuple, so a two-qubit gate
-    # costs about what a one-qubit gate does; (b, a) then folds into (a, b)
-    # once per pair. Sorting bare int pairs is far cheaper than sorting items.
-    counts = Counter(gate.qubits for gate in circuit.gates if gate.kind in TWO_QUBIT_KINDS)
-    pairs = sorted({(a, b) if a < b else (b, a) for a, b in counts})
-    get = counts.get
-    weights = {(a, b): get((a, b), 0) + get((b, a), 0) for a, b in pairs}
-    return CorrelationMatrix(circuit.num_qubits, weights)
+    # One int key per unordered pair, a * n + b with a < b, so Counter's C loop folds
+    # both orientations and the keys sort as plain ints. Circuit keeps every qubit
+    # below n, so ascending codes are ascending pairs, and divmod gives (a, b) back.
+    n = circuit.num_qubits
+    codes = Counter(
+        a * n + b if a < b else b * n + a
+        for gate in circuit.gates if gate.kind in TWO_QUBIT_KINDS for a, b in (gate.qubits,)
+    )
+    weights = {divmod(code, n): codes[code] for code in sorted(codes)}
+    return CorrelationMatrix(n, weights)

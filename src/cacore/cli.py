@@ -54,11 +54,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_topology(spec: str):
-    """Builtin names take priority; anything else is read as a JSON file."""
+    """Builtin names take priority; any other non-empty spec that exists is read as a JSON file."""
     try:
         return builtin_topology(spec)
     except UnknownTopologyError:
-        if Path(spec).exists():
+        if spec and Path(spec).exists():  # Path("") is the current directory
             return load_topology(spec)
         raise
 
@@ -236,15 +236,16 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:  # checked before any circuit is generated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)  # an existing file fails here, before the run
-
     circuits = []
     circuit_seeds = []
     for n in args.qubits:
         for seed in seeds:
             circuits.append(gen_random_circuit(n, args.gates, seed))
             circuit_seeds.append(seed)
+    # made once every circuit exists, so a failed generation leaves no directory;
+    # an existing file still fails here, before the run
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     config = {"qubits": args.qubits, "seeds": seeds, "target_gates": args.gates}
     report = run_comparison(circuits, baselines, args.eps, seeds=circuit_seeds, config=config)

@@ -242,6 +242,12 @@ def multi_pass_join(num_qubits: int, path: dict) -> dict:
 # and ``dict(sorted(items))`` orders.
 
 
+# ``reference_correlation`` counts a (min, max) tuple per gate and sorts the
+# (pair, count) items; ``build_correlation`` counts one int a * n + b per gate,
+# sorts the bare ints and decodes each with divmod, so it trusts the Circuit's
+# range check that this oracle does not need.
+
+
 def reference_correlation(circuit: Circuit) -> CorrelationMatrix:
     """Two-qubit gate counts per ordered pair, sorted as (pair, count) items."""
     counts = Counter(

@@ -300,7 +300,7 @@ def _line_events(call) -> int:
     return count
 
 
-def test_criterion_8b_complexity_by_line_count():
+def _criterion_8b_verdict() -> tuple[bool, str]:
     """Criterion 8 with a deterministic cost: synthesis work must fit n^2 + E
     and fit it no worse than n^3 or E^2, so a super-linear step fails.
 
@@ -322,5 +322,31 @@ def test_criterion_8b_complexity_by_line_count():
     }
     best = fits["n^2 + E"]
     ok = best >= 0.8 and best >= max(fits["n^3"], fits["E^2"])
-    detail = ", ".join(f"R^2({model}) = {r2:.3f}" for model, r2 in fits.items())
+    return ok, ", ".join(f"R^2({model}) = {r2:.3f}" for model, r2 in fits.items())
+
+
+def test_criterion_8b_complexity_by_line_count():
+    ok, detail = _criterion_8b_verdict()
     _report("8b", "synthesis line events fit n^2 + E best", ok, detail)
+
+
+def _cubic_step(n: int):
+    """n^3/8 iterations of two line events each: the step that 8b's docstring names."""
+    for _ in range(n**3 // 8):
+        pass
+
+
+def test_criterion_8b_fails_a_cubic_step(monkeypatch):
+    """The verdict keeps its power: an n^3/8 step run inside a synthesis stage fails it."""
+    import cacore.synthesis
+
+    place = cacore.synthesis.place_on_grid
+
+    def cubic_place(n, *args):
+        _cubic_step(n)
+        return place(n, *args)
+
+    assert _line_events(lambda: _cubic_step(40)) >= 2 * 40**3 // 8
+    monkeypatch.setattr(cacore.synthesis, "place_on_grid", cubic_place)
+    ok, detail = _criterion_8b_verdict()
+    assert not ok, detail

@@ -197,12 +197,11 @@ def test_bench_rates_sharing_a_fidelity_column_are_usage_errors(tmp_path, capsys
     assert len(errors) == 1 and "fidelity@" in errors[0]
 
 
-def test_bench_output_naming_a_file_fails_before_any_circuit_is_generated(tmp_path, capsys,
-                                                                         monkeypatch):
-    def no_circuits(*args):
-        raise AssertionError("generated circuits before the output directory was made")
+def test_bench_output_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the comparison before the output directory was made")
 
-    monkeypatch.setattr("cacore.bench.gen_random_circuit", no_circuits)
+    monkeypatch.setattr("cacore.bench.run_comparison", no_run)
     out = tmp_path / "report"
     out.write_text("kept\n", encoding="utf-8")
     code = main(["bench", "--qubits", "4", "--seeds", "1", "--gates", "20", "-o", str(out)])
@@ -210,6 +209,28 @@ def test_bench_output_naming_a_file_fails_before_any_circuit_is_generated(tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
     assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_a_failed_bench_generation_leaves_no_output_directory(tmp_path, capsys):
+    # the directory is made once every circuit exists, so this run leaves none behind
+    out = tmp_path / "rep"
+    code = main(["bench", "--qubits", "1", "--seeds", "1", "--gates", "20", "--baselines", "line(3)",
+                 "-o", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: random circuits need at least 2 qubits, got 1\n"
+    assert not out.exists()
+
+
+def test_an_empty_topology_spec_is_an_unknown_topology(tmp_path, capsys, monkeypatch):
+    # Path("") names the current directory, which exists; the spec must not be read as it
+    monkeypatch.chdir(tmp_path)
+    assert main(["route", str(DATA_DIR / "figure6.qasm"), "-t", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown topology ''; builtins are ")
+    assert captured.err.count("\n") == 1
 
 
 def test_bench_unknown_format_is_usage_error(tmp_path):
@@ -290,7 +311,7 @@ def test_generated_gates_past_the_bound_fail_with_one_error_line(tmp_path, capsy
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {total} random gates exceed the limit of {total - 1}\n"
-    assert not out.is_file()
+    assert not out.exists()
     monkeypatch.setattr("cacore.bench.MAX_GATES", total)  # a total at the bound is kept
     assert main(argv) == 0
 

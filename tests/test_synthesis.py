@@ -531,16 +531,45 @@ def test_joined_path_is_hamiltonian():
         assert all(d == 2 for d in counts[2:])
 
 
+def _hand_built_circuits():
+    """What no generated or bundled circuit holds: source SWAPs beside CNOTs on
+    both orientations of one pair, two-qubit barriers (which count nothing), and
+    pairs on the highest qubit, whose codes a * n + b reach n * n - 1."""
+    cx, swap, barrier = GateKind.CNOT, GateKind.SWAP, GateKind.BARRIER
+    circuits = [
+        Circuit(2, (Gate(swap, (1, 0)), Gate(cx, (0, 1)), Gate(barrier, (0, 1)), Gate(cx, (1, 0))), "pair"),
+        Circuit(
+            5,
+            (
+                Gate(swap, (4, 3)), Gate(cx, (3, 4)), Gate(barrier, (0, 4)), Gate(cx, (4, 0)),
+                Gate(swap, (0, 4)), Gate(GateKind.H, (4,)), Gate(barrier, (2, 1)), Gate(cx, (1, 2)),
+                Gate(swap, (4, 3)), Gate(barrier, (0, 1, 2, 3, 4)), Gate(GateKind.MEASURE, (4,)),
+            ),
+            "highest",
+        ),
+    ]
+    rng = random.Random(39)
+    for n in (3, 6, 11, 33, 40):
+        gates = []
+        for _ in range(6 * n):
+            a = n - 1 if rng.random() < 0.3 else rng.randrange(n - 1)
+            b = rng.choice([q for q in range(n) if q != a])
+            gates.append(Gate(rng.choice((cx, swap, barrier)), (a, b) if rng.random() < 0.5 else (b, a)))
+        circuits.append(Circuit(n, tuple(gates), f"mixed{n}"))
+    return circuits
+
+
 def _synthesis_corpus():
     """Random circuits of 2..40 qubits at 1, 10, 100 and 2000 gates, four
-    seeds each, and every bundled circuit."""
+    seeds each, every bundled circuit and the hand-built ones."""
     circuits = [
         gen_random_circuit(n, gates, seed)
         for n in range(2, 41)
         for gates in (1, 10, 100, 2000)
         for seed in range(4)
     ]
-    return circuits + [parse_qasm_file(path) for path in sorted(DATA_DIR.glob("*.qasm"))]
+    bundled = [parse_qasm_file(path) for path in sorted(DATA_DIR.glob("*.qasm"))]
+    return circuits + bundled + _hand_built_circuits()
 
 
 def test_synthesis_matches_the_reference_pipeline():
