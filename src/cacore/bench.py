@@ -39,15 +39,15 @@ def gen_random_circuit(num_qubits: int, target_gates: int, seed: int) -> Circuit
     of them into disjoint CNOTs, and gives every remaining qubit a
     uniformly chosen one-qubit gate with probability 0.7. Layers are
     appended until the gate count reaches ``target_gates``, so the total
-    lands in [target, target + layer size); past ``MAX_GATES``, which the
-    parser would refuse, it raises DegenerateInputError.
+    lands in [target, target + layer size); once past ``MAX_GATES``, which
+    the parser would refuse, it stops and raises DegenerateInputError.
     """
     if num_qubits < 2:
         raise DegenerateInputError(f"random circuits need at least 2 qubits, got {num_qubits}")
     rng = random.Random(seed)
     gates: list[Gate] = []
     pairs = int(num_qubits * 0.25)
-    while len(gates) < target_gates:
+    while len(gates) < target_gates and len(gates) <= MAX_GATES:
         order = list(range(num_qubits))
         rng.shuffle(order)
         for k in range(pairs):

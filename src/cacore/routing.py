@@ -36,12 +36,15 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DegenerateInputError, UnroutableGateError
-from .ir import TWO_QUBIT_KINDS, Circuit, FieldTable, Gate, GateKind, Record
+from .ir import MAX_GATES, TWO_QUBIT_KINDS, Circuit, FieldTable, Gate, GateKind, Record
 from .ir import SHARED_KINDS, _unchecked_circuit, shared_gate
 from .topology import Topology
 
 
 _TABLE_LIMIT = 2**20  # next-hop and step slots one topology's targets hold, far above 2 * 53**2
+# The most SWAPs a route may insert: under tracemalloc a route at the bound peaks at 61 MiB, and
+# 93 MiB once verified and written as QASM text (1024 qubits; the ints of inserted dominate)
+_SWAP_LIMIT = 4 * MAX_GATES
 
 
 class _Unmatched:  # follows the source gates in verify_routing: no gate's kind is None
@@ -119,6 +122,8 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
     """Insert SWAPs so every two-qubit gate lands on a coupler edge, reading and
     filling the routing state ``topology`` keeps, keyed by target qubit and by kind.
     The routed circuit is built unscanned: its every qubit is one of the topology's.
+    Past ``_SWAP_LIMIT`` inserted SWAPs, counted after each two-qubit gate's walk,
+    it raises DegenerateInputError.
     """
     size = topology.num_qubits
     phys_to_log = trivial_layout(circuit.num_qubits, size)
@@ -165,6 +170,8 @@ def route_circuit(circuit: Circuit, topology: Topology) -> RoutingResult:
                 if moved is not None:
                     log_to_phys[moved] = pa
                 pa, hop = hop, next_hop[hop]
+            if len(inserted) > _SWAP_LIMIT:  # once per gate: a walk adds at most size - 2
+                raise DegenerateInputError(f"routing {circuit.name!r} needs more than {_SWAP_LIMIT} SWAPs")
             log_to_phys[a] = pa
             finish_a, finish_b = busy[pa], busy[pb]
             busy[pa] = busy[pb] = (finish_a if finish_a > finish_b else finish_b) + 1
@@ -217,10 +224,10 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     kinds, same logical operands, same per-qubit order. Gates in source order
     are compared operand by operand; tuples are built only from the first
     mismatch on, for the lane check. Only a SWAP on a coupler may be marked
-    inserted, and a routed gate on a qubit at or past the topology's size
-    fails (a Circuit holds no negative qubit). Couplers come from the
-    adjacency the router reads: an endpoint that is not a qubit raises
-    TopologyFormatError here too.
+    inserted. A Circuit keeps its qubits below its width, so one scan, made
+    only when the routed circuit is wider than the topology, fails a gate on
+    a qubit at or past its size. Couplers come from the adjacency the router
+    reads: an endpoint that is not a qubit raises TopologyFormatError too.
 
     ``result.inserted`` holds ints and is read as a set: the verifier marks
     each index inside the routed circuit in a byte mask, so their order,
@@ -237,6 +244,8 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
     for idx in result.inserted:
         if 0 <= idx < count:
             marks[idx] = 1
+    if result.routed.num_qubits > size and any(q >= size for gate in routed for q in gate.qubits):
+        return False
     total = len(circuit.gates)
     wants = (*circuit.gates, _Unmatched)  # the sentinel ends in-order matching
     matched = 0  # source gates replayed in order; from the first mismatch on, the sentinel's index
@@ -249,7 +258,7 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
             if kind is not swap:
                 return False
             a, b = qubits
-            if b not in adjacency.get(a, ()):
+            if b not in adjacency[a]:
                 return False
             phys_to_log[a], phys_to_log[b] = phys_to_log[b], phys_to_log[a]
             continue
@@ -257,7 +266,7 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
         want = wants[matched]
         if kind in TWO_QUBIT_KINDS:
             a, b = qubits
-            if b not in adjacency.get(a, ()):
+            if b not in adjacency[a]:
                 return False
             la, lb = phys_to_log[a], phys_to_log[b]
             if want.kind is kind:
@@ -268,8 +277,6 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
             logical = (la, lb)
         elif kind is not barrier:
             (q,) = qubits
-            if q >= size:
-                return False
             lq = phys_to_log[q]
             if want.kind is kind:
                 (wq,) = want.qubits
@@ -278,8 +285,6 @@ def verify_routing(circuit: Circuit, result: RoutingResult, topology: Topology) 
                     continue
             logical = (lq,)
         else:
-            if max(qubits) >= size:
-                return False
             logical = tuple(map(phys_to_log.__getitem__, qubits))
             if want.kind is kind and want.qubits == logical:  # a barrier takes no angle
                 matched += 1

@@ -15,7 +15,7 @@ from cacore.bench import (
 )
 import cacore.routing
 from cacore.errors import DegenerateInputError
-from cacore.ir import Circuit, Gate, GateKind
+from cacore.ir import Circuit, Gate, GateKind, shared_gate
 from cacore.routing import route_circuit
 from cacore.synthesis import synthesize_topology
 from cacore.topology import Topology, builtin_topology
@@ -223,6 +223,32 @@ def test_synthesis_failure_is_recorded_and_the_run_continues(monkeypatch):
         ("bad", "ca_core", "cannot size a grid for 0 qubits"),
         ("bad", "line(4)", "routing verification failed"),
     ]
+
+
+def test_a_route_past_the_swap_bound_is_recorded_and_the_run_continues(monkeypatch):
+    circuit = gen_random_circuit(10, 200, 0)
+    monkeypatch.setattr("cacore.routing._SWAP_LIMIT", 0)
+    report = run_comparison([circuit], [builtin_topology("line(10)"), complete(10)], [NoiseParams(0.001)])
+    assert "complete(10)" in [r["topology"] for r in report.rows]  # needs no SWAP
+    assert {"circuit": circuit.name, "topology": "line(10)",
+            "error": f"routing {circuit.name!r} needs more than 0 SWAPs"} in report.failures
+    assert len(report.rows) + len(report.failures) == 3
+
+
+def test_the_generator_stops_one_layer_past_the_gate_bound(monkeypatch):
+    """Past MAX_GATES the generator builds at most one more layer, at most n gates,
+    before it refuses the target."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return shared_gate(*args)
+
+    monkeypatch.setattr("cacore.bench.MAX_GATES", 100)
+    monkeypatch.setattr("cacore.bench.shared_gate", counted)
+    with pytest.raises(DegenerateInputError, match="exceed the limit of 100$"):
+        gen_random_circuit(4, 200_000, 0)
+    assert 100 < len(built) <= 100 + 4
 
 
 def test_baseline_with_an_out_of_range_coupler_is_recorded_and_the_run_continues():

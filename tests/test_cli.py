@@ -316,6 +316,17 @@ def test_generated_gates_past_the_bound_fail_with_one_error_line(tmp_path, capsy
     assert main(argv) == 0
 
 
+def test_a_route_past_the_swap_bound_fails_with_one_error_line(tmp_path, capsys, monkeypatch):
+    source = tmp_path / "far.qasm"
+    source.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[10];\n' + "cx q[0],q[9];\ncx q[0],q[1];\n" * 3)
+    metrics, routed = tmp_path / "m.json", tmp_path / "r.qasm"
+    monkeypatch.setattr("cacore.routing._SWAP_LIMIT", 10)
+    assert main(["route", str(source), "-t", "line(10)", "--metrics", str(metrics), "--routed-qasm", str(routed)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: routing 'far' needs more than 10 SWAPs\n"
+    assert not metrics.exists() and not routed.exists()
+
+
 def test_a_short_broadcast_file_fails_with_one_error_line(tmp_path, capsys):
     # 551 bytes whose 100 broadcasts name 6,553,600 gates; the parse stops at the 5th
     source = tmp_path / "broadcast.qasm"

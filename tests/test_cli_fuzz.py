@@ -2,7 +2,8 @@
 
 Inputs are QASM files mutated by the parser fuzz's mutator, topology JSON files
 mutated by truncation, type swaps, huge and negative numbers and deep nesting,
-and odd option values. Every run must exit 0, or exit with its documented code
+odd option values, and random circuits routed on long lines with the SWAP bound
+patched small. Every run must exit 0, or exit with its documented code
 and name the failure on exactly one ``error:`` line of stderr, with no
 traceback; a bench run that completes with failed cells exits 4 and counts them
 on stdout, as its report lists them. Every JSON it writes, as a file or on
@@ -104,6 +105,24 @@ def test_mutated_qasm_through_validate_synth_and_route(run):
         argv = ["route", circuit, "-t", device, "--metrics", run.path("m.json"), "--routed-qasm", run.path("r.qasm")]
         run(argv, writes=("m.json", "r.qasm"))
     assert codes.count(0) >= 40 and codes.count(2) >= 40  # both paths are fuzzed
+
+
+def test_routes_on_a_long_line_past_a_small_swap_bound(run, monkeypatch):
+    """Random circuits route on a line, with the SWAP bound patched small: each
+    route is kept, or refused with one ``error:`` line, exit 3 and no file."""
+    rng = random.Random(20261023)
+    circuit = run.path("far.qasm")
+    codes = []
+    for _ in range(60):
+        n = rng.randint(8, 64)
+        Path(circuit).write_text(to_qasm(_mixed_circuit(rng, n)), encoding="utf-8")
+        monkeypatch.setattr("cacore.routing._SWAP_LIMIT", rng.choice((0, 5, 20, 80, 320)))
+        argv = ["route", circuit, "-t", f"line({n + rng.choice((0, 1, 40))})",
+                "--metrics", run.path("m.json"), "--routed-qasm", run.path("r.qasm")]
+        codes.append(run(argv, writes=("m.json", "r.qasm")))
+        if codes[-1] == 3:
+            assert not (run.dir / "m.json").exists() and not (run.dir / "r.qasm").exists()
+    assert codes.count(0) >= 10 and codes.count(3) >= 10  # both sides of the bound are fuzzed
 
 
 def _topology_texts(tmp_path: Path) -> list[str]:

@@ -38,6 +38,8 @@ INPUTS = {
     "split.json": '{"name": "split6", "num_qubits": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5]]}\n',
     # 551 bytes whose broadcasts name 6,553,600 gates, far past ir.MAX_GATES
     "broadcast.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[65536];\n' + "h q;\n" * 100,
+    # 1040 CNOTs, each of whose walks on line(1024) crosses the line: past routing._SWAP_LIMIT
+    "far.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1024];\n' + "cx q[0],q[1023];\ncx q[0],q[1];\n" * 520,
 }
 
 # Every circuit here has at most 19 qubits, so it fits every bundled device.
@@ -77,6 +79,7 @@ RUNS = [
     ("bench on split.json", ["bench", "--qubits", "6", "--seeds", "1", "--gates", "40",
                              "--baselines", "{out}/split.json", *BENCH], REPORTS, 4),
     ("validate broadcast.qasm", ["validate", "{out}/broadcast.qasm"], [], 2),
+    ("route far.qasm on line(1024)", ["route", "{out}/far.qasm", "-t", "line(1024)", *ROUTE], [], 3),
 ]
 
 

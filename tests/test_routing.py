@@ -191,19 +191,31 @@ def test_verify_rejects_deleted_swap():
     assert not verify_routing(circuit, tampered, topology)
 
 
+_H0, _BARRIER01 = Gate(GateKind.H, (0,)), Gate(GateKind.BARRIER, (0, 1))
+
+
 @pytest.mark.parametrize(
-    "routed",
+    "routed, inserted",
     [
-        (Gate(GateKind.H, (-3,)), Gate(GateKind.BARRIER, (0, 1))),  # -3 would wrap around to 0
-        (Gate(GateKind.H, (7,)), Gate(GateKind.BARRIER, (0, 1))),  # 7 would index past the layout
-        (Gate(GateKind.H, (0,)), Gate(GateKind.BARRIER, (-3, 1))),
-        (Gate(GateKind.H, (0,)), Gate(GateKind.BARRIER, (0, 3))),
+        pytest.param((Gate(GateKind.H, (-3,)), _BARRIER01), (), id="routed0"),  # -3 would wrap around to 0
+        pytest.param((Gate(GateKind.H, (7,)), _BARRIER01), (), id="routed1"),  # 7 would index past the layout
+        pytest.param((_H0, Gate(GateKind.BARRIER, (-3, 1))), (), id="routed2"),
+        pytest.param((_H0, Gate(GateKind.BARRIER, (0, 3))), (), id="routed3"),
+        pytest.param((_H0, _BARRIER01), (), id="wider_but_on_the_topology"),
+        # qubit 3, the topology's size, in each branch of the replay; each gate but the
+        # off one replays the source, and the inserted SWAP would move no logical qubit
+        pytest.param((_H0, Gate(GateKind.SWAP, (3, 2)), _BARRIER01), (1,), id="inserted_swap"),
+        pytest.param((_H0, cnot(3, 2), _BARRIER01), (), id="two_qubit"),
+        pytest.param((Gate(GateKind.H, (3,)), _BARRIER01), (), id="one_qubit"),
+        pytest.param((_H0, Gate(GateKind.BARRIER, (3, 0, 1))), (), id="barrier"),
     ],
 )
-def test_verify_rejects_a_routed_gate_off_the_topology(routed):
+def test_verify_rejects_a_routed_gate_off_the_topology(routed, inserted):
+    """A routed circuit wider than the topology is verified like the oracle: it
+    passes while every gate is on the topology's qubits, and fails otherwise."""
     from oracles import rescan_verify
 
-    circuit = Circuit(3, (Gate(GateKind.H, (0,)), Gate(GateKind.BARRIER, (0, 1))))
+    circuit = Circuit(3, (_H0, _BARRIER01))
     topology = builtin_topology("line(3)")
     result = route_circuit(circuit, topology)
     assert result.routed.gates == circuit.gates
@@ -212,9 +224,10 @@ def test_verify_rejects_a_routed_gate_off_the_topology(routed):
         with pytest.raises(DegenerateInputError, match=f"^logical qubit {low} out of range"):
             Circuit(8, routed)
         return
-    tampered = RoutingResult(Circuit(8, routed), (), result.metrics)  # wider than the topology
-    assert rescan_verify(circuit, tampered, topology) is False
-    assert verify_routing(circuit, tampered, topology) is False
+    tampered = RoutingResult(Circuit(8, routed), inserted, result.metrics)  # wider than the topology
+    on_topology = max(q for gate in routed for q in gate.qubits) < topology.num_qubits
+    assert rescan_verify(circuit, tampered, topology) is on_topology
+    assert verify_routing(circuit, tampered, topology) is on_topology
 
 
 @pytest.mark.parametrize(
@@ -240,6 +253,23 @@ def test_verify_rejects_an_unmarked_two_qubit_gate_off_the_couplers(source, rout
     tampered = RoutingResult(Circuit(8, (cnot(*routed),)), (), route_circuit(circuit, topology).metrics)
     assert rescan_verify(circuit, tampered, topology) is False
     assert verify_routing(circuit, tampered, topology) is False
+
+
+def test_a_route_past_its_swap_bound_raises(monkeypatch):
+    """The bound counts inserted SWAPs after each source gate's walk: a route at the
+    bound is kept, one past it raises, and gates that need no SWAP never count."""
+    far = Circuit(10, tuple(cnot(0, 9) if i % 2 == 0 else cnot(0, 1) for i in range(6)), "far")
+    topology = builtin_topology("line(10)")
+    swaps = route_circuit(far, topology).metrics.swap_count
+    assert swaps > 6 * 6  # each walk crosses most of the line
+    monkeypatch.setattr("cacore.routing._SWAP_LIMIT", swaps)
+    assert route_circuit(far, topology).metrics.swap_count == swaps
+    monkeypatch.setattr("cacore.routing._SWAP_LIMIT", swaps - 1)
+    with pytest.raises(DegenerateInputError, match=f"^routing 'far' needs more than {swaps - 1} SWAPs$"):
+        route_circuit(far, topology)
+    near = Circuit(10, (cnot(0, 1), Gate(GateKind.H, (9,))) * 50)  # its routed list passes the bound
+    monkeypatch.setattr("cacore.routing._SWAP_LIMIT", 0)
+    assert route_circuit(near, topology).routed.gates == near.gates
 
 
 def test_a_topology_holds_no_routing_state_until_a_route_fills_it():
